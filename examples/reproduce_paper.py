@@ -41,7 +41,6 @@ ORDER = [
     ("Vectorized kernels", "vectorized_labels"),
     ("Throughput", "throughput"),
     ("Keeping up (title question)", "keeping_up"),
-    ("Parallel local compute", "parallel_local"),
     ("Figure 1", "figure_1_euler_tour"),
     ("Figures 2-3", "figures_2_3_decomposition"),
     ("Figure 4", "figure_4_brackets"),

@@ -52,13 +52,9 @@ GROW_METHODS = frozenset({
     "append", "add", "update", "setdefault", "extend", "insert",
 })
 
-#: Call tails that gate an execution-backend dispatch (SIM009's dispatch
-#: marker, and the call-graph's ``in_fast_gate`` flag):
-#: ``fast_path_enabled`` guards the in-process columnar twins,
-#: ``parallel_path_enabled`` the shared-memory worker-pool twins.  One
-#: scalar function may dispatch through several of these — SIM009 then
-#: holds the whole backend-twin family to pairwise parity.
-FAST_GATE_TAILS = frozenset({"fast_path_enabled", "parallel_path_enabled"})
+#: Call tails that gate a columnar-twin dispatch (SIM009's dispatch
+#: marker, and the call-graph's ``in_fast_gate`` flag).
+FAST_GATE_TAILS = frozenset({"fast_path_enabled"})
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

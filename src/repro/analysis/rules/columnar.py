@@ -209,21 +209,14 @@ class UnstableColumnarOrder(Rule):
 
 
 class FallbackParity(Rule):
-    """A backend twin drifting from its scalar fallback (or its siblings).
+    """A fast-path twin drifting from its scalar fallback.
 
-    Every ``if fast_path_enabled(): return g(...)`` (and every
-    ``parallel_path_enabled()``-gated) dispatch promises that ``g`` is a
-    drop-in for the enclosing scalar function: same parameters in the
-    same order, and the same ``ledger.phase(...)`` annotations so both
-    engines bill the same phase names.  Signature or phase drift
-    dispatches fine today and silently breaks ledger equivalence (or the
-    call itself) on the next edit.
-
-    A function dispatching to *several* backend twins — reference body,
-    columnar twin, parallel twin — is additionally held to three-way
-    parity: all twins in the family must bill the identical phase set,
-    so a drift between two non-reference backends is named even when one
-    of the pairwise checks is suppressed.
+    Every ``if fast_path_enabled(): return g(...)`` dispatch promises
+    that ``g`` is a drop-in for the enclosing scalar function: same
+    parameters in the same order, and the same ``ledger.phase(...)``
+    annotations so both engines bill the same phase names.  Signature or
+    phase drift dispatches fine today and silently breaks ledger
+    equivalence (or the call itself) on the next edit.
     """
 
     code = "SIM009"
@@ -237,39 +230,11 @@ class FallbackParity(Rule):
             return
         # Report at the dispatch site, once per (scalar, twin) pair whose
         # dispatch lives in this module.
-        families: dict[str, list[Tuple[FunctionSummary, _Anchor]]] = {}
-        scalars: dict[str, FunctionSummary] = {}
         for scalar, twin, site in ctx.project.fast_twins:
             if scalar.module != ctx.module.modname:
                 continue
             anchor = _Anchor(site.line, site.col)
-            scalars[scalar.qualname] = scalar
-            families.setdefault(scalar.qualname, []).append((twin, anchor))
             yield from self._check_pair(scalar, twin, path, anchor)
-        for qual, twins in families.items():
-            if len(twins) > 1:
-                yield from self._check_family(scalars[qual], twins, path)
-
-    def _check_family(
-        self,
-        scalar: FunctionSummary,
-        twins: "list[Tuple[FunctionSummary, _Anchor]]",
-        path: str,
-    ) -> Iterator[Finding]:
-        """Three-way parity: every backend twin of one scalar must bill
-        the same phase set as every other, not just as the scalar."""
-        first, first_anchor = twins[0]
-        for other, anchor in twins[1:]:
-            if set(first.phase_names) != set(other.phase_names):
-                yield Finding(
-                    self.code,
-                    f"backend twins '{first.name}' and '{other.name}' of "
-                    f"'{scalar.name}' bill different phase sets "
-                    f"({sorted(set(first.phase_names)) or '[]'} vs "
-                    f"{sorted(set(other.phase_names)) or '[]'}) — every "
-                    "execution backend must charge identical phase names",
-                    path, anchor.line, anchor.col,
-                )
 
     def _check_pair(
         self,

@@ -85,10 +85,10 @@ def boruvka_engine(
 ) -> List[CCEdge]:
     """Deterministic Borůvka with batched per-component min-queries.
 
-    Dispatch is adaptive like the update path (any execution backend
-    whose fast path is on — ``inproc-columnar`` or ``parallel`` — takes
-    the columnar engine, but only above the vectorize/loop crossover;
-    both engines are wire-identical, so the gate never changes a ledger).
+    Dispatch is adaptive like the update path (the ``inproc-columnar``
+    backend takes the columnar engine, but only above the vectorize/loop
+    crossover; both engines are wire-identical, so the gate never changes
+    a ledger).
     """
     if fast_path_enabled() and (
         sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS

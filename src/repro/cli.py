@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--engine", default="sample_gather",
                       choices=["boruvka", "lotker", "sample_gather"])
     demo.add_argument("--backend", default=None, metavar="NAME",
-                      help="execution backend: reference, inproc-columnar, "
-                           "or parallel (default: ambient REPRO_BACKEND)")
+                      help="execution backend: reference or inproc-columnar "
+                           "(default: ambient REPRO_BACKEND)")
     demo.add_argument("--profile", action="store_true",
                       help="print per-phase wall-time/allocation counters")
     demo.set_defaults(fn=_cmd_demo)
@@ -519,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     engine_pin.add_argument("--scalar", action="store_true",
                             help="pin the scalar reference path on")
     trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="execution backend: reference, inproc-columnar, "
-                            "or parallel (outranks --fast/--scalar)")
+                       help="execution backend: reference or inproc-columnar "
+                            "(outranks --fast/--scalar)")
     trace.add_argument("--perturb-batch", type=int, default=None,
                        help="charge one extra round before this batch index "
                             "(seeded fault for trace-diff demos)")
@@ -576,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
     chaos.add_argument("--backend", default=None, metavar="NAME",
-                       help="execution backend: reference, inproc-columnar, "
-                            "or parallel (faults still decide in the parent)")
+                       help="execution backend: reference or inproc-columnar")
     chaos.add_argument("-o", "--out", default=None,
                        help="record the run (incl. fault/recovery events) "
                             "to this JSONL trace")
@@ -603,8 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--init", choices=["distributed", "free"], default=None,
                        help="override the scenario's init mode")
     watch.add_argument("--backend", default=None, metavar="NAME",
-                       help="execution backend: reference, inproc-columnar, "
-                            "or parallel")
+                       help="execution backend: reference or inproc-columnar")
     watch.add_argument("--envelope", type=int, default=None,
                        help="rounds allowed per ceil(batch/capacity) unit "
                             "(default: repro.trace.budgets.DEFAULT_ENVELOPE)")
@@ -646,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--init", choices=["distributed", "free"],
                         default="free")
         sp.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend: reference, inproc-columnar, "
-                             "or parallel (default: REPRO_BACKEND)")
+                        help="execution backend: reference or inproc-columnar "
+                             "(default: REPRO_BACKEND)")
         sp.add_argument("--policy", default="adaptive",
                         choices=["fixed", "deadline", "adaptive"])
         sp.add_argument("--no-coalesce", action="store_true",

@@ -29,8 +29,8 @@ from repro.errors import InconsistentUpdate
 from repro.graphs.generators import RngLike, as_rng
 from repro.graphs.graph import Edge, WeightedGraph, normalize
 from repro.graphs.streams import Update
-from repro.perf.config import override_backend, override_fast_path
-from repro.sim.executor import ExecutionBackend, resolve_backend
+from repro.perf.config import override_fast_path
+from repro.sim.executor import get_backend
 from repro.sim.metrics import TraceSink
 from repro.sim.network import FaultHook, KMachineNetwork
 from repro.sim.partition import VertexPartition, random_vertex_partition
@@ -68,10 +68,6 @@ class DynamicMST:
         #: Tri-state columnar-fast-path pin: True/False force it for every
         #: operation on this instance; None defers to the process default.
         self.fast: Optional[bool] = None
-        #: Execution-backend pin (see :mod:`repro.sim.executor`): set when
-        #: the instance was built with an explicit ``backend=``; None
-        #: defers to ``fast`` and then to the ambient/process default.
-        self.exec_backend: Optional[ExecutionBackend] = None
         self.shadow = graph.copy()
         self.states, self._next_tour_id = make_states(graph, vp, net)
         self.init_rounds = 0
@@ -102,15 +98,14 @@ class DynamicMST:
         benchmarks).  ``fast`` pins the columnar fast path on (True) or
         off (False) for this instance regardless of the process default;
         both settings produce byte-identical ledgers (see
-        :mod:`repro.perf`).  ``backend`` pins a full execution backend
-        by name (``reference``, ``inproc-columnar``, ``parallel``; see
+        :mod:`repro.perf`).  ``backend`` names the engine instead
+        (``reference`` or ``inproc-columnar``, or an alias; see
         :mod:`repro.sim.executor`) and takes precedence over ``fast``;
         with both ``None`` the instance follows the ambient default
-        (``REPRO_BACKEND``/``REPRO_FAST``) at each operation.  All
-        backends produce byte-identical ledgers.  ``trace`` attaches a
-        recorder *before* initialisation, so a measured init's charges
-        are part of the trace (charge indices must be contiguous from 0
-        — a recorder attached after a distributed init would start
+        (``REPRO_BACKEND``/``REPRO_FAST``) at each operation.  ``trace``
+        attaches a recorder *before* initialisation, so a measured init's
+        charges are part of the trace (charge indices must be contiguous
+        from 0 — a recorder attached after a distributed init would start
         mid-transcript).
         """
         rng = as_rng(rng)
@@ -118,11 +113,7 @@ class DynamicMST:
         if vp is None:
             vp = random_vertex_partition(sorted(graph.vertices()), k, rng)
         dm = cls(graph, k, vp, net, engine=engine, rng=rng)
-        if backend is not None:
-            dm.exec_backend = resolve_backend(backend=backend)
-            dm.fast = dm.exec_backend.fast
-        else:
-            dm.fast = fast
+        dm.fast = get_backend(backend).fast if backend is not None else fast
         if trace is not None:
             dm.attach_trace(trace)
         before = net.ledger.snapshot()
@@ -141,15 +132,9 @@ class DynamicMST:
         return dm
 
     def _engine_context(self):
-        """The engine scope for one operation on this instance.
-
-        An explicit backend pin overrides everything (it pushes both the
-        backend and fast-path stacks); otherwise the legacy tri-state
-        ``fast`` pin applies, with ``None`` deferring to the ambient
-        default at call time.
-        """
-        if self.exec_backend is not None:
-            return override_backend(self.exec_backend)
+        """The engine scope for one operation on this instance: the
+        tri-state ``fast`` pin, with ``None`` deferring to the ambient
+        default at call time."""
         return override_fast_path(self.fast)
 
     # ------------------------------------------------------------------

@@ -8,13 +8,6 @@ kernels are the scale-up path for machines holding 10⁵+ labels, verified
 element-for-element against the scalar functions by property tests and
 timed by ``benchmarks/bench_vectorized_labels.py``.
 
-Each public kernel is a thin dispatcher: validation, then — when the
-``parallel`` execution backend is active *and* the array crosses
-``PARALLEL_MIN_ROWS`` — the shared-memory worker-pool twin from
-:mod:`repro.perf.parallel`; otherwise the inline ``_*_impl`` body.  The
-private impls hold the pure math and are what the worker processes
-import, so both sides of every twin run literally the same code.
-
 All kernels take/return ``int64`` arrays and never modify inputs.
 """
 
@@ -25,43 +18,13 @@ from typing import Tuple
 import numpy as np
 
 from repro.euler.labels import JoinSpec, SplitSpec
-from repro.perf import config as _config
-from repro.perf.config import parallel_path_enabled
-
-
-def _reroot_impl(labels: np.ndarray, d: int, size: int) -> np.ndarray:
-    return (labels - d) % size
-
-
-def _split_impl(labels: np.ndarray, spec: SplitSpec) -> Tuple[np.ndarray, np.ndarray]:
-    inside = (labels > spec.e_min) & (labels < spec.e_max)
-    after = labels > spec.e_max
-    new_labels = np.where(
-        inside,
-        labels - (spec.e_min + 1),
-        np.where(after, labels - spec.removed_steps, labels),
-    )
-    tours = np.where(inside, spec.inside_tour, spec.old_tour)
-    return tours, new_labels
-
-
-def _join_m1_impl(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
-    return np.where(labels < spec.a, labels, labels + spec.size2 + 2)
-
-
-def _join_m2_impl(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
-    return spec.a + 1 + ((labels - spec.b) % spec.size2)
 
 
 def reroot_labels(labels: np.ndarray, d: int, size: int) -> np.ndarray:
     """Vectorized Lemma 5.5: (labels - d) mod size."""
     if size <= 0:
         raise ValueError("cannot reroot an edgeless tour")
-    if labels.size >= _config.PARALLEL_MIN_ROWS and parallel_path_enabled():
-        from repro.perf.parallel import reroot_labels_parallel
-
-        return reroot_labels_parallel(labels, d, size)
-    return _reroot_impl(labels, d, size)
+    return (labels - d) % size
 
 
 def split_labels(labels: np.ndarray, spec: SplitSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,21 +37,21 @@ def split_labels(labels: np.ndarray, spec: SplitSpec) -> Tuple[np.ndarray, np.nd
     labels = np.asarray(labels, dtype=np.int64)
     if np.any((labels == spec.e_min) | (labels == spec.e_max)):
         raise ValueError("the removed edge's own labels have no image")
-    if labels.size >= _config.PARALLEL_MIN_ROWS and parallel_path_enabled():
-        from repro.perf.parallel import split_labels_parallel
-
-        return split_labels_parallel(labels, spec)
-    return _split_impl(labels, spec)
+    inside = (labels > spec.e_min) & (labels < spec.e_max)
+    after = labels > spec.e_max
+    new_labels = np.where(
+        inside,
+        labels - (spec.e_min + 1),
+        np.where(after, labels - spec.removed_steps, labels),
+    )
+    tours = np.where(inside, spec.inside_tour, spec.old_tour)
+    return tours, new_labels
 
 
 def join_m1_labels(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
     """Vectorized Lemma 5.7, M1 side."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size >= _config.PARALLEL_MIN_ROWS and parallel_path_enabled():
-        from repro.perf.parallel import join_m1_labels_parallel
-
-        return join_m1_labels_parallel(labels, spec)
-    return _join_m1_impl(labels, spec)
+    return np.where(labels < spec.a, labels, labels + spec.size2 + 2)
 
 
 def join_m2_labels(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
@@ -96,11 +59,7 @@ def join_m2_labels(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
     if spec.size2 <= 0:
         raise ValueError("singleton M2 has no labels")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size >= _config.PARALLEL_MIN_ROWS and parallel_path_enabled():
-        from repro.perf.parallel import join_m2_labels_parallel
-
-        return join_m2_labels_parallel(labels, spec)
-    return _join_m2_impl(labels, spec)
+    return spec.a + 1 + ((labels - spec.b) % spec.size2)
 
 
 def innermost_intervals(

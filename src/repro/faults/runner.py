@@ -32,10 +32,9 @@ def run_chaos(
     ``sink`` is given, a trace recorder rides the whole run, so fault,
     checkpoint and recovery events land in the JSONL stream.
     ``backend`` pins an execution backend by name (falls back to the
-    scenario's ``backend`` field, then the ambient default).  Fault
-    decisions always run in the parent process — the plane path routes
-    per-message while a hook is enabled — so injection stays
-    seeded-deterministic under every backend.
+    scenario's ``backend`` field, then the ambient default).  The plane
+    path routes per-message while a fault hook is enabled, so injection
+    stays seeded-deterministic under either backend.
     ``telemetry`` is an extra :class:`~repro.sim.metrics.TraceSink`
     (typically a :class:`repro.obs.BusSink`) teed alongside the file
     recorder; teeing never changes file bytes or ledger digests.

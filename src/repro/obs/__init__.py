@@ -10,7 +10,7 @@ The observability layer sits *beside* the simulator, never inside it:
   file recorder *and* the bus;
 * :mod:`~repro.obs.registry` — :class:`MetricsRegistry`, folding bus
   events into counters/gauges/histograms (throughput, skew, batch
-  latency, theorem-budget headroom, chaos and worker-pool counters);
+  latency, theorem-budget headroom and chaos counters);
 * :mod:`~repro.obs.prom` — the shared Prometheus text formatter;
 * :mod:`~repro.obs.server` — :class:`ObsServer`, stdlib HTTP endpoints
   (``/metrics``, ``/healthz``, ``/snapshot``, ``/`` dashboard);

@@ -59,11 +59,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   <div class="card"><div class="label">load skew (send / recv)</div>
     <div class="value" id="skew">—</div>
     <div class="hint">max/mean per-machine words</div></div>
-  <div class="card"><div class="label">pool</div>
-    <div class="value" id="poolworkers">0</div>
-    <div class="hint"><span id="pooldispatches">0</span> dispatches ·
-      <span id="poolfallbacks">0</span> fallbacks ·
-      <span id="slab">0</span> shm</div></div>
   <div class="card"><div class="label">chaos</div>
     <div class="value" id="chaosfaults">0</div>
     <div class="hint"><span id="crashes">0</span> crashes ·
@@ -137,12 +132,6 @@ async function tick() {
     `${fmt(snap.budget.violations)} over-budget · worst ${fmt(snap.budget.min_headroom)}`;
   el("skew").textContent =
     `${snap.machines.send_skew} / ${snap.machines.recv_skew}`;
-  el("poolworkers").textContent = fmt(snap.pool.workers);
-  el("pooldispatches").textContent =
-    fmt(Object.values(snap.pool.dispatches).reduce((a, b) => a + b, 0));
-  el("poolfallbacks").textContent =
-    fmt(Object.values(snap.pool.fallbacks).reduce((a, b) => a + b, 0));
-  el("slab").textContent = fmt(snap.pool.slab_bytes) + " B";
   el("chaosfaults").textContent =
     fmt(Object.values(snap.chaos.faults).reduce((a, b) => a + b, 0));
   el("crashes").textContent = fmt(snap.chaos.crashes);

@@ -3,9 +3,8 @@
 :class:`ObsSession` bundles the three tentpole pieces —
 :class:`~repro.obs.bus.TelemetryBus`,
 :class:`~repro.obs.registry.MetricsRegistry`,
-:class:`~repro.obs.server.ObsServer` — behind one context manager, and
-installs the kernel-pool telemetry sink for its lifetime (restoring
-whatever was there before).  The CLI surfaces build on it:
+:class:`~repro.obs.server.ObsServer` — behind one context manager.  The
+CLI surfaces build on it:
 
 * ``repro watch <scenario>`` — :func:`watch_scenario`, which loops a
   named scenario under an attached :class:`~repro.obs.sink.BusSink` so
@@ -30,7 +29,7 @@ from repro.obs.sink import BusSink
 
 
 class ObsSession:
-    """One live telemetry stack: bus, registry, HTTP server, pool sink.
+    """One live telemetry stack: bus, registry and HTTP server.
 
     ``serve=False`` skips the HTTP server (bus + registry only, e.g. for
     tests or in-process consumers).  ``port=0`` binds a free port; read
@@ -52,8 +51,6 @@ class ObsSession:
         self.server: Optional[ObsServer] = (
             ObsServer(self.registry, host=host, port=port) if serve else None
         )
-        self._prev_pool_sink: Optional[Any] = None
-        self._pool_sink: Optional[BusSink] = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -68,10 +65,6 @@ class ObsSession:
     def start(self) -> "ObsSession":
         if self._started:
             return self
-        from repro.perf.parallel.pool import set_telemetry_sink
-
-        self._pool_sink = BusSink(self.bus, meta={"source": "kernel-pool"})
-        self._prev_pool_sink = set_telemetry_sink(self._pool_sink)
         if self.server is not None:
             self.server.start()
         self._started = True
@@ -80,13 +73,6 @@ class ObsSession:
     def close(self) -> None:
         if not self._started:
             return
-        from repro.perf.parallel.pool import set_telemetry_sink
-
-        set_telemetry_sink(self._prev_pool_sink)
-        self._prev_pool_sink = None
-        if self._pool_sink is not None:
-            self._pool_sink.close()
-            self._pool_sink = None
         if self.server is not None:
             self.server.close()
         self.registry.close()

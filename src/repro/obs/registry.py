@@ -14,8 +14,6 @@ the live operational state the ROADMAP dashboard asks for:
   :func:`repro.trace.budgets.budget_for_run` (positive: rounds to
   spare under the envelope; negative: over budget);
 * chaos — fault/retry/crash/checkpoint/recovery counters;
-* the worker pool — per-worker dispatch/barrier-wait time, shm slab
-  bytes, inline-fallback counts (the ``pool_*`` events);
 * the serve daemon — live sessions, command outcomes by op/status,
   protocol error codes, forest-view publications and evictions (the
   ``serve_*`` events from ``repro serve``);
@@ -42,10 +40,6 @@ BATCH_ROUND_BUCKETS: Tuple[float, ...] = (
 #: Bucket bounds for batch latency in wall seconds.
 BATCH_SECONDS_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-#: Bucket bounds for one pool dispatch in wall seconds.
-POOL_SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 )
 
 #: How many finished batches the JSON snapshot keeps for the dashboard.
@@ -160,15 +154,6 @@ class MetricsRegistry:
         self.stream_runs = 0
         self.stream_p50_ticks: Optional[float] = None
         self.stream_p99_ticks: Optional[float] = None
-        # worker pool
-        self.pool_workers = 0
-        self.pool_start_method: Optional[str] = None
-        self.pool_dispatches: Dict[str, int] = {}
-        self.pool_dispatch_seconds = Histogram(POOL_SECONDS_BUCKETS)
-        self.pool_rows = 0
-        self.pool_worker_wait_ns: List[int] = []
-        self.pool_slab_bytes = 0
-        self.pool_fallbacks: Dict[str, int] = {}
         # serve daemon (repro.serve)
         self.serve_running = 0
         self.serve_policy: Optional[str] = None
@@ -356,33 +341,6 @@ class MetricsRegistry:
             value = event.get(key)
             if isinstance(value, (int, float)):
                 setattr(self, f"stream_{key}", float(value))
-
-    def _on_pool_start(self, event: Dict[str, Any]) -> None:
-        self.pool_workers = int(event["workers"])
-        self.pool_start_method = str(event["start_method"])
-
-    def _on_pool_stop(self, event: Dict[str, Any]) -> None:
-        self.pool_workers = 0
-
-    def _on_pool_dispatch(self, event: Dict[str, Any]) -> None:
-        kind = str(event["kind"])
-        self.pool_dispatches[kind] = self.pool_dispatches.get(kind, 0) + 1
-        self.pool_rows += int(event["rows"])
-        work_ns = event.get("work_ns")
-        if isinstance(work_ns, int):
-            self.pool_dispatch_seconds.observe(work_ns / 1e9)
-        waits = event.get("wait_ns")
-        if waits:
-            _grow_to(self.pool_worker_wait_ns, len(waits))
-            for i, w in enumerate(waits):
-                self.pool_worker_wait_ns[i] += int(w)
-        slab = event.get("slab_bytes")
-        if isinstance(slab, int):
-            self.pool_slab_bytes = slab
-
-    def _on_pool_fallback(self, event: Dict[str, Any]) -> None:
-        kind = str(event["kind"])
-        self.pool_fallbacks[kind] = self.pool_fallbacks.get(kind, 0) + 1
 
     def _on_serve_start(self, event: Dict[str, Any]) -> None:
         self.serve_running = 1
@@ -583,29 +541,6 @@ class MetricsRegistry:
                   "p99 update staleness of the last finished stream run"
                   ).add(self.stream_p99_ticks)
 
-        gauge("repro_pool_workers",
-              "Live worker processes in the kernel pool").add(self.pool_workers)
-        fam = counter("repro_pool_dispatches_total",
-                      "Kernel-pool dispatches by kind")
-        for kind, count in sorted(self.pool_dispatches.items()):
-            fam.add(count, kind=kind)
-        counter("repro_pool_rows_total",
-                "Rows shipped through the kernel pool").add(self.pool_rows)
-        fams.append(self.pool_dispatch_seconds.family(
-            "repro_pool_dispatch_duration_seconds",
-            "Wall-clock latency of one pool dispatch (load, barrier, read-back)"))
-        fam = counter("repro_pool_worker_wait_seconds_total",
-                      "Cumulative barrier wait per pool worker")
-        for i, ns in enumerate(self.pool_worker_wait_ns):
-            fam.add(round(ns / 1e9, 9), worker=i)
-        gauge("repro_pool_slab_bytes",
-              "Shared-memory slab bytes currently mapped by the pool"
-              ).add(self.pool_slab_bytes)
-        fam = counter("repro_pool_fallbacks_total",
-                      "Kernel dispatches that fell back inline by kind")
-        for kind, count in sorted(self.pool_fallbacks.items()):
-            fam.add(count, kind=kind)
-
         gauge("repro_serve_up",
               "Whether an MST serve daemon is live on this bus"
               ).add(self.serve_running)
@@ -749,18 +684,6 @@ class MetricsRegistry:
                 "admitted": self.serve_admitted,
                 "rejected": self.serve_rejected,
                 "digest": self.serve_digest,
-            },
-            "pool": {
-                "workers": self.pool_workers,
-                "start_method": self.pool_start_method,
-                "dispatches": dict(sorted(self.pool_dispatches.items())),
-                "rows": self.pool_rows,
-                "dispatch_seconds": self.pool_dispatch_seconds.as_dict(),
-                "worker_wait_seconds": [
-                    round(ns / 1e9, 6) for ns in self.pool_worker_wait_ns
-                ],
-                "slab_bytes": self.pool_slab_bytes,
-                "fallbacks": dict(sorted(self.pool_fallbacks.items())),
             },
             "bus": {
                 "events": self.events_seen,

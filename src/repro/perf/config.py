@@ -1,25 +1,19 @@
-"""The engine switches: fast path and execution backend.
+"""The engine switch: the columnar fast path, on or off.
 
-**Fast path** — three layers, highest priority first:
+Three layers, highest priority first:
 
 1. an active :func:`override_fast_path` context (used by
    :class:`~repro.core.api.DynamicMST` instances built with an explicit
-   ``fast=`` argument, and by the equivalence tests);
+   ``fast=`` or ``backend=`` argument, and by the equivalence tests);
 2. a process-wide value installed with :func:`set_fast_path`;
-3. the ``REPRO_FAST`` environment variable (unset means **on**: the
-   columnar path is the production path; the scalar path is the
-   reference the equivalence suite compares against).
+3. the environment, read by :func:`repro.sim.executor.backend_from_env`:
+   ``REPRO_BACKEND`` (``reference``/``scalar`` is off, the columnar
+   names are on) before ``REPRO_FAST`` (unset means **on**: the columnar
+   path is the production path; the scalar path is the reference the
+   equivalence suite compares against).
 
-**Execution backend** — the same three layers, one level up: an
-:class:`~repro.sim.executor.ExecutionBackend` names a complete engine
-(``reference``, ``inproc-columnar``, or ``parallel``) and implies a
-fast-path setting; :func:`override_backend` pushes both stacks together
-so every ``fast_path_enabled()`` gate downstream follows the backend.
-The backend layer additionally exposes :func:`parallel_kernels`, the
-hook the shared-memory worker pool of :mod:`repro.perf.parallel` hangs
-off: ``None`` for the in-process backends, so the kernel twins in
-:mod:`repro.euler.vectorized` cost one function call when inactive.
-
+An :class:`~repro.sim.executor.ExecutionBackend` is a name for one
+setting of this switch; selecting one is ``override_fast_path(b.fast)``.
 Both paths are always available — nothing is compiled out — so a single
 process can run them back to back and compare ledgers byte for byte.
 """
@@ -28,10 +22,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (no cycle at runtime)
-    from repro.sim.executor import ExecutionBackend, KernelPoolLike
+from typing import Iterator, List, Optional
 
 #: Below this many rows, array packing costs more than scalar loops save;
 #: the columnar engine still runs (correctness is size-independent) but
@@ -46,29 +37,14 @@ VECTOR_MIN_ROWS = 64
 #: local code computes it.
 UPDATE_MIN_ROWS = int(os.environ.get("REPRO_UPDATE_MIN_ROWS", "8192"))
 
-#: Below this many rows, shipping a kernel to the worker pool costs more
-#: than the barrier saves; the parallel twins in
-#: :mod:`repro.euler.vectorized` compute inline under this size.  Tests
-#: monkeypatch this down to force the shared-memory path on small arrays.
-PARALLEL_MIN_ROWS = int(os.environ.get("REPRO_PARALLEL_MIN_ROWS", "65536"))
-
 _process_default: Optional[bool] = None
 _override_stack: List[bool] = []
 
-_backend_default: Optional["ExecutionBackend"] = None
-_backend_stack: List["ExecutionBackend"] = []
-
 
 def _env_default() -> bool:
-    value = os.environ.get("REPRO_FAST")
-    if value is None:
-        # REPRO_BACKEND alone may also pin the engine; the reference
-        # backend is the only one whose fast path is off.
-        backend = os.environ.get("REPRO_BACKEND")
-        if backend is not None:
-            return backend.strip().lower() not in ("reference", "scalar")
-        return True
-    return value.strip() not in ("", "0", "false", "no")
+    from repro.sim.executor import backend_from_env
+
+    return backend_from_env().fast
 
 
 def fast_path_enabled() -> bool:
@@ -99,73 +75,3 @@ def override_fast_path(enabled: Optional[bool]) -> Iterator[None]:
         yield
     finally:
         _override_stack.pop()
-
-
-# ----------------------------------------------------------------------
-# execution backend layer (see repro.sim.executor for the registry)
-# ----------------------------------------------------------------------
-def current_backend() -> "ExecutionBackend":
-    """The execution backend active at this call site.
-
-    Same three layers as the fast path: an :func:`override_backend`
-    context, then the :func:`set_backend` process default, then the
-    ``REPRO_BACKEND`` environment variable (unset: derived from the
-    fast-path default, i.e. ``inproc-columnar`` unless ``REPRO_FAST``
-    turns the fast path off).
-    """
-    if _backend_stack:
-        return _backend_stack[-1]
-    if _backend_default is not None:
-        return _backend_default
-    from repro.sim.executor import backend_from_env
-
-    return backend_from_env()
-
-
-def set_backend(backend: Optional["ExecutionBackend"]) -> None:
-    """Install a process-wide backend (``None`` restores the env default).
-
-    The backend's fast-path setting is installed alongside it, so every
-    ``fast_path_enabled()`` gate follows the backend.
-    """
-    # simlint: disable=SIM002 harness-level engine toggle, not simulated machine state; all backends charge identical ledgers
-    global _backend_default
-    _backend_default = backend
-    set_fast_path(None if backend is None else backend.fast)
-
-
-@contextmanager
-def override_backend(backend: Optional["ExecutionBackend"]) -> Iterator[None]:
-    """Force an execution backend inside the block (``None`` is a no-op).
-
-    Pushes both the backend stack and the fast-path stack, so columnar
-    gating and worker-pool gating stay consistent for the whole block.
-    """
-    if backend is None:
-        yield
-        return
-    # simlint: disable=SIM002 harness-level engine toggle, not simulated machine state; all backends charge identical ledgers
-    _backend_stack.append(backend)
-    # simlint: disable=SIM002 harness-level engine toggle, not simulated machine state; all backends charge identical ledgers
-    _override_stack.append(bool(backend.fast))
-    try:
-        yield
-    finally:
-        _override_stack.pop()
-        _backend_stack.pop()
-
-
-def parallel_kernels() -> Optional["KernelPoolLike"]:
-    """The active backend's shared-memory kernel pool, or ``None``.
-
-    ``None`` means "compute inline": the in-process backends always
-    return it, and the parallel backend returns it too while its pool is
-    unavailable (start-method restrictions, worker death) — the graceful
-    single-process fallback.
-    """
-    return current_backend().kernel_pool()
-
-
-def parallel_path_enabled() -> bool:
-    """Is the shared-memory parallel backend active *and* serviceable?"""
-    return current_backend().kernel_pool() is not None

@@ -10,10 +10,9 @@ The remaining fields (queues, rate limits, host/port) shape the
 concurrent edge of the system and never influence what the core
 computes, only *which* commands are admitted.
 
-``REPRO_BACKEND=parallel`` flows through here: ``backend=None`` defers
-to the ambient environment exactly like
+``backend=None`` defers to the ambient environment exactly like
 :meth:`repro.core.api.DynamicMST.build`, and :meth:`resolved_backend`
-reports which backend the daemon actually serves from.
+reports the canonical name of the engine the daemon serves from.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.graphs.generators import random_weighted_graph
 from repro.graphs.graph import WeightedGraph
+from repro.sim.executor import backend_from_env, get_backend
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ class ServeConfig:
         return cfg
 
     def resolved_backend(self) -> str:
-        """The backend name the daemon serves from (config or ambient)."""
-        return self.backend or os.environ.get("REPRO_BACKEND") or "default"
+        """The canonical engine name the daemon serves from."""
+        if self.backend is not None:
+            return get_backend(self.backend).name
+        return backend_from_env().name
 
     def initial_graph(self) -> WeightedGraph:
         """The seeded initial graph; identical on every construction."""

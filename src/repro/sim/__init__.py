@@ -40,7 +40,6 @@ from repro.sim.partition import (
     random_vertex_partition,
 )
 from repro.sim.program import MachineProgram, run_programs
-from repro.sim.executor import parallel_local_map
 from repro.sim.strict import (
     GuardedState,
     estimate_payload_words,
@@ -69,7 +68,6 @@ __all__ = [
     "lexicographic_edge_partition",
     "MachineProgram",
     "run_programs",
-    "parallel_local_map",
     "GuardedState",
     "estimate_payload_words",
     "strict_from_env",

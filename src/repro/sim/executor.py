@@ -1,134 +1,47 @@
-"""Execution backends: how machine-local computation is scheduled.
+"""Execution backends: which engine computes the machine-local steps.
 
 The reproduction's primary metric is communication rounds (see
 DESIGN.md), which the simulator measures exactly regardless of how the
-*local* computation is scheduled.  An :class:`ExecutionBackend` names
-one scheduling strategy; all of them are held to the same contract —
-**byte-identical ledgers, digests and trace events** — enforced by the
-cross-backend equivalence suite in ``tests/perf``:
+*local* computation is executed.  An :class:`ExecutionBackend` names one
+engine; both are held to the same contract — **byte-identical ledgers,
+digests and trace events** — enforced by the cross-backend equivalence
+suite in ``tests/perf``:
 
-* ``reference`` — the scalar in-process engine; per-edge Python loops,
-  the ground truth every other backend is diffed against;
-* ``inproc-columnar`` — the NumPy columnar engine of :mod:`repro.perf`
-  (the production default);
-* ``parallel`` — the columnar engine with the pure label kernels and
-  message-plane load gauges dispatched to a pool of worker processes
-  over ``multiprocessing.shared_memory`` arrays, with a barrier at every
-  dispatch (see :mod:`repro.perf.parallel`).  Workers only ever compute
-  pure functions of shared-memory columns; the parent applies every
-  send, charge and fault decision in the same deterministic order as
-  the in-process backends, so worker scheduling can never reach the
-  wire.
+* ``reference`` (alias ``scalar``) — the scalar engine; per-edge Python
+  loops, the ground truth the columnar engine is diffed against;
+* ``inproc-columnar`` (alias ``columnar``) — the NumPy columnar engine
+  of :mod:`repro.perf` (the production default).
+
+A backend is nothing more than a name for one setting of the fast-path
+switch (:mod:`repro.perf.config`): selecting one means running under
+``override_fast_path(backend.fast)``.
 
 Backend selection goes through :func:`resolve_backend` — explicit
 ``backend=`` argument, then ``fast=``, then a scenario's ``backend``
-field, then the ``REPRO_BACKEND`` environment variable, then the
-fast-path default.  The active backend for a dynamic scope is managed by
-:func:`repro.perf.config.override_backend`.
-
-:func:`parallel_local_map` (below) is the older per-machine process-pool
-map; it remains for the local-phase scaling demonstration in
-``bench_parallel_local.py``.
+field, then the ``REPRO_BACKEND`` environment variable.  With none of
+them set the ambient fast-path switch decides, whose environment layer
+is :func:`backend_from_env` (``REPRO_BACKEND`` before ``REPRO_FAST``).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
-
-import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 
-class KernelPoolLike(Protocol):
-    """What the simulator needs from a shared-memory worker pool.
-
-    Implemented by :class:`repro.perf.parallel.pool.KernelPool`; declared
-    here so the mypy-strict simulator kernel needs no import of (and no
-    dependency on) the parallel layer.  Every method is a *barrier*: it
-    returns only once all workers finished their shard, so the caller
-    observes one superstep-synchronous result regardless of worker
-    scheduling.
-    """
-
-    @property
-    def workers(self) -> int: ...
-
-    def run_elementwise(
-        self, kind: str, spec: Tuple[int, ...], labels: "np.ndarray[Any, Any]"
-    ) -> "np.ndarray[Any, Any]": ...
-
-    def run_split(
-        self, spec: Tuple[int, ...], labels: "np.ndarray[Any, Any]"
-    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]: ...
-
-    def plane_loads(
-        self,
-        src: "np.ndarray[Any, Any]",
-        dst: "np.ndarray[Any, Any]",
-        words: "np.ndarray[Any, Any]",
-        k: int,
-    ) -> "np.ndarray[Any, Any]": ...
-
-
+@dataclass(frozen=True)
 class ExecutionBackend:
-    """One way of executing machine-local computation.
+    """One engine: its canonical ``name`` and fast-path setting."""
 
-    Subclasses pin ``name`` (the registry key), ``fast`` (whether the
-    columnar plane math drives supersteps) and optionally a kernel pool.
-    Backends are stateless from the simulator's point of view: the
-    ledger/wire contract is identical across all of them.
-    """
-
-    name: str = "reference"
-    fast: bool = False
-
-    @property
-    def workers(self) -> int:
-        """Worker processes backing this backend (0 = in-process)."""
-        return 0
-
-    def kernel_pool(self) -> Optional[KernelPoolLike]:
-        """The shared-memory kernel pool, or ``None`` to compute inline."""
-        return None
-
-    def close(self) -> None:
-        """Release any worker processes/shared memory (idempotent)."""
-
-    def describe(self) -> Dict[str, object]:
-        """Metadata for bench/trace output (JSON-serializable)."""
-        return {"name": self.name, "fast": self.fast, "workers": self.workers}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
+    name: str
+    fast: bool
 
 
-class ReferenceBackend(ExecutionBackend):
-    """The scalar in-process engine — the equivalence ground truth."""
+REFERENCE = ExecutionBackend("reference", fast=False)
+COLUMNAR = ExecutionBackend("inproc-columnar", fast=True)
 
-    name = "reference"
-    fast = False
-
-
-class ColumnarBackend(ExecutionBackend):
-    """The in-process NumPy columnar engine (production default)."""
-
-    name = "inproc-columnar"
-    fast = True
-
+_BACKENDS: Dict[str, ExecutionBackend] = {b.name: b for b in (REFERENCE, COLUMNAR)}
 
 #: Accepted spellings per canonical backend name.
 BACKEND_ALIASES: Dict[str, str] = {
@@ -136,23 +49,18 @@ BACKEND_ALIASES: Dict[str, str] = {
     "scalar": "reference",
     "inproc-columnar": "inproc-columnar",
     "columnar": "inproc-columnar",
-    "parallel": "parallel",
 }
-
-_instances: Dict[str, ExecutionBackend] = {}
 
 
 def backend_names() -> List[str]:
     """Canonical backend names, stable order (reference first)."""
-    return ["reference", "inproc-columnar", "parallel"]
+    return list(_BACKENDS)
 
 
 def get_backend(name: str) -> ExecutionBackend:
-    """The (cached) backend registered under ``name`` or an alias.
+    """The backend registered under ``name`` or an alias.
 
     Raises ``ValueError`` naming the known backends on an unknown name.
-    The ``parallel`` backend is imported lazily so the in-process
-    backends never pay for the multiprocessing machinery.
     """
     canonical = BACKEND_ALIASES.get(name.strip().lower())
     if canonical is None:
@@ -161,34 +69,30 @@ def get_backend(name: str) -> ExecutionBackend:
             f"unknown execution backend {name!r} (known backends and "
             f"aliases: {known})"
         )
-    inst = _instances.get(canonical)
-    if inst is None:
-        if canonical == "reference":
-            inst = ReferenceBackend()
-        elif canonical == "inproc-columnar":
-            inst = ColumnarBackend()
-        else:
-            from repro.perf.parallel import ParallelBackend
+    return _BACKENDS[canonical]
 
-            inst = ParallelBackend()
-        # simlint: disable=SIM002 process-level backend registry cache, not simulated machine state; all backends charge identical ledgers
-        _instances[canonical] = inst
-    return inst
+
+def _backend_env_pin() -> Optional[ExecutionBackend]:
+    """The backend ``REPRO_BACKEND`` names, or ``None`` when it is unset."""
+    name = os.environ.get("REPRO_BACKEND", "").strip()
+    return get_backend(name) if name else None
 
 
 def backend_from_env() -> ExecutionBackend:
-    """The backend the environment selects when nothing explicit does.
+    """The backend the environment selects — the one place it is read.
 
-    ``REPRO_BACKEND`` wins; otherwise the fast-path default decides
-    between the two in-process backends (``REPRO_FAST`` unset/on →
-    columnar).
+    ``REPRO_BACKEND`` wins; otherwise ``REPRO_FAST`` decides (unset or
+    truthy → columnar; ``""``/``0``/``false``/``no`` → reference).  The
+    fast-path switch's environment layer is this function's ``fast``, so
+    the engine that runs and the engine reported always agree.
     """
-    name = os.environ.get("REPRO_BACKEND")
-    if name is not None and name.strip():
-        return get_backend(name)
-    from repro.perf.config import fast_path_enabled
-
-    return get_backend("inproc-columnar" if fast_path_enabled() else "reference")
+    pinned = _backend_env_pin()
+    if pinned is not None:
+        return pinned
+    value = os.environ.get("REPRO_FAST")
+    if value is not None and value.strip() in ("", "0", "false", "no"):
+        return REFERENCE
+    return COLUMNAR
 
 
 def resolve_backend(
@@ -201,52 +105,14 @@ def resolve_backend(
     Precedence (highest first): the explicit ``backend`` argument, the
     explicit ``fast`` argument, the scenario's ``backend`` field, the
     ``REPRO_BACKEND`` environment variable.  When none of them pins a
-    backend the result is ``None`` and the caller keeps today's dynamic
-    behaviour: every operation consults the ambient config
-    (:func:`repro.perf.config.current_backend`) at call time.
+    backend the result is ``None`` and the caller keeps the dynamic
+    behaviour: every operation consults the ambient fast-path switch
+    (:func:`repro.perf.config.fast_path_enabled`) at call time.
     """
     if backend is not None:
         return get_backend(backend)
     if fast is not None:
-        return get_backend("inproc-columnar" if fast else "reference")
+        return COLUMNAR if fast else REFERENCE
     if scenario is not None:
         return get_backend(scenario)
-    name = os.environ.get("REPRO_BACKEND")
-    if name is not None and name.strip():
-        return get_backend(name)
-    return None
-
-_worker_fn: Optional[Callable[[Any], Any]] = None
-
-
-def _init_pool(fn: Callable[[Any], Any]) -> None:
-    # simlint: disable=SIM002 process-pool plumbing: each worker process owns a private copy, no cross-machine sharing
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call(arg: Any) -> Any:
-    assert _worker_fn is not None
-    return _worker_fn(arg)
-
-
-def parallel_local_map(
-    fn: Callable[[T], R],
-    per_machine_inputs: Sequence[T],
-    workers: Optional[int] = None,
-    chunk: int = 1,
-) -> List[R]:
-    """Apply a pure function to each machine's input, in parallel.
-
-    ``fn`` must be a module-level picklable function of one argument and
-    must not touch shared state (it models one machine's local step).
-    Falls back to a sequential map for a single worker or tiny inputs.
-    """
-    n = len(per_machine_inputs)
-    if workers is None:
-        workers = min(n, os.cpu_count() or 1)
-    if workers <= 1 or n <= 1:
-        return [fn(x) for x in per_machine_inputs]
-    ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-    with ctx.Pool(workers, initializer=_init_pool, initargs=(fn,)) as pool:
-        return pool.map(_call, per_machine_inputs, chunksize=max(chunk, 1))
+    return _backend_env_pin()

@@ -279,19 +279,9 @@ class Network:
     def _plane_load_matrix(self, src: Any, dst: Any, words: Any) -> Any:
         """Per-(src, dst) word loads as a dense ``(k, k)`` int64 matrix.
 
-        Large planes are offloaded to the ``parallel`` backend's worker
-        pool (each worker bincounts a shard, the parent sums the shards
-        in fixed order); the inline twin is the same exact int64
-        accumulation.  Every charge, gauge and pair load downstream is
-        derived from this one matrix, so the transcript is identical
-        whichever side computed it.
+        Every charge, gauge and pair load downstream is derived from this
+        one matrix.
         """
-        from repro.perf import config
-
-        if words.size >= config.PARALLEL_MIN_ROWS and config.parallel_path_enabled():
-            pool = config.parallel_kernels()
-            if pool is not None:
-                return pool.plane_loads(src, dst, words, self.k)
         pair = src * self.k + dst
         loads = np.bincount(pair, weights=words, minlength=self.k * self.k)
         return loads.astype(np.int64).reshape(self.k, self.k)

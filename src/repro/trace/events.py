@@ -57,21 +57,6 @@ Event types (``repro-trace/1``):
     A rollback-and-replay recovery: ``machines`` (the dead set) on
     start; ``machines``, ``rounds`` (the recovery's full charged cost)
     and ``replayed`` (logged batches re-executed) on end.
-``pool_start`` / ``pool_stop``
-    Lifecycle of the :class:`~repro.perf.parallel.pool.KernelPool`
-    worker pool: ``workers`` and ``start_method`` when the pool comes
-    up; ``workers`` and the total ``dispatches`` served when it is
-    closed.
-``pool_dispatch``
-    One fan-out to the worker pool: ``kind`` (``"elementwise"``,
-    ``"split"`` or ``"plane_loads"``), ``rows`` and ``workers``, plus
-    optional wall-clock observability fields — ``work_ns`` (whole
-    dispatch), ``wait_ns`` (per-worker barrier waits) and
-    ``slab_bytes`` (shared-memory bytes currently mapped).  These
-    events flow to the telemetry bus only, never into charge digests.
-``pool_fallback``
-    The pool was unavailable (or died) and a kernel ran inline:
-    ``kind`` plus the ``reason`` string.
 ``sched_cut``
     The streaming admission scheduler (:mod:`repro.stream`) cut the
     buffer into a batch: the deciding ``policy`` and its ``reason``
@@ -227,18 +212,6 @@ EVENT_SPECS: Tuple[EventSpec, ...] = (
     EventSpec(
         "recovery_end", required=("machines", "rounds", "replayed"),
     ),
-    EventSpec(
-        "pool_start", required=("workers", "start_method"),
-    ),
-    EventSpec(
-        "pool_stop", required=("workers", "dispatches"),
-    ),
-    EventSpec(
-        "pool_dispatch",
-        required=("kind", "rows", "workers"),
-        optional=("work_ns", "wait_ns", "slab_bytes"),
-    ),
-    EventSpec("pool_fallback", required=("kind", "reason")),
     EventSpec(
         "sched_cut",
         required=("policy", "reason", "raw", "shipped", "queue_depth"),

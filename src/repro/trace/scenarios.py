@@ -30,8 +30,8 @@ class Scenario:
     #: out of their ledgers) or ``distributed`` (the measured Theorem 5.8
     #: protocol; the init scenarios below benchmark it end to end).
     init: str = "free"
-    #: Execution backend the scenario pins (``reference``,
-    #: ``inproc-columnar``, ``parallel``); ``None`` defers to the caller
+    #: Execution backend the scenario pins (``reference`` or
+    #: ``inproc-columnar``); ``None`` defers to the caller
     #: and then the ambient default.  Explicit ``fast=``/``backend=``
     #: arguments to the drivers outrank this field.
     backend: Optional[str] = None

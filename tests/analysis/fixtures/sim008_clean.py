@@ -14,17 +14,6 @@ def report(recorder, name, extra):
     recorder.emit("run_end", rounds=1, messages=2, words=3, **extra)
 
 
-def pool_telemetry(sink, waits):
-    # The PR-8 pool events: conformant emits with required + optionals.
-    sink.emit("pool_start", workers=2, start_method="fork")
-    sink.emit(
-        "pool_dispatch", kind="reroot", rows=64, workers=2,
-        work_ns=1000, wait_ns=waits, slab_bytes=512,
-    )
-    sink.emit("pool_fallback", kind="split", reason="worker died")
-    sink.emit("pool_stop", workers=2, dispatches=3)
-
-
 def scheduler_telemetry(recorder, age):
     # The PR-9 streaming scheduler events: required + declared optionals.
     recorder.emit(
@@ -47,7 +36,7 @@ def serve_telemetry(sink, port):
     # The PR-10 daemon events: required + declared optionals.
     sink.emit(
         "serve_start", k=8, policy="adaptive",
-        host="127.0.0.1", port=port, backend="default",
+        host="127.0.0.1", port=port, backend="inproc-columnar",
         n=64, m=128, coalesce=True,
     )
     sink.emit("serve_conn", action="evict", client=3,

@@ -10,13 +10,6 @@ def report(recorder, profile):
     recorder.emit("phase_end", name="p", depth=1)
 
 
-def pool_telemetry(recorder):
-    # pool_dispatch requires kind/rows/workers; rows missing.
-    recorder.emit("pool_dispatch", kind="reroot", workers=2)
-    # pool_stop does not declare a latency field.
-    recorder.emit("pool_stop", workers=2, dispatches=1, latency_ns=5)
-
-
 def scheduler_telemetry(recorder):
     # sched_cut requires policy/reason/raw/shipped/queue_depth; reason missing.
     recorder.emit("sched_cut", policy="adaptive", raw=3, shipped=3,

@@ -61,8 +61,8 @@ def test_json_format_is_machine_readable():
     assert counts["SIM005"] == 2
     assert counts["SIM006"] == 4
     assert counts["SIM007"] == 4
-    assert counts["SIM008"] == 9  # 3 seeded + 2 pool + 2 scheduler + 2 serve
-    assert counts["SIM009"] == 4  # 2 pairwise drifts + pair/family from the backends fixture
+    assert counts["SIM008"] == 7  # 3 seeded + 2 scheduler + 2 serve
+    assert counts["SIM009"] == 2  # 2 pairwise drifts
     assert counts["SIM000"] == 3
 
 

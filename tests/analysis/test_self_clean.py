@@ -43,12 +43,14 @@ def test_suppressions_in_src_are_all_used():
     # run() already folds unused suppressions into findings as SIM000;
     # a clean report therefore also certifies every suppression earns
     # its keep.  Pin the current count so new ones get a second look.
-    # 7 from the seed + 2×SIM002 (repro.perf.config fast-path toggle) +
-    # 3×SIM002 (repro.perf.config backend toggle) + 1×SIM002
-    # (repro.sim.executor backend registry cache) + 2×SIM003
-    # (repro.sim.metrics profiler clock reads) + 2×SIM003 (opt-in
-    # wall_ns stamps: trace recorder + telemetry BusSink) + 1×SIM002
-    # (pool telemetry sink slot) + 6×SIM003 (pool dispatch timing) +
+    # 6 from the seed + 2×SIM002 (repro.perf.config fast-path toggle) +
+    # 2×SIM003 (repro.sim.metrics profiler clock reads) + 2×SIM003
+    # (opt-in wall_ns stamps: trace recorder + telemetry BusSink) +
     # 2×SIM003 (stream ingestor wall-clock throughput report).
+    # Removed with the parallel backend (25 → 13): 3×SIM002
+    # (repro.perf.config backend toggle), 1×SIM002 (repro.sim.executor
+    # backend registry cache), 1×SIM002 (repro.sim.executor fork-pool
+    # worker function, one of the seed's 7), 1×SIM002 (pool telemetry
+    # sink slot) and 6×SIM003 (pool dispatch timing).
     report = _report()
-    assert report.suppressions_used == 25, report.format_text()
+    assert report.suppressions_used == 13, report.format_text()

@@ -92,8 +92,8 @@ class TestDefaultOutPath:
 class TestStreamSchema:
     def test_envelope_fields(self):
         sweep = {"variants": [], "shapes": []}
-        meta = {"cpu_count": 1, "oversubscribed": False, "k": 8,
-                "seed": 0, "ticks": 24, "rate": 8, "repeats": 1}
+        meta = {"cpu_count": 1, "k": 8, "seed": 0, "ticks": 24, "rate": 8,
+                "repeats": 1}
         payload = bench_run.stream_payload(sweep, strict=False, metadata=meta)
         assert payload["schema"] == "repro-bench-stream/1"
         assert set(payload) == {

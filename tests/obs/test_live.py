@@ -4,25 +4,6 @@ import json
 import urllib.request
 
 from repro.obs import ObsSession, watch_scenario
-from repro.perf.parallel import pool as pool_mod
-
-
-def test_session_installs_and_restores_pool_sink():
-    assert pool_mod.telemetry_sink() is None
-    with ObsSession(serve=False) as session:
-        installed = pool_mod.telemetry_sink()
-        assert installed is not None
-        assert installed.bus is session.bus
-    assert pool_mod.telemetry_sink() is None
-
-
-def test_nested_sessions_restore_the_previous_sink():
-    with ObsSession(serve=False):
-        outer = pool_mod.telemetry_sink()
-        with ObsSession(serve=False):
-            assert pool_mod.telemetry_sink() is not outer
-        assert pool_mod.telemetry_sink() is outer
-    assert pool_mod.telemetry_sink() is None
 
 
 def test_session_without_server_has_no_url():

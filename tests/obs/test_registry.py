@@ -53,28 +53,6 @@ def test_batch_headroom_from_run_meta():
     assert reg.recent_batches[-1]["rounds"] == 100
 
 
-def test_pool_events_fold():
-    bus, reg = _registry()
-    bus.publish({"type": "pool_start", "seq": 0, "workers": 4,
-                 "start_method": "fork"})
-    bus.publish({"type": "pool_dispatch", "seq": 1, "kind": "reroot",
-                 "rows": 1000, "workers": 4, "work_ns": 500_000,
-                 "wait_ns": [100, 200, 300, 400], "slab_bytes": 8000})
-    bus.publish({"type": "pool_fallback", "seq": 2, "kind": "split",
-                 "reason": "worker died"})
-    bus.publish({"type": "pool_stop", "seq": 3, "workers": 4,
-                 "dispatches": 1})
-    reg.pump()
-    assert reg.pool_start_method == "fork"
-    assert reg.pool_workers == 0  # stopped
-    assert reg.pool_dispatches == {"reroot": 1}
-    assert reg.pool_rows == 1000
-    assert reg.pool_worker_wait_ns == [100, 200, 300, 400]
-    assert reg.pool_slab_bytes == 8000
-    assert reg.pool_fallbacks == {"split": 1}
-    assert reg.pool_dispatch_seconds.count == 1
-
-
 def test_chaos_counters():
     bus, reg = _registry()
     bus.publish({"type": "fault", "seq": 0, "kinds": {"drop": 3, "dup": 1}})
@@ -123,7 +101,7 @@ def test_snapshot_shape():
     snap = reg.snapshot()
     assert snap["schema"] == "repro-obs-snapshot/1"
     for key in ("run", "totals", "rates", "machines", "budget",
-                "batches", "chaos", "pool", "bus"):
+                "batches", "chaos", "bus"):
         assert key in snap
     assert snap["bus"]["events"] == 0
 

@@ -1,17 +1,10 @@
-"""Cross-backend equivalence: the tentpole contract of the parallel PR.
+"""Cross-backend equivalence: reference against columnar.
 
-Every execution backend — ``reference``, ``inproc-columnar`` and the
-shared-memory ``parallel`` worker pool — must produce **byte-identical
-ledgers, digests and trace events** on the same workload, under
-``REPRO_STRICT=1``, across seeds and machine counts k ∈ {4, 8, 16}.
-
-``PARALLEL_MIN_ROWS`` is pinned to 0 here so the parallel runs actually
-cross the offload threshold on test-sized arrays: every Euler label
-kernel and plane-load gauge goes through the worker pool, and the result
-must still be the reference transcript bit for bit.
+Both execution backends — the scalar ``reference`` engine and the NumPy
+``inproc-columnar`` engine — must produce **byte-identical ledgers,
+digests and MSFs** on the same workload, under ``REPRO_STRICT=1``,
+across seeds and machine counts k ∈ {4, 8, 16}.
 """
-
-import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -19,27 +12,13 @@ import pytest
 from repro.core import DynamicMST
 from repro.graphs import churn_stream, random_weighted_graph
 from repro.graphs.mst import msf_key_multiset
-from repro.perf import config
-from repro.perf.parallel import ParallelBackend
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="the parallel runs pin the fork start method",
-)
+BACKENDS = ("reference", "inproc-columnar")
 
 
 @pytest.fixture(autouse=True)
-def _strict_and_offload(monkeypatch):
+def _strict(monkeypatch):
     monkeypatch.setenv("REPRO_STRICT", "1")
-    monkeypatch.setattr(config, "PARALLEL_MIN_ROWS", 0)
-
-
-@pytest.fixture(scope="module")
-def parallel_backend():
-    """One 2-worker pool for the whole module (startup is the slow part)."""
-    backend = ParallelBackend(workers=2, start_method="fork")
-    yield backend
-    backend.close()
 
 
 def _workload(seed, n, k, batch, n_batches=3):
@@ -49,19 +28,12 @@ def _workload(seed, n, k, batch, n_batches=3):
     return g, stream
 
 
-def _run(g, stream, k, seed, backend_name, parallel_backend):
-    if backend_name == "parallel":
-        ctx = config.override_backend(parallel_backend)
-        build_kwargs = {}
-    else:
-        ctx = config.override_fast_path(None)
-        build_kwargs = {"backend": backend_name}
-    with ctx:
-        dm = DynamicMST.build(g, k, rng=np.random.default_rng(seed),
-                              **build_kwargs)
-        for batch in stream:
-            dm.apply_batch(batch)
-        dm.check()
+def _run(g, stream, k, seed, backend):
+    dm = DynamicMST.build(g, k, rng=np.random.default_rng(seed),
+                          init="distributed", backend=backend)
+    for batch in stream:
+        dm.apply_batch(batch)
+    dm.check()
     return {
         "transcript": list(dm.net.ledger.transcript),
         "digest": dm.net.ledger.digest(),
@@ -73,86 +45,52 @@ def _run(g, stream, k, seed, backend_name, parallel_backend):
 
 @pytest.mark.parametrize("k", [4, 8, 16])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_three_backends_byte_identical(k, seed, parallel_backend):
+def test_reference_and_columnar_byte_identical(k, seed):
     g, stream = _workload(seed, n=12 * k // 2 + 30, k=k, batch=k)
-    runs = {
-        name: _run(g, stream, k, seed, name, parallel_backend)
-        for name in ("reference", "inproc-columnar", "parallel")
-    }
-    ref = runs["reference"]
-    assert ref["violations"] == 0
-    for name in ("inproc-columnar", "parallel"):
-        got = runs[name]
-        assert got["violations"] == 0
-        assert got["transcript"] == ref["transcript"], f"{name} transcript"
-        assert got["digest"] == ref["digest"], f"{name} digest"
-        assert got["msf"] == ref["msf"]
-        assert got["weight"] == ref["weight"]
-    # The pool really served kernels (the run was not a silent fallback).
-    pool = parallel_backend.kernel_pool()
-    assert pool is not None and not pool.dead
+    ref, col = (_run(g, stream, k, seed, name) for name in BACKENDS)
+    assert ref["violations"] == 0 and col["violations"] == 0
+    assert col["transcript"] == ref["transcript"]
+    assert col["digest"] == ref["digest"]
+    assert col["msf"] == ref["msf"]
+    assert col["weight"] == ref["weight"]
 
 
-def test_parallel_trace_is_byte_identical_to_columnar(tmp_path, parallel_backend,
-                                                      monkeypatch):
-    """Trace events — not just digests — must match across fast backends.
-
-    The parallel backend runs the same columnar engines, so its JSONL
-    trace must equal the in-process columnar trace byte for byte (the
-    scalar reference differs only in its engine tags, by design).
-    """
+def test_reference_trace_digest_matches_columnar(tmp_path):
+    """Traced runs charge the same ledger under either engine (the trace
+    files themselves differ only in their engine tags, by design)."""
     from repro.trace.scenarios import Scenario, run_traced
 
     scenario = Scenario("t-eq", n=60, k=4, batch=6, n_batches=3, seed=2)
-    col_path = tmp_path / "columnar.jsonl"
-    par_path = tmp_path / "parallel.jsonl"
-    run_traced(scenario, str(col_path), backend="inproc-columnar")
-    with config.override_backend(parallel_backend):
-        run_traced(scenario, str(par_path))
-    assert col_path.read_bytes() == par_path.read_bytes()
+    digests = {
+        name: run_traced(scenario, str(tmp_path / f"{name}.jsonl"),
+                         backend=name)["digest"]
+        for name in BACKENDS
+    }
+    assert digests["reference"] == digests["inproc-columnar"]
 
 
-def test_distributed_init_across_backends(parallel_backend):
-    """Theorem 5.8 init under the worker pool charges the reference ledger."""
+def test_distributed_init_across_backends():
+    """Theorem 5.8 init charges the same ledger under both engines."""
     seed, k = 3, 4
     rng = np.random.default_rng(seed)
     g = random_weighted_graph(30, 90, rng, connected=False)
     stream = list(churn_stream(g.copy(), 4, 2, rng=rng))
-
-    def run(backend_name):
-        if backend_name == "parallel":
-            with config.override_backend(parallel_backend):
-                dm = DynamicMST.build(g, k, rng=np.random.default_rng(seed),
-                                      init="distributed")
-                for batch in stream:
-                    dm.apply_batch(batch)
-                dm.check()
-        else:
-            dm = DynamicMST.build(g, k, rng=np.random.default_rng(seed),
-                                  init="distributed", backend=backend_name)
-            for batch in stream:
-                dm.apply_batch(batch)
-            dm.check()
-        return dm.net.ledger.digest()
-
-    digests = {name: run(name)
-               for name in ("reference", "inproc-columnar", "parallel")}
-    assert len(set(digests.values())) == 1, digests
+    ref, col = (_run(g, stream, k, seed, name) for name in BACKENDS)
+    assert ref["digest"] == col["digest"]
 
 
-def test_chaos_equivalence_under_parallel_backend(parallel_backend):
-    """Fault injection runs in the parent under every backend: the chaos
-    run must end on the oracle forest with the parallel pool active."""
+def test_chaos_equivalence_across_backends():
+    """Fault injection is engine-independent: the same seeded chaos run
+    ends on the oracle forest with the same cost under both engines."""
     from repro.faults import CrashEvent, FaultPlan, run_chaos
     from repro.trace.scenarios import Scenario
 
     scenario = Scenario("t-chaos", n=40, k=4, batch=4, n_batches=3, seed=4)
     plan = FaultPlan(seed=5, drop=0.02, dup=0.01,
                      crashes=(CrashEvent(batch=1, machine=2),))
-    baseline = run_chaos(scenario, plan, checkpoint_every=2)
-    with config.override_backend(parallel_backend):
-        chaotic = run_chaos(scenario, plan, checkpoint_every=2)
-    assert baseline["ok"] and chaotic["ok"]
-    assert chaotic["msf_weight"] == baseline["msf_weight"]
-    assert chaotic["rounds"] == baseline["rounds"]
-    assert chaotic["faults"] == baseline["faults"]
+    ref, col = (run_chaos(scenario, plan, checkpoint_every=2, backend=name)
+                for name in BACKENDS)
+    assert ref["ok"] and col["ok"]
+    assert col["msf_weight"] == ref["msf_weight"]
+    assert col["rounds"] == ref["rounds"]
+    assert col["faults"] == ref["faults"]

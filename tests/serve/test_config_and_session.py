@@ -30,7 +30,15 @@ class TestServeConfig:
 
     def test_resolved_backend_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert ServeConfig().resolved_backend() == "default"
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        assert ServeConfig().resolved_backend() == "inproc-columnar"
+        monkeypatch.setenv("REPRO_FAST", "0")
+        assert ServeConfig().resolved_backend() == "reference"
+        # aliases are reported under their canonical name
+        assert ServeConfig(backend="scalar").resolved_backend() == "reference"
+        assert ServeConfig(backend="columnar").hello_payload()["backend"] == (
+            "inproc-columnar"
+        )
 
     def test_initial_graph_is_deterministic(self):
         cfg = small_config()

@@ -6,12 +6,11 @@ through the offline :class:`repro.stream.ingest.StreamIngestor` over an
 identically-seeded core ends on byte-identical ledger and forest
 digests.  The live reducer mirrors the ingestor's tick loop (see
 ``repro/serve/reducer.py``); these tests pin that mirror for each batch
-policy, with and without coalescing, across cluster sizes, and through
-the parallel execution backend.
+policy, with and without coalescing, across cluster sizes, and under
+the scalar reference engine.
 """
 
 import asyncio
-import multiprocessing as mp
 
 import pytest
 
@@ -64,15 +63,11 @@ class TestAcrossConfigs:
         reducer = run(churn(small_config(seed=seed)))
         assert verify_determinism(reducer)["ok"]
 
-    @pytest.mark.skipif(
-        "fork" not in mp.get_all_start_methods(),
-        reason="parallel backend pins the fork start method",
-    )
-    def test_parallel_backend_passes_the_gate(self):
-        """REPRO_BACKEND=parallel flows through ServeConfig: the live
-        daemon and the offline replay both serve from the worker pool,
-        and the ledgers still agree byte for byte."""
-        config = small_config(backend="parallel")
+    def test_reference_backend_passes_the_gate(self):
+        """A pinned backend flows through ServeConfig: the live daemon
+        and the offline replay both serve from the scalar engine, and
+        the ledgers still agree byte for byte."""
+        config = small_config(backend="reference")
         reducer = run(churn(config, clients=3, per_client=2, rounds=1))
         verdict = verify_determinism(reducer)
         assert verdict["ok"], verdict

@@ -1,11 +1,9 @@
-"""Backend selection: registry, precedence, and graceful degradation.
+"""Backend selection: registry, precedence, and the environment layer.
 
-The selection seam (satellite of the parallel-backend ISSUE) has an
-exact precedence order — explicit ``backend=`` argument, then explicit
-``fast=``, then a scenario's ``backend`` field, then ``REPRO_BACKEND``,
-then the fast-path default — and an exact failure mode: when no
-multiprocessing start method works, the parallel backend degrades to
-single-process execution with the identical ledger, never to an error.
+The selection seam has an exact precedence order — explicit ``backend=``
+argument, then explicit ``fast=``, then a scenario's ``backend`` field,
+then ``REPRO_BACKEND``, then ``REPRO_FAST`` — and the engine that runs
+must always be the engine that is reported.
 """
 
 import numpy as np
@@ -14,8 +12,6 @@ import pytest
 from repro.perf import config
 from repro.sim.executor import (
     BACKEND_ALIASES,
-    ColumnarBackend,
-    ReferenceBackend,
     backend_from_env,
     backend_names,
     get_backend,
@@ -31,7 +27,7 @@ def _no_ambient_backend(monkeypatch):
 
 class TestRegistry:
     def test_canonical_names(self):
-        assert backend_names() == ["reference", "inproc-columnar", "parallel"]
+        assert backend_names() == ["reference", "inproc-columnar"]
 
     @pytest.mark.parametrize(
         "alias,canonical",
@@ -41,7 +37,6 @@ class TestRegistry:
             ("SCALAR", "reference"),
             ("inproc-columnar", "inproc-columnar"),
             ("columnar", "inproc-columnar"),
-            ("parallel", "parallel"),
         ],
     )
     def test_aliases(self, alias, canonical):
@@ -58,26 +53,33 @@ class TestRegistry:
         for alias in BACKEND_ALIASES:
             assert alias in msg
 
+    def test_parallel_is_no_longer_a_backend(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            get_backend("parallel")
+        monkeypatch.setenv("REPRO_BACKEND", "parallel")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            backend_from_env()
+
     def test_fast_flags(self):
         assert get_backend("reference").fast is False
         assert get_backend("inproc-columnar").fast is True
-        assert get_backend("parallel").fast is True
 
 
 class TestPrecedence:
     def test_explicit_backend_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
         got = resolve_backend(backend="reference", fast=True, scenario="columnar")
         assert got.name == "reference"
 
     def test_fast_arg_beats_scenario_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
         assert resolve_backend(fast=True, scenario="reference").name == "inproc-columnar"
-        assert resolve_backend(fast=False, scenario="parallel").name == "reference"
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+        assert resolve_backend(fast=False, scenario="columnar").name == "reference"
 
     def test_scenario_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert resolve_backend(scenario="parallel").name == "parallel"
+        assert resolve_backend(scenario="columnar").name == "inproc-columnar"
 
     def test_env_is_the_last_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "scalar")
@@ -90,6 +92,7 @@ class TestPrecedence:
         assert backend_from_env().name == "inproc-columnar"
         monkeypatch.setenv("REPRO_FAST", "0")
         assert backend_from_env().name == "reference"
+        assert config.fast_path_enabled() is False
 
     def test_scenario_field_flows_through_run_traced(self, tmp_path):
         from repro.trace.scenarios import Scenario, run_traced
@@ -112,63 +115,33 @@ class TestPrecedence:
         g = random_weighted_graph(16, 30, np.random.default_rng(0))
         dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
                               backend="columnar")
-        assert dm.exec_backend is not None
-        assert dm.exec_backend.name == "inproc-columnar"
         assert dm.fast is True
+        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
+                              fast=True, backend="scalar")
+        assert dm.fast is False
 
 
-class TestOverrides:
-    def test_override_backend_drives_fast_gates(self):
-        with config.override_backend(ReferenceBackend()):
-            assert config.current_backend().name == "reference"
-            assert config.fast_path_enabled() is False
-        with config.override_backend(ColumnarBackend()):
+class TestEnvironmentLayer:
+    """``REPRO_BACKEND`` outranks ``REPRO_FAST``, and the engine the fast
+    path runs is the engine :func:`backend_from_env` reports."""
+
+    @pytest.mark.parametrize(
+        "backend,fast,expected",
+        [
+            ("inproc-columnar", "0", "inproc-columnar"),
+            ("reference", "1", "reference"),
+        ],
+    )
+    def test_repro_backend_beats_repro_fast(self, monkeypatch, backend,
+                                            fast, expected):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        monkeypatch.setenv("REPRO_FAST", fast)
+        reported = backend_from_env()
+        assert reported.name == expected
+        assert config.fast_path_enabled() is reported.fast
+
+    def test_override_outranks_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        with config.override_fast_path(get_backend("columnar").fast):
             assert config.fast_path_enabled() is True
-        assert not config.parallel_path_enabled()
-
-    def test_set_backend_installs_process_default(self):
-        try:
-            config.set_backend(ReferenceBackend())
-            assert config.current_backend().name == "reference"
-            assert config.fast_path_enabled() is False
-        finally:
-            config.set_backend(None)
-        assert config.fast_path_enabled() is True
-
-
-class TestGracefulFallback:
-    def test_unavailable_start_method_degrades_to_inline(self, monkeypatch):
-        from repro.perf.parallel import ParallelBackend
-
-        monkeypatch.setattr(config, "PARALLEL_MIN_ROWS", 0)
-        backend = ParallelBackend(workers=2, start_method="no-such-method")
-        assert backend.kernel_pool() is None
-        assert backend.workers == 0
-        assert backend.describe()["pool_failed"] is True
-
-        from repro.core import DynamicMST
-        from repro.graphs import churn_stream, random_weighted_graph
-
-        def run(with_backend):
-            g = random_weighted_graph(20, 40, np.random.default_rng(1))
-            stream = list(churn_stream(g.copy(), 4, 2,
-                                       rng=np.random.default_rng(1)))
-            ctx = (config.override_backend(backend) if with_backend
-                   else config.override_fast_path(True))
-            with ctx:
-                dm = DynamicMST.build(g, 4, rng=np.random.default_rng(1))
-                for batch in stream:
-                    dm.apply_batch(batch)
-                dm.check()
-            return dm.net.ledger.digest()
-
-        # Single-process fallback: same run, same ledger, no error.
-        assert run(with_backend=True) == run(with_backend=False)
-
-    def test_close_resets_failure_latch(self):
-        from repro.perf.parallel import ParallelBackend
-
-        backend = ParallelBackend(workers=1, start_method="no-such-method")
-        assert backend.kernel_pool() is None
-        backend.close()
-        assert backend.workers == 1  # requested again after reset
+        assert config.fast_path_enabled() is False

@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""Benchmark-trajectory harness for the execution backends.
+"""Benchmark-trajectory harness: the reference engine against columnar.
 
-Runs every scenario once per measured backend — the scalar reference
-engine always, plus any of ``inproc-columnar`` and ``parallel`` (the
-shared-memory worker-pool backend) selected with ``--backends`` —
-asserts every ledger is byte-identical to the reference (same
+Runs every scenario once under the scalar ``reference`` engine and once
+under ``inproc-columnar``, asserts both ledgers are byte-identical (same
 :meth:`repro.sim.metrics.Ledger.digest`), and emits a machine-readable
-``BENCH_<date>.json`` trajectory file: updates/second per backend,
+``BENCH_<date>.json`` trajectory file: updates/second per engine,
 speedups, ledger digests, kernel microbenchmarks, and the ``__slots__``
 allocation win on the hot ``Message``/``ETEdge`` records.
 
@@ -15,7 +13,6 @@ allocation win on the hot ``Message``/``ETEdge`` records.
     PYTHONPATH=src python tools/bench_run.py --strict     # REPRO_STRICT=1
     PYTHONPATH=src python tools/bench_run.py --profile    # phase counters
     PYTHONPATH=src python tools/bench_run.py --trace-dir traces/  # JSONL traces
-    PYTHONPATH=src python tools/bench_run.py --backends parallel --workers 4
 
 The digest assertion is the harness's reason to exist: a speedup from a
 path that charges a different ledger is a model violation, not an
@@ -47,16 +44,6 @@ from repro.trace.scenarios import (
     SMOKE_SCENARIOS,
     Scenario,
 )
-
-
-#: Column name each canonical backend gets in the per-scenario result —
-#: ``fast`` is kept for the columnar backend so older readers of the
-#: trajectory files keep working.
-BACKEND_COLUMNS = {
-    "reference": "reference",
-    "inproc-columnar": "fast",
-    "parallel": "parallel",
-}
 
 
 #: Live-telemetry session installed by ``--serve-metrics`` (see main()):
@@ -208,7 +195,6 @@ def _best_of(runner, repeats: int, init_mode: str) -> Dict[str, Any]:
 def run_scenario(scenario: Scenario, profile: bool,
                  trace_dir: Optional[str] = None,
                  faults: bool = False,
-                 backends: Sequence[str] = ("inproc-columnar",),
                  repeats: int = 1) -> Dict[str, Any]:
     from repro.graphs import churn_stream, random_weighted_graph
 
@@ -240,7 +226,7 @@ def run_scenario(scenario: Scenario, profile: bool,
         "seed": seed,
         "init": init_mode,
         "n_updates": n_updates,
-        "backends": ["reference", *backends],
+        "backends": ["reference", "inproc-columnar"],
         "reference": reference,
         "updates_per_s_reference": round(n_updates / max(reference["wall_s"], 1e-9), 2),
         "ledgers_identical": True,
@@ -249,47 +235,35 @@ def run_scenario(scenario: Scenario, profile: bool,
         f"  {name:<14} n={n:<5} k={k:<3} "
         f"ref {result['updates_per_s_reference']:>8.1f} up/s"
     )
-    for backend in backends:
-        column = BACKEND_COLUMNS[backend]
-        measured = _best_of(
-            lambda: _run_engine(graph, stream, k, seed, backend=backend,
-                                profile=profile, trace_path=trace_path(column),
-                                init=init_mode),
-            repeats, init_mode,
+    # The columnar column is called ``fast`` (and its speedup also plain
+    # ``speedup`` / ``init_speedup``) in every trajectory file.
+    fast = _best_of(
+        lambda: _run_engine(graph, stream, k, seed, backend="inproc-columnar",
+                            profile=profile, trace_path=trace_path("fast"),
+                            init=init_mode),
+        repeats, init_mode,
+    )
+    if fast["digest"] != reference["digest"]:
+        raise AssertionError(
+            f"{name}: ledger digests diverge — inproc-columnar "
+            f"{fast['digest'][:16]} vs reference {reference['digest'][:16]}"
         )
-        if measured["digest"] != reference["digest"]:
-            raise AssertionError(
-                f"{name}: ledger digests diverge — {backend} "
-                f"{measured['digest'][:16]} vs reference "
-                f"{reference['digest'][:16]}"
-            )
-        if measured["msf_weight"] != reference["msf_weight"]:
-            raise AssertionError(f"{name}: {backend} MSF weight diverges")
-        if measured["strict_violations"] or reference["strict_violations"]:
-            raise AssertionError(f"{name}: strict violations recorded")
+    if fast["msf_weight"] != reference["msf_weight"]:
+        raise AssertionError(f"{name}: inproc-columnar MSF weight diverges")
+    if fast["strict_violations"] or reference["strict_violations"]:
+        raise AssertionError(f"{name}: strict violations recorded")
 
-        speedup = _wall(reference, init_mode) / max(_wall(measured, init_mode), 1e-9)
-        result[column] = measured
-        result[f"updates_per_s_{column}"] = round(
-            n_updates / max(measured["wall_s"], 1e-9), 2
+    speedup = round(_wall(reference, init_mode) / max(_wall(fast, init_mode), 1e-9), 3)
+    result["fast"] = fast
+    result["updates_per_s_fast"] = round(n_updates / max(fast["wall_s"], 1e-9), 2)
+    result["speedup_fast"] = result["speedup"] = speedup
+    line += f"  fast {result['updates_per_s_fast']:>8.1f} up/s {speedup:>5.2f}x"
+    if init_mode != "free":
+        init_speedup = round(
+            reference["init_wall_s"] / max(fast["init_wall_s"], 1e-9), 3
         )
-        result[f"speedup_{column}"] = round(speedup, 3)
-        line += (
-            f"  {column} {result[f'updates_per_s_{column}']:>8.1f} up/s "
-            f"{speedup:>5.2f}x"
-        )
-        if init_mode != "free":
-            init_speedup = reference["init_wall_s"] / max(
-                measured["init_wall_s"], 1e-9
-            )
-            result[f"init_speedup_{column}"] = round(init_speedup, 3)
-            line += f" (init {init_speedup:>5.2f}x)"
-    # Legacy aliases: the columnar column has always been called
-    # ``speedup`` / ``init_speedup`` in the trajectory files.
-    if "speedup_fast" in result:
-        result["speedup"] = result["speedup_fast"]
-    if "init_speedup_fast" in result:
-        result["init_speedup"] = result["init_speedup_fast"]
+        result["init_speedup_fast"] = result["init_speedup"] = init_speedup
+        line += f" (init {init_speedup:>5.2f}x)"
     print(f"{line}  digest {reference['digest'][:12]}")
     if faults:
         chaos = _run_faults(scenario, reference)
@@ -671,13 +645,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="serve live /metrics and the dashboard while the "
                          "benchmark runs; every trajectory streams to the "
                          "bus (default port: auto)")
-    ap.add_argument("--backends", default="inproc-columnar,parallel",
-                    help="comma-separated backends to measure against the "
-                         "reference baseline (the reference always runs); "
-                         "CI smoke jobs pass a reduced set")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker-process count for the parallel backend "
-                         "(sets REPRO_WORKERS)")
     ap.add_argument("--repeats", type=int, default=1,
                     help="run each trajectory this many times and keep the "
                          "fastest (damps timer noise for the floor checks)")
@@ -704,44 +671,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="fail unless the largest scenario is at least this "
                          "much faster with the columnar fast path")
-    ap.add_argument("--min-parallel-speedup", type=float, default=None,
-                    help="fail unless the largest scenario is at least this "
-                         "much faster with the parallel backend")
     ap.add_argument("--min-floor", type=float, default=0.98,
-                    help="fail if ANY full-run scenario's speedup falls below "
-                         "this floor on any measured backend (adaptive "
-                         "dispatch must never make a workload slower; 0 "
-                         "disables; smoke scenarios are exempt — their wall "
-                         "times are too small to time meaningfully)")
+                    help="fail if ANY full-run scenario's columnar speedup "
+                         "falls below this floor (adaptive dispatch must "
+                         "never make a workload slower; 0 disables; smoke "
+                         "scenarios are exempt — their wall times are too "
+                         "small to time meaningfully)")
     args = ap.parse_args(argv)
 
     if args.strict:
         os.environ["REPRO_STRICT"] = "1"
-    oversubscribed = False
-    if args.workers is not None:
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-        cpus = os.cpu_count()
-        if cpus is not None and args.workers > cpus:
-            # Fork workers beyond the physical CPUs time-slice each other:
-            # the "parallel speedup" such a run reports is contention, not
-            # parallelism, so the trajectory file must say so.
-            oversubscribed = True
-            print(f"warning: --workers {args.workers} exceeds cpu_count "
-                  f"{cpus}; parallel timings will be oversubscribed and "
-                  f"under-report the backend", file=sys.stderr)
     if args.trace_dir is not None:
         os.makedirs(args.trace_dir, exist_ok=True)
-
-    from repro.sim.executor import get_backend
-
-    backends: List[str] = []
-    for token in args.backends.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        canonical = get_backend(token).name  # validates the name/alias
-        if canonical != "reference" and canonical not in backends:
-            backends.append(canonical)
 
     global _OBS_SESSION  # simlint: disable=SIM002 process-level metrics server handle, not simulated machine state; ledgers are unaffected
     if args.serve_metrics is not None:
@@ -767,7 +708,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             strict=bool(args.strict),
             metadata={
                 "cpu_count": os.cpu_count(),
-                "oversubscribed": oversubscribed,
                 "k": args.stream_k,
                 "seed": args.stream_seed,
                 "ticks": args.stream_ticks,
@@ -807,13 +747,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"bench_run: {'smoke' if args.smoke else 'full'} trajectory, "
           f"init={args.init}, strict={'on' if args.strict else 'off'}, "
-          f"backends=reference+{'+'.join(backends) if backends else '(none)'}"
           f"{', tracing to ' + args.trace_dir if args.trace_dir else ''}")
-    print("scenarios (reference baseline vs measured backends):")
+    print("scenarios (reference vs inproc-columnar):")
     scenario_results = [
         run_scenario(s, profile=args.profile, trace_dir=args.trace_dir,
-                     faults=args.faults, backends=backends,
-                     repeats=args.repeats)
+                     faults=args.faults, repeats=args.repeats)
         for s in scenarios
     ]
     print("kernels:")
@@ -825,15 +763,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     metadata: Dict[str, Any] = {
         "cpu_count": os.cpu_count(),
-        "oversubscribed": oversubscribed,
-        "backends": ["reference", *backends],
+        "backends": ["reference", "inproc-columnar"],
         "repeats": args.repeats,
-        "parallel_min_rows": perf_config.PARALLEL_MIN_ROWS,
         "update_min_rows": perf_config.UPDATE_MIN_ROWS,
     }
-    if "parallel" in backends:
-        # Recorded after the runs so the pool state is the one measured.
-        metadata["parallel_backend"] = get_backend("parallel").describe()
 
     payload = {
         "schema": "repro-bench-trajectory/2",
@@ -868,24 +801,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{largest.get('speedup')}x < required {args.min_speedup}x",
                   file=sys.stderr)
             failed = True
-    if args.min_parallel_speedup is not None:
-        if largest.get("speedup_parallel", 0.0) < args.min_parallel_speedup:
-            print(f"FAIL: {largest['name']} parallel speedup "
-                  f"{largest.get('speedup_parallel')}x < required "
-                  f"{args.min_parallel_speedup}x", file=sys.stderr)
-            failed = True
     if args.min_floor and not args.smoke:
-        # The satellite guarantee of the adaptive dispatch gates: no
-        # scenario may regress below the floor on any measured backend.
+        # The guarantee of the adaptive dispatch gates: no scenario may
+        # regress below the floor under the columnar engine.
         for r in scenario_results:
-            for backend in backends:
-                column = BACKEND_COLUMNS[backend]
-                got = r.get(f"speedup_{column}", 0.0)
-                if got < args.min_floor:
-                    print(f"FAIL: {r['name']} {backend} speedup {got}x "
-                          f"below the {args.min_floor}x no-regression floor",
-                          file=sys.stderr)
-                    failed = True
+            if r["speedup"] < args.min_floor:
+                print(f"FAIL: {r['name']} columnar speedup {r['speedup']}x "
+                      f"below the {args.min_floor}x no-regression floor",
+                      file=sys.stderr)
+                failed = True
     if failed:
         return 1
     print("all ledgers byte-identical; ok")
