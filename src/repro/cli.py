@@ -8,7 +8,7 @@
     python -m repro trace-diff a.jsonl b.jsonl
     python -m repro chaos smoke-medium --drop 0.02 --crashes 1:3
     python -m repro watch smoke-medium
-    python -m repro stream sliding-window --policy adaptive
+    python -m repro stream sliding-window
 """
 
 from __future__ import annotations
@@ -307,15 +307,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                         rate=args.rate)
     print(f"shape {args.shape}: {len(stream)} arrivals over "
           f"{stream.horizon + 1} ticks, k={args.k} "
-          f"(capacity Θ(k)={args.k}), policy={args.policy}, "
+          f"(capacity Θ(k)={args.k}), "
           f"coalescing {'off' if args.no_coalesce else 'on'}")
     with _serving_metrics(args) as telemetry:
         dm = DynamicMST.build(stream.initial, args.k, rng=args.seed,
                               init=args.init)
         if telemetry is not None:
             dm.attach_trace(telemetry)
-        rep = dm.ingest(stream, policy=args.policy,
-                        coalesce=not args.no_coalesce)
+        rep = dm.ingest(stream, coalesce=not args.no_coalesce)
         if telemetry is not None:
             dm.detach_trace()
     dm.check()
@@ -341,7 +340,7 @@ def _serve_config(args: argparse.Namespace):
     return ServeConfig.from_env(
         k=args.k, n=args.n, m=args.m, seed=args.seed,
         init=args.init, backend=args.backend,
-        policy=args.policy, coalesce=not args.no_coalesce,
+        coalesce=not args.no_coalesce,
         host=args.host, port=args.port,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     )
@@ -361,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port = await daemon.start_tcp()
         print(f"repro.serve listening on {config.host}:{port}  "
               f"(k={config.k} n={config.n} m={config.m} seed={config.seed} "
-              f"policy={config.policy} backend={config.resolved_backend()})",
+              f"backend={config.resolved_backend()})",
               flush=True)
         print("protocol repro-serve/1: line-delimited JSON; "
               "see docs/serving.md", file=sys.stderr)
@@ -616,9 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("shape",
                         help="stream shape (see repro.stream.shapes.SHAPES): "
                              "uniform, sliding-window, flash-crowd, adversarial")
-    stream.add_argument("--policy", default="adaptive",
-                        choices=["fixed", "deadline", "adaptive"],
-                        help="batch-cut policy (default adaptive)")
     stream.add_argument("--no-coalesce", action="store_true",
                         help="ship every admitted update (the uncoalesced "
                              "baseline)")
@@ -646,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend: reference or inproc-columnar "
                              "(default: REPRO_BACKEND)")
-        sp.add_argument("--policy", default="adaptive",
-                        choices=["fixed", "deadline", "adaptive"])
         sp.add_argument("--no-coalesce", action="store_true",
                         help="ship every admitted update uncoalesced")
         sp.add_argument("--host", default="127.0.0.1")

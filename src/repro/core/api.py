@@ -336,14 +336,7 @@ class DynamicMST:
         """
         return self.k
 
-    def ingest(
-        self,
-        arrivals,
-        policy: str = "adaptive",
-        coalesce: bool = True,
-        max_batch: Optional[int] = None,
-        **policy_kwargs,
-    ):
+    def ingest(self, arrivals, coalesce: bool = True):
         """Replay an :class:`~repro.graphs.streams.ArrivalStream` through
         the admission buffer + batch scheduler (see :mod:`repro.stream`).
 
@@ -353,11 +346,7 @@ class DynamicMST:
         """
         from repro.stream.ingest import StreamIngestor
 
-        ingestor = StreamIngestor(
-            self, policy=policy, coalesce=coalesce, max_batch=max_batch,
-            **policy_kwargs,
-        )
-        return ingestor.run(arrivals)
+        return StreamIngestor(self, coalesce=coalesce).run(arrivals)
 
     # ------------------------------------------------------------------
     # vertex churn (beyond the paper, which fixes the vertex set)

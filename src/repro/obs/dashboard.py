@@ -66,8 +66,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
       <span id="strict">0</span> strict violations</div></div>
   <div class="card"><div class="label">stream queue</div>
     <div class="value" id="streamqueue">—</div>
-    <div class="hint"><span id="streampolicy">no policy</span> ·
-      target <span id="streamtarget">—</span> ·
+    <div class="hint"><span id="streamcuts">0</span> cuts ·
       oldest <span id="streamage">0</span> ticks</div></div>
   <div class="card"><div class="label">stream coalescing</div>
     <div class="value" id="streamshipped">—</div>
@@ -139,8 +138,8 @@ async function tick() {
   el("strict").textContent = fmt(snap.chaos.strict_violations);
   const stream = snap.stream || {};
   el("streamqueue").textContent = fmt(stream.queue_depth);
-  el("streampolicy").textContent = stream.policy || "no policy";
-  el("streamtarget").textContent = fmt(stream.target);
+  el("streamcuts").textContent =
+    fmt(Object.values(stream.cuts || {}).reduce((a, b) => a + b, 0));
   el("streamage").textContent = fmt(stream.oldest_age_ticks);
   el("streamshipped").textContent = fmt(stream.shipped);
   el("streamadmitted").textContent = fmt(stream.admitted);

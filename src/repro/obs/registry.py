@@ -144,19 +144,15 @@ class MetricsRegistry:
         self.stream_admitted = 0
         self.stream_shipped = 0
         self.stream_absorbed = 0
-        self.stream_cuts: Dict[Tuple[str, str], int] = {}
-        self.stream_adapts = 0
+        self.stream_cuts: Dict[str, int] = {}
         self.stream_queue_depth = 0
         self.stream_oldest_age = 0
-        self.stream_target: Optional[int] = None
-        self.stream_policy: Optional[str] = None
         self.stream_tick = 0
         self.stream_runs = 0
         self.stream_p50_ticks: Optional[float] = None
         self.stream_p99_ticks: Optional[float] = None
         # serve daemon (repro.serve)
         self.serve_running = 0
-        self.serve_policy: Optional[str] = None
         self.serve_sessions = 0
         self.serve_conns: Dict[str, int] = {}
         self.serve_evictions: Dict[str, int] = {}
@@ -301,12 +297,8 @@ class MetricsRegistry:
         self.replayed_batches += int(event["replayed"])
 
     def _on_sched_cut(self, event: Dict[str, Any]) -> None:
-        policy = str(event["policy"])
         reason = str(event["reason"])
-        self.stream_policy = policy
-        self.stream_cuts[(policy, reason)] = (
-            self.stream_cuts.get((policy, reason), 0) + 1
-        )
+        self.stream_cuts[reason] = self.stream_cuts.get(reason, 0) + 1
         # "raw" counts arrivals the cut covers, "shipped" what survived
         # coalescing; the difference is churn absorbed before it cost a
         # round.  (Totals are also stamped on stream_end; folding the
@@ -316,18 +308,9 @@ class MetricsRegistry:
         age = event.get("oldest_age")
         if isinstance(age, int):
             self.stream_oldest_age = age
-        target = event.get("target")
-        if isinstance(target, int):
-            self.stream_target = target
         tick = event.get("tick")
         if isinstance(tick, int):
             self.stream_tick = tick
-
-    def _on_sched_adapt(self, event: Dict[str, Any]) -> None:
-        self.stream_adapts += 1
-        target = event.get("target")
-        if isinstance(target, int):
-            self.stream_target = target
 
     def _on_stream_end(self, event: Dict[str, Any]) -> None:
         self.stream_runs += 1
@@ -344,7 +327,6 @@ class MetricsRegistry:
 
     def _on_serve_start(self, event: Dict[str, Any]) -> None:
         self.serve_running = 1
-        self.serve_policy = str(event["policy"])
 
     def _on_serve_conn(self, event: Dict[str, Any]) -> None:
         action = str(event["action"])
@@ -516,23 +498,15 @@ class MetricsRegistry:
         counter("repro_stream_absorbed_total",
                 "Arrivals coalesced away before costing any rounds"
                 ).add(self.stream_absorbed)
-        fam = counter("repro_stream_cuts_total",
-                      "Scheduler cuts by policy and reason")
-        for (policy, reason), count in sorted(self.stream_cuts.items()):
-            fam.add(count, policy=policy, reason=reason)
-        counter("repro_stream_adaptations_total",
-                "AIMD moves of the adaptive cut-size target"
-                ).add(self.stream_adapts)
+        fam = counter("repro_stream_cuts_total", "Scheduler cuts by reason")
+        for reason, count in sorted(self.stream_cuts.items()):
+            fam.add(count, reason=reason)
         gauge("repro_stream_queue_depth",
               "Pending updates in the admission buffer after the last cut"
               ).add(self.stream_queue_depth)
         gauge("repro_stream_oldest_age_ticks",
               "Age of the oldest queued update at the last cut"
               ).add(self.stream_oldest_age)
-        if self.stream_target is not None:
-            gauge("repro_stream_cut_target",
-                  "The scheduler's current cut-size target"
-                  ).add(self.stream_target)
         if self.stream_p99_ticks is not None:
             gauge("repro_stream_staleness_p50_ticks",
                   "Median update staleness of the last finished stream run"
@@ -648,26 +622,19 @@ class MetricsRegistry:
                 "strict_violations": self.violations,
             },
             "stream": {
-                "policy": self.stream_policy,
                 "runs": self.stream_runs,
                 "admitted": self.stream_admitted,
                 "shipped": self.stream_shipped,
                 "absorbed": self.stream_absorbed,
-                "cuts": {
-                    f"{policy}/{reason}": count
-                    for (policy, reason), count in sorted(self.stream_cuts.items())
-                },
-                "adaptations": self.stream_adapts,
+                "cuts": dict(sorted(self.stream_cuts.items())),
                 "queue_depth": self.stream_queue_depth,
                 "oldest_age_ticks": self.stream_oldest_age,
-                "target": self.stream_target,
                 "tick": self.stream_tick,
                 "p50_ticks": self.stream_p50_ticks,
                 "p99_ticks": self.stream_p99_ticks,
             },
             "serve": {
                 "running": bool(self.serve_running),
-                "policy": self.serve_policy,
                 "sessions": self.serve_sessions,
                 "connections": dict(sorted(self.serve_conns.items())),
                 "commands": {

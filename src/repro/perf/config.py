@@ -20,7 +20,6 @@ process can run them back to back and compare ledgers byte for byte.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
@@ -35,7 +34,7 @@ VECTOR_MIN_ROWS = 64
 #: falls back to the scalar engine under this estimate.  Both engines are
 #: wire-identical, so the gate can never change a ledger — only which
 #: local code computes it.
-UPDATE_MIN_ROWS = int(os.environ.get("REPRO_UPDATE_MIN_ROWS", "8192"))
+UPDATE_MIN_ROWS = 8192
 
 _process_default: Optional[bool] = None
 _override_stack: List[bool] = []

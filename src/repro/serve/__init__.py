@@ -16,7 +16,7 @@ and pure while the edges of the system go concurrent:
   responses, never exceptions in the server;
 * :mod:`repro.serve.reducer` — the **only** code allowed to touch the
   ledger-charged :class:`~repro.core.api.DynamicMST`.  It owns the
-  PR 9 admission coalescer + batch policy and stamps every admitted
+  admission coalescer + cut rule and stamps every admitted
   command with a logical tick such that an offline
   :class:`~repro.stream.ingest.StreamIngestor` replay of the admitted
   sequence reproduces the live ledger byte for byte;

@@ -2,7 +2,7 @@
 
 A :class:`ServeConfig` pins everything needed to rebuild the daemon's
 core *exactly* — graph shape ``(n, m, seed)``, cluster size ``k``, init
-mode, engine, execution backend, batch policy — which is what makes the
+mode, engine, execution backend, coalescing — which is what makes the
 determinism gate possible: :func:`repro.serve.reducer.offline_replay`
 constructs a second core from the same config and replays the admitted
 command log through a fresh :class:`~repro.stream.ingest.StreamIngestor`.
@@ -17,13 +17,12 @@ reports the canonical name of the engine the daemon serves from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
 from repro.graphs.generators import random_weighted_graph
 from repro.graphs.graph import WeightedGraph
-from repro.sim.executor import backend_from_env, get_backend
+from repro.sim.executor import backend_from_env, get_backend, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,7 @@ class ServeConfig:
     engine: str = "sample_gather"
     init: str = "free"
     backend: Optional[str] = None      # None → ambient REPRO_BACKEND
-    policy: str = "adaptive"
     coalesce: bool = True
-    max_batch: Optional[int] = None    # None → batch capacity (Θ(k))
 
     # --- concurrent edge (never visible to the core) ---
     host: str = "127.0.0.1"
@@ -62,12 +59,16 @@ class ServeConfig:
 
     @classmethod
     def from_env(cls, **overrides: object) -> "ServeConfig":
-        """Config with the ambient ``REPRO_BACKEND`` made explicit."""
+        """Config with the ambient ``REPRO_BACKEND`` made explicit.
+
+        An unknown ``REPRO_BACKEND`` raises ``ValueError`` here, before
+        any core is built.
+        """
         cfg = cls(**overrides)  # type: ignore[arg-type]
         if cfg.backend is None:
-            ambient = os.environ.get("REPRO_BACKEND")
-            if ambient:
-                cfg = replace(cfg, backend=ambient)
+            ambient = resolve_backend()
+            if ambient is not None:
+                cfg = replace(cfg, backend=ambient.name)
         return cfg
 
     def resolved_backend(self) -> str:
@@ -109,7 +110,6 @@ class ServeConfig:
             "engine": self.engine,
             "init": self.init,
             "backend": self.resolved_backend(),
-            "policy": self.policy,
             "coalesce": self.coalesce,
             "max_frame_bytes": self.max_frame_bytes,
         }

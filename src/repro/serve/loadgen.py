@@ -292,7 +292,6 @@ async def run_tcp(
         n=int(result["n"]),
         m=int(result["m"]),
         seed=int(result["seed"]),
-        policy=str(result["policy"]),
     )
     await probe.request("bye")
     probe.close()

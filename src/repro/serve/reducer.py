@@ -1,7 +1,7 @@
 """The serve reducer: the only code that touches the charged core.
 
 :class:`ServeReducer` owns the daemon's :class:`~repro.core.api.DynamicMST`,
-its PR 9 admission buffer and batch policy, and the replicated
+its admission buffer and cut rule, and the replicated
 :class:`~repro.serve.view.ForestView`.  Everything it does is synchronous
 and deterministic; the asyncio front-end (:mod:`repro.serve.server`)
 serialises all access through one queue, so the reducer never needs a
@@ -41,7 +41,7 @@ from repro.graphs.streams import ArrivalStream, TimedUpdate, Update
 from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer
 from repro.stream.ingest import StreamIngestor
 from repro.stream.metrics import percentile
-from repro.stream.policy import SchedulerView, make_policy
+from repro.stream.policy import cut_reason
 
 from repro.serve.config import ServeConfig
 from repro.serve.view import ForestView
@@ -95,9 +95,7 @@ class ServeReducer:
     def __init__(self, config: ServeConfig, dm=None) -> None:
         self.config = config
         self.dm = dm if dm is not None else config.build_core()
-        capacity = self.dm.batch_capacity
-        self.max_batch = config.max_batch if config.max_batch else capacity
-        self.policy = make_policy(config.policy, capacity)
+        self.capacity = self.dm.batch_capacity
         self.buffer = CoalescingBuffer() if config.coalesce else AdmissionBuffer()
         self.now = 0
         self.admitted_log: List[TimedUpdate] = []
@@ -174,9 +172,7 @@ class ServeReducer:
             depth = self.buffer.pending_cost
             oldest = self.buffer.oldest_tick
             age = self.now - oldest if oldest is not None else 0
-            reason = self.policy.should_cut(
-                SchedulerView(tick=self.now, queue_depth=depth, oldest_age=age)
-            )
+            reason = cut_reason(depth, age, self.capacity)
             if reason is None:
                 if not flush:
                     break
@@ -185,7 +181,7 @@ class ServeReducer:
         return changes
 
     def _cut(self, reason: str, age: int) -> MsfChange:
-        cut = self.buffer.cut(self.policy.target, self.max_batch)
+        cut = self.buffer.cut(self.capacity)
         ledger = self.dm.net.ledger
         before = ledger.snapshot()
         for batch in cut.batches:
@@ -202,25 +198,13 @@ class ServeReducer:
         if recorder is not None:
             recorder.emit(
                 "sched_cut",
-                policy=self.policy.name,
                 reason=reason,
                 raw=len(cut.shipped_ticks),
                 shipped=cut.shipped,
                 queue_depth=self.buffer.pending_cost,
                 tick=self.now,
                 oldest_age=age,
-                target=self.policy.target,
                 batches=len(cut.batches),
-            )
-        step = self.policy.observe_cut(self.buffer.pending_cost)
-        if step is not None and recorder is not None:
-            recorder.emit(
-                "sched_adapt",
-                policy=self.policy.name,
-                target=step.target,
-                previous=step.previous,
-                signal=step.signal,
-                tick=self.now,
             )
         # Pairs whose pending updates all shipped now read from the shadow.
         pending = self.buffer.pending_pairs()
@@ -277,8 +261,6 @@ class ServeReducer:
             peak_queue_depth=self.peak_queue_depth,
             p50_ticks=percentile(self.latencies, 50),
             p99_ticks=percentile(self.latencies, 99),
-            policy=self.policy.name,
-            target=self.policy.target,
             rounds=self.dm.net.ledger.rounds,
         )
         return out
@@ -310,18 +292,14 @@ def offline_replay(
     """Replay the admitted log through a fresh :class:`StreamIngestor`.
 
     Constructs a second core from the same :class:`ServeConfig` (same
-    seeded graph, partition and init draws) and runs the PR 9 ingestor —
+    seeded graph, partition and init draws) and runs the stream ingestor —
     the *original* tick loop, not the reducer's mirror of it — over the
     recorded stream.  Byte-identical digests mean the live daemon and the
     offline batch pipeline executed the same charged work.
     """
     dm = config.build_core()
     stream = ArrivalStream(config.initial_graph(), admitted, name="serve-replay")
-    ingestor = StreamIngestor(
-        dm, policy=config.policy, coalesce=config.coalesce,
-        max_batch=config.max_batch,
-    )
-    report = ingestor.run(stream)
+    report = StreamIngestor(dm, coalesce=config.coalesce).run(stream)
     return ReplayResult(
         ledger_digest=dm.net.ledger.digest(),
         forest_digest=report.forest_digest,

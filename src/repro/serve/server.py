@@ -352,7 +352,6 @@ class MSTDaemon:
             self.emit(
                 "serve_start",
                 k=cfg.k,
-                policy=cfg.policy,
                 host=cfg.host,
                 port=cfg.port,
                 backend=cfg.resolved_backend(),

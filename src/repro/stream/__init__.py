@@ -1,9 +1,9 @@
-"""Streaming ingestion in front of the batch-dynamic core (ROADMAP item 4).
+"""Streaming ingestion in front of the batch-dynamic core.
 
 The paper fixes the batch size at Θ(k) (Theorem 6.1) / Θ(S) (MPC §8)
 and leaves *when to cut a batch* to the system.  This package is that
 system: a deterministic admission buffer + coalescer
-(:mod:`repro.stream.coalescer`), pluggable cut policies
+(:mod:`repro.stream.coalescer`), one size-or-deadline cut rule
 (:mod:`repro.stream.policy`), and the tick-clocked ingestor
 (:mod:`repro.stream.ingest`) that rides the throughput/staleness
 frontier.  Scheduling is host-side and charges zero rounds; the
@@ -13,7 +13,7 @@ ledger-charged core is untouched.
     >>> from repro.stream import make_shape
     >>> stream = make_shape("sliding-window", seed=0, ticks=12, rate=4)
     >>> dm = DynamicMST.build(stream.initial, k=8, rng=0, init="free")
-    >>> report = dm.ingest(stream, policy="adaptive", coalesce=True)
+    >>> report = dm.ingest(stream, coalesce=True)
     >>> report.shipped <= report.admitted
     True
 """
@@ -21,16 +21,7 @@ ledger-charged core is untouched.
 from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer, CutResult
 from repro.stream.ingest import StreamIngestor, StreamReport
 from repro.stream.metrics import FrontierPoint, percentile
-from repro.stream.policy import (
-    POLICIES,
-    AdaptivePolicy,
-    AdaptStep,
-    BatchPolicy,
-    DeadlinePolicy,
-    FixedSizePolicy,
-    SchedulerView,
-    make_policy,
-)
+from repro.stream.policy import DEADLINE_TICKS, cut_reason
 from repro.stream.shapes import SHAPES, make_shape, shape_names
 
 __all__ = [
@@ -41,14 +32,8 @@ __all__ = [
     "StreamReport",
     "FrontierPoint",
     "percentile",
-    "POLICIES",
-    "BatchPolicy",
-    "FixedSizePolicy",
-    "DeadlinePolicy",
-    "AdaptivePolicy",
-    "AdaptStep",
-    "SchedulerView",
-    "make_policy",
+    "DEADLINE_TICKS",
+    "cut_reason",
     "SHAPES",
     "make_shape",
     "shape_names",

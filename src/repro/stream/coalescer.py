@@ -57,9 +57,9 @@ class AdmissionBuffer:
 
     A cut takes the oldest ``limit`` updates in arrival order and splits
     them into consecutive sub-batches, starting a new sub-batch whenever
-    the current one already touches the pair or is ``max_batch`` full.
-    Order preservation plus per-emission stream consistency make every
-    sub-batch valid at its application point.
+    the current one already touches the pair.  Order preservation plus
+    per-emission stream consistency make every sub-batch valid at its
+    application point.
     """
 
     coalesces = False
@@ -86,7 +86,7 @@ class AdmissionBuffer:
         """Edge pairs with at least one queued update (validation overlay)."""
         return {upd.endpoints for _, upd in self._q}
 
-    def cut(self, limit: int, max_batch: int) -> CutResult:
+    def cut(self, limit: int) -> CutResult:
         take = self._q[: max(limit, 1)]
         del self._q[: max(limit, 1)]
         batches: List[List[Update]] = []
@@ -94,7 +94,7 @@ class AdmissionBuffer:
         pairs: set = set()
         ticks: List[int] = []
         for tick, upd in take:
-            if upd.endpoints in pairs or len(cur) >= max_batch:
+            if upd.endpoints in pairs:
                 batches.append(cur)
                 cur, pairs = [], set()
             cur.append(upd)
@@ -209,7 +209,7 @@ class CoalescingBuffer:
         """Edge pairs with a live pending entry (validation overlay)."""
         return set(self._entries)
 
-    def cut(self, limit: int, max_batch: int) -> CutResult:
+    def cut(self, limit: int) -> CutResult:
         take: List[Tuple[Pair, _Entry]] = []
         cost = 0
         for pair, e in self._entries.items():
@@ -231,15 +231,10 @@ class CoalescingBuffer:
                 first_wave.append(Update.delete(*pair))
                 second_wave.append(Update.add(*pair, e.weight))
             ticks.extend(e.ticks)
-        batches = _chunk(first_wave, max_batch) + _chunk(second_wave, max_batch)
+        batches = [wave for wave in (first_wave, second_wave) if wave]
         return CutResult(batches=batches, shipped_ticks=ticks)
 
     def drain_resolved(self) -> List[int]:
         """Latencies of arrivals coalesced away since the last drain."""
         out, self._resolved = self._resolved, []
         return out
-
-
-def _chunk(wave: List[Update], max_batch: int) -> List[List[Update]]:
-    size = max(max_batch, 1)
-    return [wave[i : i + size] for i in range(0, len(wave), size)]

@@ -2,15 +2,16 @@
 
 :class:`StreamIngestor` replays an :class:`~repro.graphs.streams.ArrivalStream`
 against a live :class:`~repro.core.api.DynamicMST` (or its MPC subclass)
-under a :class:`~repro.stream.policy.BatchPolicy`.  Time is modelled in
+under the cut rule of :mod:`repro.stream.policy`.  Time is modelled in
 *ticks*, one tick per communication round — the convention of
 :mod:`repro.core.stream_driver`:
 
 * arrivals whose tick has come are admitted into the buffer (raw FIFO or
   coalescing, see :mod:`repro.stream.coalescer`);
-* the policy inspects the queue and either waits (the clock advances one
-  tick) or cuts; a cut's sub-batches are applied back-to-back and the
-  clock advances by ``max(1, rounds charged)``;
+* the cut rule inspects the queue and either waits (the clock advances
+  one tick) or cuts at most one batch capacity; a cut's sub-batches are
+  applied back-to-back and the clock advances by
+  ``max(1, rounds charged)``;
 * an update's *staleness* is the tick its batch completes minus the tick
   it arrived; coalesced-away updates resolve at the moment the
   absorbing update is admitted.
@@ -18,28 +19,27 @@ under a :class:`~repro.stream.policy.BatchPolicy`.  Time is modelled in
 Everything here is host-side bookkeeping: the ledger sees exactly the
 ``apply_batch`` calls and nothing else, so scheduling charges zero
 rounds, and the whole loop is a deterministic function of (stream,
-policy, capacity) — wall-clock is read only to report throughput, never
-to decide anything.
+coalescing, capacity) — wall-clock is read only to report throughput,
+never to decide anything.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 from repro.graphs.mst import forest_digest
 from repro.graphs.streams import ArrivalStream
 from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer
 from repro.stream.metrics import FrontierPoint, percentile
-from repro.stream.policy import BatchPolicy, SchedulerView, make_policy
+from repro.stream.policy import cut_reason
 
 
 @dataclass
 class StreamReport:
     """Outcome and cost of one streamed run."""
 
-    policy: str
     coalesced: bool
     admitted: int
     shipped: int
@@ -70,7 +70,6 @@ class StreamReport:
     def frontier_point(self, shape: str) -> FrontierPoint:
         return FrontierPoint(
             shape=shape,
-            policy=self.policy,
             coalesced=self.coalesced,
             updates_per_s=self.updates_per_s,
             p50_ticks=self.p50_ticks,
@@ -82,7 +81,6 @@ class StreamReport:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "policy": self.policy,
             "coalesced": self.coalesced,
             "admitted": self.admitted,
             "shipped": self.shipped,
@@ -108,29 +106,15 @@ class StreamReport:
 class StreamIngestor:
     """Admission buffer + batch scheduler in front of a dynamic-MST core."""
 
-    def __init__(
-        self,
-        dm,
-        policy: Union[str, BatchPolicy] = "adaptive",
-        coalesce: bool = True,
-        max_batch: Optional[int] = None,
-        **policy_kwargs: object,
-    ) -> None:
-        capacity = dm.batch_capacity
+    def __init__(self, dm, coalesce: bool = True) -> None:
         self.dm = dm
-        self.max_batch = max_batch if max_batch is not None else capacity
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if isinstance(policy, BatchPolicy):
-            self.policy = policy
-        else:
-            self.policy = make_policy(policy, capacity, **policy_kwargs)
+        self.capacity = dm.batch_capacity
         self.coalesce = coalesce
         self.buffer = CoalescingBuffer() if coalesce else AdmissionBuffer()
 
     def run(self, arrivals: ArrivalStream) -> StreamReport:
         """Replay the whole stream; returns the run's frontier numbers."""
-        dm, buf, policy = self.dm, self.buffer, self.policy
+        dm, buf, capacity = self.dm, self.buffer, self.capacity
         ledger = dm.net.ledger
         recorder = ledger.recorder
         arr = arrivals.arrivals
@@ -152,11 +136,7 @@ class StreamIngestor:
             exhausted = i >= len(arr)
             oldest = buf.oldest_tick
             age = now - oldest if oldest is not None else 0
-            reason = (
-                policy.should_cut(SchedulerView(tick=now, queue_depth=depth, oldest_age=age))
-                if depth
-                else None
-            )
+            reason = cut_reason(depth, age, capacity)
             if reason is None and exhausted and depth:
                 reason = "flush"
             if reason is None:
@@ -166,7 +146,7 @@ class StreamIngestor:
                 # the next arrival when the queue is empty).
                 now = arr[i].tick if depth == 0 else now + 1
                 continue
-            cut = buf.cut(policy.target, self.max_batch)
+            cut = buf.cut(capacity)
             before = ledger.snapshot()
             for batch in cut.batches:
                 dm.apply_batch(batch)
@@ -181,31 +161,18 @@ class StreamIngestor:
             if recorder is not None:
                 recorder.emit(
                     "sched_cut",
-                    policy=policy.name,
                     reason=reason,
                     raw=len(cut.shipped_ticks),
                     shipped=cut.shipped,
                     queue_depth=buf.pending_cost,
                     tick=now,
                     oldest_age=age,
-                    target=policy.target,
                     batches=len(cut.batches),
-                )
-            step = policy.observe_cut(buf.pending_cost)
-            if step is not None and recorder is not None:
-                recorder.emit(
-                    "sched_adapt",
-                    policy=policy.name,
-                    target=step.target,
-                    previous=step.previous,
-                    signal=step.signal,
-                    tick=now,
                 )
         wall = time.perf_counter() - t0  # simlint: disable=SIM003 host-side throughput report; never feeds a scheduling or protocol decision
         latencies.extend(buf.drain_resolved())
         run_delta = ledger.since(run_before)
         report = StreamReport(
-            policy=policy.name,
             coalesced=self.coalesce,
             admitted=buf.admitted,
             shipped=buf.admitted - buf.absorbed,

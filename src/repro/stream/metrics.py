@@ -18,7 +18,7 @@ def percentile(values: Sequence[int], q: float) -> float:
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One (shape × policy × coalescing) point on the frontier plot.
+    """One (shape × coalescing) point on the frontier plot.
 
     ``updates_per_s`` is raw admitted arrivals per wall second (the work
     the stream offered, not the post-coalescing residue — so coalescing
@@ -29,7 +29,6 @@ class FrontierPoint:
     """
 
     shape: str
-    policy: str
     coalesced: bool
     updates_per_s: float
     p50_ticks: float
@@ -41,7 +40,6 @@ class FrontierPoint:
     def as_dict(self) -> Dict[str, object]:
         return {
             "shape": self.shape,
-            "policy": self.policy,
             "coalesced": self.coalesced,
             "updates_per_s": self.updates_per_s,
             "p50_ticks": self.p50_ticks,

@@ -1,163 +1,28 @@
-"""Batch-cut policies: when does the scheduler turn the buffer into work?
+"""The cut rule: when does the scheduler turn the buffer into work?
 
-A policy looks at a :class:`SchedulerView` — the host-side queue state at
-the current tick — and answers "cut now?" with a reason string.  It never
-touches the ledger: scheduling charges zero rounds, the Θ(k)/Θ(S) core
-is what it always was.  Three policies span the frontier:
+The paper fixes the batch at Θ(k) (k-machine, Theorem 6.1) or Θ(S)
+(MPC §8) and leaves only *when* to cut to the system.  The rule here
+cuts a full batch as soon as one is pending, and otherwise never lets
+the oldest pending update wait more than :data:`DEADLINE_TICKS` ticks.
+It reads host-side queue state only and never touches the ledger:
+scheduling charges zero rounds.
 
-``fixed``
-    The paper's stance: cut exactly when a full Θ(k) (k-machine) or
-    Θ(S) (MPC) batch is available.  Maximum amortisation, unbounded
-    staleness under a slow trickle.
-
-``deadline``
-    Latency-bounded: cut a full batch when available, but never let the
-    oldest queued update wait more than ``deadline`` ticks.  The
-    low-staleness end of the frontier.
-
-``adaptive``
-    Queue-pressure AIMD on the cut size: grow the target additively (by
-    one capacity) while a cut leaves backlog behind, halve it back
-    toward capacity when the queue fully drains.  Under burst or
-    backlog the scheduler cuts bigger and bigger slices — more
-    coalescing window, fewer per-batch fixed costs — and relaxes when
-    the stream quiets down.
+The ``"flush"`` reason (end of stream, daemon drain) belongs to the
+callers, which cut whatever is left once no more arrivals can come.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
+
+#: Longest a pending update waits for a batch to fill, in ticks.
+DEADLINE_TICKS = 8
 
 
-@dataclass(frozen=True)
-class SchedulerView:
-    """What a policy may observe: host-side queue state, never graph state."""
-
-    tick: int
-    queue_depth: int   # updates that would ship if everything were cut
-    oldest_age: int    # ticks the oldest pending update has waited
-
-
-@dataclass(frozen=True)
-class AdaptStep:
-    """One AIMD move of an adaptive policy's cut-size target."""
-
-    previous: int
-    target: int
-    signal: str  # "backlog" or "drained"
-
-
-class BatchPolicy:
-    """Base class; subclasses decide when to cut and how much to take."""
-
-    name = "?"
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("batch capacity must be positive")
-        self.capacity = capacity
-
-    @property
-    def target(self) -> int:
-        """How many updates the next cut should take (≥ 1)."""
-        return self.capacity
-
-    def should_cut(self, view: SchedulerView) -> Optional[str]:
-        """Return a cut reason ("size", "deadline", …) or None to wait."""
-        raise NotImplementedError
-
-    def observe_cut(self, queue_depth_after: int) -> Optional[AdaptStep]:
-        """Feedback after a cut; adaptive policies may move their target."""
-        return None
-
-
-class FixedSizePolicy(BatchPolicy):
-    """The Θ(k)/Θ(S) baseline: cut exactly at one full batch."""
-
-    name = "fixed"
-
-    def should_cut(self, view: SchedulerView) -> Optional[str]:
-        return "size" if view.queue_depth >= self.capacity else None
-
-
-class DeadlinePolicy(BatchPolicy):
-    """Cut at a full batch, or when the oldest update hits the deadline."""
-
-    name = "deadline"
-
-    def __init__(self, capacity: int, deadline: int = 4) -> None:
-        super().__init__(capacity)
-        if deadline <= 0:
-            raise ValueError("deadline must be positive")
-        self.deadline = deadline
-
-    def should_cut(self, view: SchedulerView) -> Optional[str]:
-        if view.queue_depth >= self.capacity:
-            return "size"
-        if view.queue_depth and view.oldest_age >= self.deadline:
-            return "deadline"
-        return None
-
-
-class AdaptivePolicy(BatchPolicy):
-    """Queue-pressure AIMD: additive-increase the cut target under
-    backlog, multiplicatively decay it when the queue drains."""
-
-    name = "adaptive"
-
-    def __init__(
-        self,
-        capacity: int,
-        deadline: int = 8,
-        max_target_factor: int = 32,
-    ) -> None:
-        super().__init__(capacity)
-        if deadline <= 0:
-            raise ValueError("deadline must be positive")
-        self.deadline = deadline
-        self.max_target = capacity * max(max_target_factor, 1)
-        self._target = capacity
-
-    @property
-    def target(self) -> int:
-        return self._target
-
-    def should_cut(self, view: SchedulerView) -> Optional[str]:
-        if view.queue_depth >= self._target:
-            return "size"
-        if view.queue_depth and view.oldest_age >= self.deadline:
-            return "deadline"
-        return None
-
-    def observe_cut(self, queue_depth_after: int) -> Optional[AdaptStep]:
-        prev = self._target
-        if queue_depth_after >= self._target:
-            self._target = min(self._target + self.capacity, self.max_target)
-            signal = "backlog"
-        elif queue_depth_after == 0 and self._target > self.capacity:
-            self._target = max(self.capacity, self._target // 2)
-            signal = "drained"
-        else:
-            return None
-        if self._target == prev:
-            return None
-        return AdaptStep(previous=prev, target=self._target, signal=signal)
-
-
-POLICIES: Dict[str, Callable[..., BatchPolicy]] = {
-    FixedSizePolicy.name: FixedSizePolicy,
-    DeadlinePolicy.name: DeadlinePolicy,
-    AdaptivePolicy.name: AdaptivePolicy,
-}
-
-
-def make_policy(name: str, capacity: int, **kwargs: object) -> BatchPolicy:
-    """Instantiate a registered policy by name."""
-    try:
-        cls = POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown batch policy {name!r}; known: {sorted(POLICIES)}"
-        ) from None
-    return cls(capacity, **kwargs)
+def cut_reason(queue_depth: int, oldest_age: int, capacity: int) -> Optional[str]:
+    """``"size"``, ``"deadline"``, or ``None`` to keep waiting."""
+    if queue_depth >= capacity:
+        return "size"
+    if queue_depth and oldest_age >= DEADLINE_TICKS:
+        return "deadline"
+    return None

@@ -59,20 +59,13 @@ Event types (``repro-trace/1``):
     and ``replayed`` (logged batches re-executed) on end.
 ``sched_cut``
     The streaming admission scheduler (:mod:`repro.stream`) cut the
-    buffer into a batch: the deciding ``policy`` and its ``reason``
-    (``"size"``, ``"deadline"``, ``"pressure"``, ``"flush"``), ``raw``
-    arrivals covered by the cut, ``shipped`` updates actually handed to
-    the batch machinery (≤ raw after coalescing), and the
-    ``queue_depth`` left behind; optionally the arrival ``tick``, the
-    ``oldest_age`` of what shipped, the policy's current ``target`` and
-    the number of ``batches`` the cut was chunked into.  Host-side:
-    scheduling charges zero rounds, so these events are never
-    charge-bearing.
-``sched_adapt``
-    An adaptive policy moved its batch-size ``target`` (AIMD step):
-    ``policy``, the new ``target``, optionally the ``previous`` value,
-    the ``signal`` that drove the move (``"backlog"``/``"drained"``)
-    and the ``tick``.
+    buffer into a batch: the ``reason`` (``"size"``, ``"deadline"``,
+    ``"flush"``), ``raw`` arrivals covered by the cut, ``shipped``
+    updates actually handed to the batch machinery (≤ raw after
+    coalescing), and the ``queue_depth`` left behind; optionally the
+    arrival ``tick``, the ``oldest_age`` of what shipped and the number
+    of ``batches`` the cut was split into.  Host-side: scheduling
+    charges zero rounds, so these events are never charge-bearing.
 ``stream_end``
     Streaming-run totals: raw updates ``admitted``, updates ``shipped``
     into the batch machinery, scheduler ``cuts`` and the run's
@@ -80,9 +73,9 @@ Event types (``repro-trace/1``):
     ``absorbed`` by coalescing, and the ``p50_ticks``/``p99_ticks``
     staleness quantiles.
 ``serve_start`` / ``serve_stop``
-    Lifecycle of the :mod:`repro.serve` daemon: cluster size ``k`` and
-    batch ``policy`` (plus ``host``/``port``/``backend`` and the graph
-    shape) when it comes up; sessions served, mutations ``admitted`` and
+    Lifecycle of the :mod:`repro.serve` daemon: cluster size ``k``
+    (plus ``host``/``port``/``backend`` and the graph shape) when it
+    comes up; sessions served, mutations ``admitted`` and
     ``rejected`` (plus ``cuts``/``batches``/``evicted`` and the final
     ledger ``digest``) when it drains.
 ``serve_conn``
@@ -214,13 +207,8 @@ EVENT_SPECS: Tuple[EventSpec, ...] = (
     ),
     EventSpec(
         "sched_cut",
-        required=("policy", "reason", "raw", "shipped", "queue_depth"),
-        optional=("tick", "oldest_age", "target", "batches"),
-    ),
-    EventSpec(
-        "sched_adapt",
-        required=("policy", "target"),
-        optional=("previous", "signal", "tick"),
+        required=("reason", "raw", "shipped", "queue_depth"),
+        optional=("tick", "oldest_age", "batches"),
     ),
     EventSpec(
         "stream_end",
@@ -229,7 +217,7 @@ EVENT_SPECS: Tuple[EventSpec, ...] = (
     ),
     EventSpec(
         "serve_start",
-        required=("k", "policy"),
+        required=("k",),
         optional=("host", "port", "backend", "n", "m", "coalesce"),
     ),
     EventSpec(

@@ -15,15 +15,10 @@ def report(recorder, name, extra):
 
 
 def scheduler_telemetry(recorder, age):
-    # The PR-9 streaming scheduler events: required + declared optionals.
+    # The streaming scheduler events: required + declared optionals.
     recorder.emit(
-        "sched_cut", policy="adaptive", reason="size",
-        raw=12, shipped=8, queue_depth=4,
-        tick=7, oldest_age=age, target=16, batches=2,
-    )
-    recorder.emit(
-        "sched_adapt", policy="adaptive", target=24,
-        previous=16, signal="backlog", tick=7,
+        "sched_cut", reason="size", raw=12, shipped=8, queue_depth=4,
+        tick=7, oldest_age=age, batches=2,
     )
     recorder.emit(
         "stream_end", admitted=20, shipped=14, cuts=3,
@@ -33,9 +28,9 @@ def scheduler_telemetry(recorder, age):
 
 
 def serve_telemetry(sink, port):
-    # The PR-10 daemon events: required + declared optionals.
+    # The serve daemon events: required + declared optionals.
     sink.emit(
-        "serve_start", k=8, policy="adaptive",
+        "serve_start", k=8,
         host="127.0.0.1", port=port, backend="inproc-columnar",
         n=64, m=128, coalesce=True,
     )

@@ -11,9 +11,8 @@ def report(recorder, profile):
 
 
 def scheduler_telemetry(recorder):
-    # sched_cut requires policy/reason/raw/shipped/queue_depth; reason missing.
-    recorder.emit("sched_cut", policy="adaptive", raw=3, shipped=3,
-                  queue_depth=0)
+    # sched_cut requires reason/raw/shipped/queue_depth; reason missing.
+    recorder.emit("sched_cut", raw=3, shipped=3, queue_depth=0)
     # stream_end does not declare a wall_s field.
     recorder.emit("stream_end", admitted=5, shipped=5, cuts=1,
                   elapsed_ticks=4, wall_s=0.2)

@@ -95,7 +95,7 @@ class TestStreamSchema:
         meta = {"cpu_count": 1, "k": 8, "seed": 0, "ticks": 24, "rate": 8,
                 "repeats": 1}
         payload = bench_run.stream_payload(sweep, strict=False, metadata=meta)
-        assert payload["schema"] == "repro-bench-stream/1"
+        assert payload["schema"] == "repro-bench-stream/2"
         assert set(payload) == {
             "schema", "date", "python", "numpy", "strict", "metadata",
             "stream",
@@ -110,19 +110,17 @@ class TestStreamSchema:
         sweep = bench_run.run_stream_sweep(
             ["uniform"], k=4, seed=0, ticks=4, rate=3, repeats=1
         )
-        assert [v["policy"] for v in sweep["variants"]] == [
-            "fixed", "fixed", "deadline", "deadline", "adaptive", "adaptive",
-        ]
+        assert sweep["variants"] == [{"coalesced": False}, {"coalesced": True}]
         (shape,) = sweep["shapes"]
         assert {
             "shape", "k", "seed", "ticks", "rate", "admitted",
-            "oracle_digest", "digest_parity", "speedup_adaptive_coalesced",
+            "oracle_digest", "digest_parity", "speedup_coalesced",
             "runs", "frontier",
         } <= set(shape)
         assert shape["digest_parity"] is True
         for point in shape["frontier"]:
             assert {
-                "shape", "policy", "coalesced", "updates_per_s",
+                "shape", "coalesced", "updates_per_s",
                 "p50_ticks", "p99_ticks", "rounds_per_update",
                 "shipped_fraction",
             } <= set(point)

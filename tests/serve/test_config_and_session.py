@@ -28,6 +28,11 @@ class TestServeConfig:
         # an explicit backend wins over the environment
         assert ServeConfig.from_env(backend="scalar").backend == "scalar"
 
+    def test_from_env_rejects_an_unknown_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ServeConfig.from_env()
+
     def test_resolved_backend_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_FAST", raising=False)
@@ -50,7 +55,7 @@ class TestServeConfig:
         cfg = small_config()
         payload = cfg.hello_payload()
         assert payload["schema"] == "repro-serve/1"
-        for key in ("k", "n", "m", "seed", "engine", "init", "policy"):
+        for key in ("k", "n", "m", "seed", "engine", "init", "coalesce"):
             assert payload[key] == getattr(cfg, key)
         assert cfg.as_dict()["n"] == cfg.n
 
@@ -117,7 +122,6 @@ class TestSessionOddities:
                 stats = resp["result"]
                 assert stats["sessions"] == 1
                 assert stats["draining"] is False
-                assert stats["policy"] == "adaptive"
                 assert "backend" in stats
                 client.close()
 

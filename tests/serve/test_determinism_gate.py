@@ -5,9 +5,9 @@ interleaving, draining the live daemon and replaying its admitted log
 through the offline :class:`repro.stream.ingest.StreamIngestor` over an
 identically-seeded core ends on byte-identical ledger and forest
 digests.  The live reducer mirrors the ingestor's tick loop (see
-``repro/serve/reducer.py``); these tests pin that mirror for each batch
-policy, with and without coalescing, across cluster sizes, and under
-the scalar reference engine.
+``repro/serve/reducer.py``); these tests pin that mirror with and
+without coalescing, across cluster sizes and graph seeds, and under the
+scalar reference engine.
 """
 
 import asyncio
@@ -36,13 +36,6 @@ async def churn(config, clients=5, per_client=2, rounds=2):
 
 
 class TestAcrossConfigs:
-    @pytest.mark.parametrize("policy", ["fixed", "deadline", "adaptive"])
-    def test_every_policy_passes(self, policy):
-        reducer = run(churn(small_config(policy=policy)))
-        verdict = verify_determinism(reducer)
-        assert verdict["ok"], (policy, verdict)
-        assert verdict["live_cuts"] == verdict["replay_cuts"]
-
     def test_coalescing_disabled_passes(self):
         config = small_config(coalesce=False)
         reducer = run(churn(config))
@@ -52,10 +45,6 @@ class TestAcrossConfigs:
     @pytest.mark.parametrize("k", [2, 6])
     def test_cluster_sizes(self, k):
         reducer = run(churn(small_config(k=k)))
-        assert verify_determinism(reducer)["ok"]
-
-    def test_explicit_max_batch(self):
-        reducer = run(churn(small_config(max_batch=2)))
         assert verify_determinism(reducer)["ok"]
 
     @pytest.mark.parametrize("seed", [0, 11, 23])

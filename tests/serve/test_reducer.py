@@ -53,7 +53,7 @@ class TestValidation:
     def test_overlay_sees_pending_updates(self):
         """Validation must read through the buffer, not just the applied
         graph: add+delete of the same pair before any cut both admit."""
-        r = fresh(policy="fixed")  # fixed policy waits for a full batch
+        r = fresh()  # two admissions: neither a full batch nor a deadline
         u, v = free_pair(r)
         r.submit(Update.add(u, v, 0.5))
         assert r.effective_present(u, v)
@@ -82,13 +82,13 @@ class TestTickStamping:
         assert [t.tick for t in r.admitted_log] == ticks
 
     def test_empty_queue_stamps_current_tick(self):
-        r = fresh(policy="fixed")
+        r = fresh()
         u, v = free_pair(r)
         first = r.submit(Update.add(u, v, 0.5))
         assert first.tick == 0
 
     def test_busy_queue_advances_one_tick(self):
-        r = fresh(policy="fixed")
+        r = fresh()
         a = r.submit(Update.add(*free_pair(r), 0.5))
         b = r.submit(Update.add(*free_pair(r), 0.5))
         assert b.tick == a.tick + 1
@@ -147,7 +147,6 @@ class TestPublish:
         assert stats["admitted"] == 1
         assert stats["queue_depth"] == 0
         assert stats["cuts"] == r.cuts >= 1
-        assert stats["policy"] == "adaptive"
         assert stats["rejected"] == 0
 
 
@@ -194,7 +193,7 @@ class TestForestView:
 
 class TestDrainAndGate:
     def test_drain_empties_the_buffer(self):
-        r = fresh(policy="fixed")
+        r = fresh()
         for _ in range(3):
             r.submit(Update.add(*free_pair(r), 0.5))
         assert r.buffer.pending_cost > 0
@@ -203,7 +202,7 @@ class TestDrainAndGate:
         assert r.drain() == []  # idempotent on an empty buffer
 
     def test_verify_requires_drained_buffer(self):
-        r = fresh(policy="fixed")
+        r = fresh()
         r.submit(Update.add(*free_pair(r), 0.5))
         with pytest.raises(ValueError):
             verify_determinism(r)

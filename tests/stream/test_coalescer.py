@@ -1,5 +1,5 @@
 """Unit tests for the admission buffers: the coalescing state machine,
-cut chunking, and the uncoalesced FIFO's segment splitting."""
+the re-weight waves, and the uncoalesced FIFO's segment splitting."""
 
 import pytest
 
@@ -8,11 +8,11 @@ from repro.graphs.streams import apply_updates
 from repro.stream import AdmissionBuffer, CoalescingBuffer
 
 
-def _flush(buf, max_batch=64):
+def _flush(buf):
     """Cut everything; returns the flat update list in shipping order."""
     out = []
     while buf.pending_cost:
-        cut = buf.cut(10**9, max_batch)
+        cut = buf.cut(10**9)
         for batch in cut.batches:
             out.extend(batch)
     return out
@@ -40,7 +40,7 @@ class TestCoalescingStateMachine:
         buf.admit(Update.delete(0, 1), 0, 0)
         buf.admit(Update.add(0, 1, 0.7), 1, 1)
         assert buf.pending_cost == 2
-        cut = buf.cut(10, 8)
+        cut = buf.cut(10)
         # The delete and the re-insert must land in separate sub-batches,
         # delete first — apply_batch rejects a pair touched twice.
         assert cut.batches == [[Update.delete(0, 1)], [Update.add(0, 1, 0.7)]]
@@ -67,7 +67,7 @@ class TestCoalescingStateMachine:
         buf.admit(Update.delete(0, 1), 0, 0)
         buf.admit(Update.add(0, 1, 0.7), 1, 1)
         buf.admit(Update.add(0, 1, 0.2), 2, 2)
-        cut = buf.cut(10, 8)
+        cut = buf.cut(10)
         assert cut.batches[1] == [Update.add(0, 1, 0.2)]
         assert buf.absorbed == 1
 
@@ -85,7 +85,7 @@ class TestCoalescingCuts:
         buf = CoalescingBuffer()
         for i in range(6):
             buf.admit(Update.add(0, i + 1, float(i)), i, i)
-        cut = buf.cut(4, 8)
+        cut = buf.cut(4)
         assert cut.shipped == 4
         assert [u.endpoints for u in cut.batches[0]] == [
             (0, 1), (0, 2), (0, 3), (0, 4)
@@ -93,18 +93,23 @@ class TestCoalescingCuts:
         assert buf.pending_cost == 2
         assert buf.oldest_tick == 4
 
-    def test_cut_chunks_at_max_batch(self):
+    def test_reweights_ship_in_a_second_wave(self):
         buf = CoalescingBuffer()
-        for i in range(7):
-            buf.admit(Update.add(0, i + 1, float(i)), 0, 0)
-        cut = buf.cut(10**9, 3)
-        assert [len(b) for b in cut.batches] == [3, 3, 1]
+        buf.admit(Update.add(0, 1, 0.5), 0, 0)
+        buf.admit(Update.delete(0, 2), 0, 0)
+        buf.admit(Update.add(0, 2, 0.7), 0, 0)  # reweight
+        buf.admit(Update.delete(0, 3), 0, 0)
+        cut = buf.cut(10**9)
+        assert cut.batches == [
+            [Update.add(0, 1, 0.5), Update.delete(0, 2), Update.delete(0, 3)],
+            [Update.add(0, 2, 0.7)],
+        ]
 
     def test_cut_takes_at_least_one_entry(self):
         buf = CoalescingBuffer()
         buf.admit(Update.delete(0, 1), 0, 0)
         buf.admit(Update.add(0, 1, 0.5), 0, 0)  # reweight, cost 2
-        cut = buf.cut(1, 8)
+        cut = buf.cut(1)
         assert cut.shipped == 2  # a cost-2 entry still ships under limit 1
 
     def test_pairs_disjoint_within_each_batch(self):
@@ -112,7 +117,7 @@ class TestCoalescingCuts:
         for i in range(4):
             buf.admit(Update.delete(i, i + 10), 0, 0)
             buf.admit(Update.add(i, i + 10, 0.5), 1, 1)
-        cut = buf.cut(10**9, 64)
+        cut = buf.cut(10**9)
         for batch in cut.batches:
             pairs = [u.endpoints for u in batch]
             assert len(pairs) == len(set(pairs))
@@ -135,7 +140,7 @@ class TestCoalescingCuts:
         for t, upd in enumerate(seq):
             buf.admit(upd, t, t)
         replayed = g.copy()
-        cut = buf.cut(10**9, 64)
+        cut = buf.cut(10**9)
         for batch in cut.batches:
             apply_updates(replayed, batch)
         assert {e.key() for e in replayed.edges()} == {
@@ -160,24 +165,24 @@ class TestAdmissionBuffer:
         buf.admit(Update.add(0, 1, 0.5), 0, 0)
         buf.admit(Update.delete(0, 1), 1, 1)
         buf.admit(Update.add(0, 1, 0.8), 2, 2)
-        cut = buf.cut(10, 8)
+        cut = buf.cut(10)
         assert [len(b) for b in cut.batches] == [1, 1, 1]
         for batch in cut.batches:
             pairs = [u.endpoints for u in batch]
             assert len(pairs) == len(set(pairs))
 
-    def test_splits_at_max_batch(self):
+    def test_distinct_pairs_share_one_batch(self):
         buf = AdmissionBuffer()
         for i in range(5):
             buf.admit(Update.add(0, i + 1, 0.5), i, i)
-        cut = buf.cut(10, 2)
-        assert [len(b) for b in cut.batches] == [2, 2, 1]
+        cut = buf.cut(10)
+        assert [len(b) for b in cut.batches] == [5]
 
     def test_cut_limit_leaves_the_rest(self):
         buf = AdmissionBuffer()
         for i in range(5):
             buf.admit(Update.add(0, i + 1, 0.5), i, i)
-        cut = buf.cut(3, 8)
+        cut = buf.cut(3)
         assert cut.shipped == 3
         assert buf.pending_cost == 2
         assert buf.oldest_tick == 3

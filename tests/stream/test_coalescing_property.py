@@ -96,7 +96,7 @@ def test_buffer_flush_equals_direct_replay(script):
     replayed = arrivals.initial.copy()
     shipped = 0
     while buf.pending_cost:
-        cut = buf.cut(10**9, 8)
+        cut = buf.cut(8)
         for batch in cut.batches:
             apply_updates(replayed, batch)
             shipped += len(batch)

@@ -24,19 +24,18 @@ def _oracle_digest(arrivals):
     return forest_digest(kruskal_msf(arrivals.final_graph()))
 
 
-def _run(arrivals, k=8, policy="adaptive", coalesce=True, **kw):
+def _run(arrivals, k=8, coalesce=True):
     dm = DynamicMST.build(arrivals.initial, k, rng=0, init="free")
-    report = dm.ingest(arrivals, policy=policy, coalesce=coalesce, **kw)
+    report = dm.ingest(arrivals, coalesce=coalesce)
     dm.check()
     return dm, report
 
 
 class TestRunInvariants:
     @pytest.mark.parametrize("coalesce", [False, True])
-    @pytest.mark.parametrize("policy", ["fixed", "deadline", "adaptive"])
-    def test_accounting_and_oracle_parity(self, policy, coalesce):
+    def test_accounting_and_oracle_parity(self, coalesce):
         arrivals = _shape()
-        dm, rep = _run(arrivals, policy=policy, coalesce=coalesce)
+        dm, rep = _run(arrivals, coalesce=coalesce)
         assert rep.admitted == len(arrivals.arrivals)
         assert rep.admitted == rep.shipped + rep.absorbed
         assert rep.cuts == sum(rep.cut_reasons.values())
@@ -64,24 +63,25 @@ class TestRunInvariants:
             _, rep = _run(arrivals)
             assert rep.forest_digest == _oracle_digest(arrivals)
 
-    def test_batches_respect_max_batch(self):
-        arrivals = _shape()
-        dm = DynamicMST.build(arrivals.initial, 8, rng=0, init="free")
-        ing = StreamIngestor(dm, policy="adaptive", coalesce=True, max_batch=3)
-        rep = ing.run(arrivals)
-        assert rep.batches >= -(-rep.shipped // 3)  # ceil division floor
-
-    def test_rejects_nonpositive_max_batch(self):
-        dm = DynamicMST.build(_shape().initial, 8, rng=0, init="free")
-        with pytest.raises(ValueError):
-            StreamIngestor(dm, max_batch=0)
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_cuts_never_exceed_capacity(self, coalesce):
+        arrivals = _shape("flash-crowd", ticks=24, rate=8)
+        dm = DynamicMST.build(arrivals.initial, 4, rng=0, init="free")
+        buf = io.StringIO()
+        with TraceRecorder(buf) as rec:
+            dm.attach_trace(rec)
+            dm.ingest(arrivals, coalesce=coalesce)
+        events = [json.loads(l) for l in buf.getvalue().splitlines()]
+        cuts = [e for e in events if e["type"] == "sched_cut"]
+        assert max(e["raw"] for e in cuts) == dm.batch_capacity
+        assert all(e["shipped"] <= dm.batch_capacity for e in cuts)
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("policy", ["fixed", "deadline", "adaptive"])
-    def test_replay_is_bit_stable(self, policy):
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_replay_is_bit_stable(self, coalesce):
         arrivals = _shape(ticks=20, rate=8)
-        reports = [_run(arrivals, policy=policy)[1] for _ in range(2)]
+        reports = [_run(arrivals, coalesce=coalesce)[1] for _ in range(2)]
         a, b = reports
         for field in ("rounds", "messages", "words", "shipped", "absorbed",
                       "cuts", "batches", "elapsed_ticks", "forest_digest",
@@ -90,33 +90,22 @@ class TestDeterminism:
 
 
 class TestSchedulerBehaviour:
-    def test_fixed_policy_flushes_the_tail(self):
-        # A trickle that never fills a Θ(k) batch: fixed only ever cuts
-        # via the end-of-stream flush.
+    def test_short_trickle_only_flushes(self):
+        # A trickle shorter than the deadline that never fills a Θ(k)
+        # batch: the only cut is the end-of-stream flush.
         g = random_weighted_graph(24, 40, rng=3)
         arrivals = uniform_arrival_stream(g, rate=1, n_ticks=6, rng=4)
         dm = DynamicMST.build(arrivals.initial, 16, rng=0, init="free")
-        rep = dm.ingest(arrivals, policy="fixed", coalesce=False)
+        rep = dm.ingest(arrivals, coalesce=False)
         assert rep.cut_reasons == {"flush": rep.cuts}
 
     def test_deadline_policy_bounds_staleness(self):
         g = random_weighted_graph(24, 40, rng=3)
         arrivals = uniform_arrival_stream(g, rate=2, n_ticks=20, rng=4)
         dm = DynamicMST.build(arrivals.initial, 64, rng=0, init="free")
-        rep = dm.ingest(
-            arrivals, policy="deadline", coalesce=False, deadline=3
-        )
+        rep = dm.ingest(arrivals, coalesce=False)
         assert "deadline" in rep.cut_reasons
-
-    def test_adaptive_policy_reports_adaptations_under_pressure(self):
-        arrivals = _shape("flash-crowd", ticks=24, rate=8)
-        dm = DynamicMST.build(arrivals.initial, 4, rng=0, init="free")
-        buf = io.StringIO()
-        with TraceRecorder(buf) as rec:
-            dm.attach_trace(rec)
-            dm.ingest(arrivals, policy="adaptive")
-        kinds = [json.loads(l)["type"] for l in buf.getvalue().splitlines()]
-        assert "sched_adapt" in kinds
+        assert "size" not in rep.cut_reasons
 
 
 class TestTraceEvents:
@@ -132,7 +121,7 @@ class TestTraceEvents:
     def test_sched_events_validate_strictly(self):
         rep, events = self._traced_run()
         sched = [e for e in events
-                 if e["type"] in ("sched_cut", "sched_adapt", "stream_end")]
+                 if e["type"] in ("sched_cut", "stream_end")]
         assert sched, "ingest emitted no scheduler events"
         for ev in sched:
             validate_event(ev, strict=True)
@@ -152,7 +141,7 @@ class TestMPCPath:
     def test_mpc_ingest_matches_oracle_and_kmachine(self):
         arrivals = _shape(ticks=12, rate=4)
         dm = MPCDynamicMST.build(arrivals.initial, 4, rng=0, init="free")
-        rep = dm.ingest(arrivals, policy="adaptive")
+        rep = dm.ingest(arrivals)
         dm.check()
         assert rep.forest_digest == _oracle_digest(arrivals)
         _, km = _run(arrivals)
@@ -162,6 +151,5 @@ class TestMPCPath:
         arrivals = _shape(ticks=8, rate=4)
         dm = MPCDynamicMST.build(arrivals.initial, 4, rng=0, space=7, init="free")
         assert dm.batch_capacity == 7
-        ing = StreamIngestor(dm, policy="fixed", coalesce=False)
-        assert ing.policy.capacity == 7
-        assert ing.max_batch == 7
+        ing = StreamIngestor(dm, coalesce=False)
+        assert ing.capacity == 7

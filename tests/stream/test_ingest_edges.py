@@ -1,24 +1,18 @@
 """Edge cases for the streaming ingestor the main suite skips over.
 
-Three seams that the serve daemon (PR 10) now leans on:
+Two seams that the serve daemon leans on:
 
 * an **empty** arrival stream — the daemon's replay path for a client
   population that only ever queries;
 * churn that **coalesces to zero** shipped updates — add+delete of the
   same pair annihilate in the buffer, so a cut ships nothing and the
-  ledger charges nothing;
-* the adaptive policy's AIMD ceiling — ``max_target`` is pinned at
-  32 × batch capacity and the live target never exceeds it.
+  ledger charges nothing.
 """
-
-import pytest
 
 from repro.core import DynamicMST
 from repro.graphs import random_weighted_graph
 from repro.graphs.mst import forest_digest
 from repro.graphs.streams import ArrivalStream, TimedUpdate, Update
-from repro.stream import StreamIngestor
-from repro.stream.policy import AdaptivePolicy, SchedulerView, make_policy
 
 
 def _core(n=24, m=36, seed=3, k=4):
@@ -37,12 +31,6 @@ class TestEmptyStream:
         assert report.cuts == 0
         assert dm.net.ledger.digest() == digest_before
         assert report.forest_digest == forest_before
-
-    @pytest.mark.parametrize("policy", ["fixed", "deadline", "adaptive"])
-    def test_every_policy_survives_emptiness(self, policy):
-        g, dm = _core()
-        report = dm.ingest(ArrivalStream(g, []), policy=policy)
-        assert (report.admitted, report.cuts) == (0, 0)
 
 
 class TestCoalesceToZero:
@@ -85,41 +73,3 @@ class TestCoalesceToZero:
         assert report.shipped == 8
         assert report.absorbed == 0
 
-
-class TestAdaptiveCeiling:
-    def test_max_target_is_pinned_at_32x_capacity(self):
-        for capacity in (1, 3, 8, 64):
-            policy = AdaptivePolicy(capacity)
-            assert policy.max_target == 32 * capacity
-
-    def test_make_policy_uses_the_same_ceiling(self):
-        policy = make_policy("adaptive", 6)
-        assert isinstance(policy, AdaptivePolicy)
-        assert policy.max_target == 192
-
-    def test_target_never_exceeds_the_ceiling_under_pressure(self):
-        policy = AdaptivePolicy(capacity=4)
-        # hammer it with deep backlogs: additive increase must saturate
-        for _ in range(10_000):
-            policy.should_cut(
-                SchedulerView(tick=0, queue_depth=10**6, oldest_age=0)
-            )
-            policy.observe_cut(queue_depth_after=10**6)
-            assert policy.target <= policy.max_target
-        assert policy.target == policy.max_target
-
-    def test_live_run_respects_the_ceiling(self):
-        g, dm = _core(n=48, m=72)
-        present = {(e.u, e.v) for e in g.edges()}
-        free = [
-            (u, v)
-            for u in range(48)
-            for v in range(u + 1, 48)
-            if (u, v) not in present
-        ]
-        # everything lands on tick 0: maximum queue pressure
-        arrivals = [TimedUpdate(0, Update.add(u, v, 0.5)) for u, v in free[:300]]
-        ingestor = StreamIngestor(dm)
-        report = ingestor.run(ArrivalStream(g, arrivals, name="burst"))
-        assert report.admitted == 300
-        assert ingestor.policy.target <= ingestor.policy.max_target

@@ -1,116 +1,20 @@
-"""Unit tests for the batch-cut policies and their AIMD dynamics."""
+"""Unit tests for the size-or-deadline cut rule."""
 
-import pytest
-
-from repro.stream import (
-    AdaptivePolicy,
-    DeadlinePolicy,
-    FixedSizePolicy,
-    SchedulerView,
-    make_policy,
-)
+from repro.stream import DEADLINE_TICKS, cut_reason
 
 
-def _view(tick=0, depth=0, age=0):
-    return SchedulerView(tick=tick, queue_depth=depth, oldest_age=age)
+class TestCutReason:
+    def test_cuts_on_size_at_full_batch(self):
+        assert cut_reason(queue_depth=7, oldest_age=0, capacity=8) is None
+        assert cut_reason(queue_depth=8, oldest_age=0, capacity=8) == "size"
+        assert cut_reason(queue_depth=20, oldest_age=0, capacity=8) == "size"
 
-
-class TestFixedSizePolicy:
-    def test_cuts_only_at_full_batch(self):
-        pol = FixedSizePolicy(8)
-        assert pol.should_cut(_view(depth=7, age=100)) is None
-        assert pol.should_cut(_view(depth=8)) == "size"
-        assert pol.target == 8
-
-    def test_observe_cut_is_inert(self):
-        pol = FixedSizePolicy(8)
-        assert pol.observe_cut(100) is None
-        assert pol.target == 8
-
-
-class TestDeadlinePolicy:
     def test_full_batch_wins_over_deadline(self):
-        pol = DeadlinePolicy(8, deadline=4)
-        assert pol.should_cut(_view(depth=8, age=9)) == "size"
+        assert cut_reason(8, DEADLINE_TICKS + 1, 8) == "size"
 
     def test_deadline_fires_on_stale_partial_batch(self):
-        pol = DeadlinePolicy(8, deadline=4)
-        assert pol.should_cut(_view(depth=3, age=3)) is None
-        assert pol.should_cut(_view(depth=3, age=4)) == "deadline"
+        assert cut_reason(3, DEADLINE_TICKS - 1, 8) is None
+        assert cut_reason(3, DEADLINE_TICKS, 8) == "deadline"
 
     def test_empty_queue_never_cuts(self):
-        pol = DeadlinePolicy(8, deadline=4)
-        assert pol.should_cut(_view(depth=0, age=50)) is None
-
-    def test_rejects_nonpositive_deadline(self):
-        with pytest.raises(ValueError):
-            DeadlinePolicy(8, deadline=0)
-
-
-class TestAdaptivePolicy:
-    def test_additive_increase_under_backlog(self):
-        pol = AdaptivePolicy(8)
-        step = pol.observe_cut(queue_depth_after=20)
-        assert step is not None
-        assert (step.previous, step.target, step.signal) == (8, 16, "backlog")
-        assert pol.target == 16
-        assert pol.observe_cut(40).target == 24
-
-    def test_multiplicative_decrease_on_drain(self):
-        pol = AdaptivePolicy(8)
-        for _ in range(3):
-            pol.observe_cut(1000)
-        assert pol.target == 32
-        step = pol.observe_cut(queue_depth_after=0)
-        assert (step.previous, step.target, step.signal) == (32, 16, "drained")
-
-    def test_drain_at_floor_is_silent(self):
-        pol = AdaptivePolicy(8)
-        assert pol.observe_cut(queue_depth_after=0) is None
-        assert pol.target == 8
-
-    def test_partial_drain_holds_target(self):
-        pol = AdaptivePolicy(8)
-        pol.observe_cut(1000)
-        assert pol.observe_cut(queue_depth_after=3) is None
-        assert pol.target == 16
-
-    def test_target_is_capped(self):
-        pol = AdaptivePolicy(4, max_target_factor=2)
-        pol.observe_cut(1000)
-        assert pol.target == 8
-        assert pol.observe_cut(1000) is None  # already at ceiling
-        assert pol.target == 8
-
-    def test_should_cut_tracks_moving_target(self):
-        pol = AdaptivePolicy(8, deadline=6)
-        assert pol.should_cut(_view(depth=8)) == "size"
-        pol.observe_cut(1000)
-        assert pol.should_cut(_view(depth=8)) is None
-        assert pol.should_cut(_view(depth=16)) == "size"
-        assert pol.should_cut(_view(depth=2, age=6)) == "deadline"
-
-
-class TestMakePolicy:
-    @pytest.mark.parametrize("name,cls", [
-        ("fixed", FixedSizePolicy),
-        ("deadline", DeadlinePolicy),
-        ("adaptive", AdaptivePolicy),
-    ])
-    def test_builds_registered_policies(self, name, cls):
-        pol = make_policy(name, 8)
-        assert isinstance(pol, cls)
-        assert pol.name == name
-        assert pol.capacity == 8
-
-    def test_forwards_kwargs(self):
-        pol = make_policy("deadline", 8, deadline=2)
-        assert pol.should_cut(_view(depth=1, age=2)) == "deadline"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown batch policy"):
-            make_policy("bogus", 8)
-
-    def test_nonpositive_capacity_raises(self):
-        with pytest.raises(ValueError):
-            make_policy("fixed", 0)
+        assert cut_reason(0, 50, 8) is None

@@ -52,7 +52,7 @@ def test_replay_stream(tmp_path, capsys):
 
 
 def test_stream_runs(capsys):
-    assert main(["stream", "sliding-window", "--policy", "adaptive",
+    assert main(["stream", "sliding-window",
                  "--k", "8", "--ticks", "12", "--rate", "4"]) == 0
     out = capsys.readouterr().out
     assert "consistency check passed" in out
@@ -60,7 +60,7 @@ def test_stream_runs(capsys):
 
 
 def test_stream_no_coalesce_ships_everything(capsys):
-    assert main(["stream", "uniform", "--policy", "fixed", "--no-coalesce",
+    assert main(["stream", "uniform", "--no-coalesce",
                  "--ticks", "8", "--rate", "4"]) == 0
     out = capsys.readouterr().out
     assert "absorbed  0" in out or "absorbed 0" in out

@@ -445,25 +445,18 @@ def bench_alloc(count: int) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# streaming frontier: batch policy × stream shape (tools/bench_run --stream)
+# streaming frontier: coalescing × stream shape (tools/bench_run --stream)
 # ----------------------------------------------------------------------
 
-#: (policy, coalesce) variants the stream sweep measures per shape.  The
-#: uncoalesced fixed-Θ(k) pair is the paper-faithful baseline every other
-#: point is compared against.
-STREAM_VARIANTS = [
-    ("fixed", False),
-    ("fixed", True),
-    ("deadline", False),
-    ("deadline", True),
-    ("adaptive", False),
-    ("adaptive", True),
-]
+#: Coalescing variants the stream sweep measures per shape, all under the
+#: one size-or-deadline cut rule.  The uncoalesced run is the
+#: paper-faithful baseline the coalesced one is compared against.
+STREAM_VARIANTS = [False, True]
 
 
-def _run_stream_variant(stream, k: int, seed: int, policy: str,
-                        coalesce: bool, repeats: int) -> Dict[str, Any]:
-    """One (policy × coalescing) ingestion run on a fresh structure."""
+def _run_stream_variant(stream, k: int, seed: int, coalesce: bool,
+                        repeats: int) -> Dict[str, Any]:
+    """One ingestion run, raw or coalesced, on a fresh structure."""
     from repro.core import DynamicMST
 
     best: Optional[Dict[str, Any]] = None
@@ -472,7 +465,7 @@ def _run_stream_variant(stream, k: int, seed: int, policy: str,
         telemetry = _obs_sink()
         if telemetry is not None:
             dm.attach_trace(telemetry)
-        report = dm.ingest(stream, policy=policy, coalesce=coalesce)
+        report = dm.ingest(stream, coalesce=coalesce)
         if telemetry is not None:
             dm.detach_trace()
             telemetry.close()
@@ -490,12 +483,12 @@ def _run_stream_variant(stream, k: int, seed: int, policy: str,
 
 def run_stream_sweep(shapes: Sequence[str], k: int, seed: int, ticks: int,
                      rate: int, repeats: int) -> Dict[str, Any]:
-    """Sweep batch policy × stream shape; returns the frontier payload.
+    """Sweep coalescing × stream shape; returns the frontier payload.
 
-    Every variant of a shape must end on the byte-identical forest
-    digest (and it must match the sequential oracle) — coalescing and
-    scheduling may move a run along the throughput/staleness frontier,
-    never off the correct forest.
+    Both variants of a shape must end on the byte-identical forest
+    digest (and it must match the sequential oracle) — coalescing may
+    move a run along the throughput/staleness frontier, never off the
+    correct forest.
     """
     from repro.graphs import forest_digest
     from repro.graphs.mst import kruskal_msf
@@ -507,18 +500,17 @@ def run_stream_sweep(shapes: Sequence[str], k: int, seed: int, ticks: int,
         oracle = forest_digest(kruskal_msf(stream.final_graph()))
         runs: List[Dict[str, Any]] = []
         frontier: List[Dict[str, Any]] = []
-        for policy, coalesce in STREAM_VARIANTS:
-            run = _run_stream_variant(stream, k, seed, policy, coalesce,
-                                      repeats)
+        for coalesce in STREAM_VARIANTS:
+            tag = "coalesced" if coalesce else "raw"
+            run = _run_stream_variant(stream, k, seed, coalesce, repeats)
             if run["forest_digest"] != oracle:
                 raise AssertionError(
-                    f"{shape}: {policy}/{'coalesced' if coalesce else 'raw'} "
-                    f"forest digest diverges from the sequential oracle"
+                    f"{shape}: {tag} forest digest diverges from the "
+                    f"sequential oracle"
                 )
             runs.append(run)
             frontier.append({
                 "shape": shape,
-                "policy": policy,
                 "coalesced": coalesce,
                 "updates_per_s": run["updates_per_s"],
                 "p50_ticks": run["p50_ticks"],
@@ -528,19 +520,16 @@ def run_stream_sweep(shapes: Sequence[str], k: int, seed: int, ticks: int,
                     run["shipped"] / max(run["admitted"], 1), 4
                 ),
             })
-            tag = "coal" if coalesce else "raw "
-            print(f"  {shape:<15} {policy:<9}{tag} "
+            print(f"  {shape:<15} {tag:<10}"
                   f"{run['updates_per_s']:>9.1f} up/s  "
                   f"ship {run['shipped']:>5}/{run['admitted']:<5} "
                   f"p50 {run['p50_ticks']:>6.1f}  p99 {run['p99_ticks']:>7.1f}  "
                   f"rnd/up {run['rounds_per_update']:>6.2f}")
-        by_variant = {(r["policy"], r["coalesced"]): r for r in runs}
-        baseline = by_variant[("fixed", False)]
-        contender = by_variant[("adaptive", True)]
+        baseline, contender = runs
         speedup = round(
             contender["updates_per_s"] / max(baseline["updates_per_s"], 1e-9), 3
         )
-        print(f"  {shape:<15} adaptive+coalesced vs fixed-raw: {speedup:>5.2f}x "
+        print(f"  {shape:<15} coalesced vs raw: {speedup:>5.2f}x "
               f"(digest {oracle[:12]})")
         out.append({
             "shape": shape,
@@ -551,14 +540,12 @@ def run_stream_sweep(shapes: Sequence[str], k: int, seed: int, ticks: int,
             "admitted": baseline["admitted"],
             "oracle_digest": oracle,
             "digest_parity": True,
-            "speedup_adaptive_coalesced": speedup,
+            "speedup_coalesced": speedup,
             "runs": runs,
             "frontier": frontier,
         })
     return {
-        "variants": [
-            {"policy": p, "coalesced": c} for p, c in STREAM_VARIANTS
-        ],
+        "variants": [{"coalesced": c} for c in STREAM_VARIANTS],
         "shapes": out,
     }
 
@@ -567,13 +554,13 @@ def run_stream_sweep(shapes: Sequence[str], k: int, seed: int, ticks: int,
 
 def stream_payload(sweep: Dict[str, Any], *, strict: bool,
                    metadata: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``repro-bench-stream/1`` trajectory envelope.
+    """The ``repro-bench-stream/2`` trajectory envelope.
 
     Factored out of main() so the schema is pinned by a regression test
     without running the sweep itself.
     """
     return {
-        "schema": "repro-bench-stream/1",
+        "schema": "repro-bench-stream/2",
         "date": datetime.date.today().isoformat(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -649,8 +636,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="run each trajectory this many times and keep the "
                          "fastest (damps timer noise for the floor checks)")
     ap.add_argument("--stream", action="store_true",
-                    help="streaming-frontier mode: sweep batch policy x "
-                         "stream shape through repro.stream and write "
+                    help="streaming-frontier mode: sweep raw vs coalesced "
+                         "x stream shape through repro.stream and write "
                          "BENCH_<date>_stream.json instead of the backend "
                          "trajectory (see docs/streaming.md)")
     ap.add_argument("--stream-shapes", default="uniform,sliding-window,"
@@ -665,9 +652,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--stream-rate", type=int, default=8,
                     help="arrivals per tick for --stream shapes")
     ap.add_argument("--min-stream-speedup", type=float, default=None,
-                    help="with --stream: fail unless adaptive+coalesced "
-                         "beats the fixed-Θ(k) uncoalesced baseline by this "
-                         "factor (updates/s) on the sliding-window shape")
+                    help="with --stream: fail unless the coalesced run "
+                         "beats the uncoalesced baseline by this factor "
+                         "(updates/s) on the sliding-window shape")
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="fail unless the largest scenario is at least this "
                          "much faster with the columnar fast path")
@@ -699,7 +686,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"seed={args.stream_seed}, ticks={args.stream_ticks}, "
               f"rate={args.stream_rate}, strict="
               f"{'on' if args.strict else 'off'}")
-        print("policy x shape sweep (uncoalesced fixed-Θ(k) is the baseline):")
+        print("coalescing x shape sweep (uncoalesced is the baseline):")
         sweep = run_stream_sweep(shapes, args.stream_k, args.stream_seed,
                                  args.stream_ticks, args.stream_rate,
                                  args.repeats)
@@ -730,9 +717,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("FAIL: --min-stream-speedup needs the sliding-window "
                       "shape in --stream-shapes", file=sys.stderr)
                 return 1
-            if gate["speedup_adaptive_coalesced"] < args.min_stream_speedup:
-                print(f"FAIL: sliding-window adaptive+coalesced speedup "
-                      f"{gate['speedup_adaptive_coalesced']}x < required "
+            if gate["speedup_coalesced"] < args.min_stream_speedup:
+                print(f"FAIL: sliding-window coalesced speedup "
+                      f"{gate['speedup_coalesced']}x < required "
                       f"{args.min_stream_speedup}x", file=sys.stderr)
                 return 1
         print("all forest digests identical; ok")
