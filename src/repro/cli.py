@@ -145,17 +145,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    fast: Optional[bool] = None
-    if args.fast:
-        fast = True
-    elif args.scalar:
-        fast = False
     out = args.out or f"{scenario.name}.trace.jsonl"
     with _serving_metrics(args) as telemetry:
         summary = run_traced(
-            scenario, out, fast=fast, engine=args.engine, init=args.init,
-            profile=args.profile, perturb_batch=args.perturb_batch,
-            backend=args.backend, telemetry=telemetry,
+            scenario, out, engine=args.engine, profile=args.profile,
+            perturb_batch=args.perturb_batch, backend=args.backend,
+            telemetry=telemetry,
         )
     print(f"traced scenario {scenario.name}: n={scenario.n} k={scenario.k} "
           f"batch={scenario.batch}x{scenario.n_batches}")
@@ -181,7 +176,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(to_json(summary), indent=2))
     elif args.prometheus:
-        print(to_prometheus(summary), end="")
+        print(to_prometheus(events, envelope=args.envelope), end="")
     else:
         print(render_text(summary))
     return 1 if summary.budget_violations or summary.violations else 0
@@ -284,8 +279,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     report = watch_scenario(
         args.scenario, host=args.host, port=args.port, loops=args.loops,
-        engine=args.engine, init=args.init, backend=args.backend,
-        envelope=args.envelope, on_ready=on_ready, on_loop=on_loop,
+        engine=args.engine, backend=args.backend, envelope=args.envelope,
+        on_ready=on_ready, on_loop=on_loop,
     )
     snap = report["snapshot"]
     print(f"stopped after {report['loops']} loop(s); "
@@ -507,19 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default <scenario>.trace.jsonl)")
     trace.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
-    trace.add_argument("--init", choices=["distributed", "free"], default=None,
-                       help="override the scenario's init mode "
-                            "(default: the scenario's own, usually free)")
     trace.add_argument("--profile", action="store_true",
                        help="embed per-phase wall/alloc counters in run_end")
-    engine_pin = trace.add_mutually_exclusive_group()
-    engine_pin.add_argument("--fast", action="store_true",
-                            help="pin the columnar fast path on")
-    engine_pin.add_argument("--scalar", action="store_true",
-                            help="pin the scalar reference path on")
     trace.add_argument("--backend", default=None, metavar="NAME",
-                       help="execution backend: reference or inproc-columnar "
-                            "(outranks --fast/--scalar)")
+                       help="execution backend: reference or inproc-columnar")
     trace.add_argument("--perturb-batch", type=int, default=None,
                        help="charge one extra round before this batch index "
                             "(seeded fault for trace-diff demos)")
@@ -598,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="runs of the scenario (0 = until interrupted)")
     watch.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
-    watch.add_argument("--init", choices=["distributed", "free"], default=None,
-                       help="override the scenario's init mode")
     watch.add_argument("--backend", default=None, metavar="NAME",
                        help="execution backend: reference or inproc-columnar")
     watch.add_argument("--envelope", type=int, default=None,

@@ -91,7 +91,6 @@ def watch_scenario(
     port: int = 0,
     loops: int = 0,
     engine: str = "sample_gather",
-    init: Optional[str] = None,
     backend: Optional[str] = None,
     envelope: Optional[int] = None,
     on_ready: Optional[Callable[[ObsSession], None]] = None,
@@ -122,8 +121,8 @@ def watch_scenario(
                 telemetry = session.sink(meta={"scenario": scenario.name})
                 try:
                     last_summary = run_traced(
-                        scenario, sink=None, engine=engine, init=init,
-                        backend=backend, telemetry=telemetry,
+                        scenario, sink=None, engine=engine, backend=backend,
+                        telemetry=telemetry,
                     )
                 finally:
                     telemetry.close()

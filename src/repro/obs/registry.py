@@ -183,7 +183,8 @@ class MetricsRegistry:
         return len(events)
 
     def apply(self, event: Dict[str, Any]) -> None:
-        """Fold one event (public so tests can feed events directly)."""
+        """Fold one event (public so :func:`repro.trace.report.to_prometheus`
+        and tests can feed a recorded trace directly)."""
         self.events_seen += 1
         wall = event.get("wall_ns")
         if isinstance(wall, int):

@@ -4,7 +4,8 @@ Three layers, highest priority first:
 
 1. an active :func:`override_fast_path` context (used by
    :class:`~repro.core.api.DynamicMST` instances built with an explicit
-   ``fast=`` or ``backend=`` argument, and by the equivalence tests);
+   ``backend=`` name — every harness and CLI pins the engine that way —
+   or its boolean shorthand ``fast=``, which the equivalence tests use);
 2. a process-wide value installed with :func:`set_fast_path`;
 3. the environment, read by :func:`repro.sim.executor.backend_from_env`:
    ``REPRO_BACKEND`` (``reference``/``scalar`` is off, the columnar

@@ -16,11 +16,11 @@ A backend is nothing more than a name for one setting of the fast-path
 switch (:mod:`repro.perf.config`): selecting one means running under
 ``override_fast_path(backend.fast)``.
 
-Backend selection goes through :func:`resolve_backend` — explicit
-``backend=`` argument, then ``fast=``, then a scenario's ``backend``
-field, then the ``REPRO_BACKEND`` environment variable.  With none of
-them set the ambient fast-path switch decides, whose environment layer
-is :func:`backend_from_env` (``REPRO_BACKEND`` before ``REPRO_FAST``).
+Backend selection goes through :func:`resolve_backend` — an explicit
+``backend=`` name, then the ``REPRO_BACKEND`` environment variable.
+With neither set the ambient fast-path switch decides, whose
+environment layer is :func:`backend_from_env` (``REPRO_BACKEND`` before
+``REPRO_FAST``).
 """
 
 from __future__ import annotations
@@ -95,24 +95,15 @@ def backend_from_env() -> ExecutionBackend:
     return COLUMNAR
 
 
-def resolve_backend(
-    backend: Optional[str] = None,
-    fast: Optional[bool] = None,
-    scenario: Optional[str] = None,
-) -> Optional[ExecutionBackend]:
+def resolve_backend(backend: Optional[str] = None) -> Optional[ExecutionBackend]:
     """Resolve the backend for a run; ``None`` means "defer to ambient".
 
-    Precedence (highest first): the explicit ``backend`` argument, the
-    explicit ``fast`` argument, the scenario's ``backend`` field, the
-    ``REPRO_BACKEND`` environment variable.  When none of them pins a
-    backend the result is ``None`` and the caller keeps the dynamic
-    behaviour: every operation consults the ambient fast-path switch
+    The explicit ``backend`` argument wins over the ``REPRO_BACKEND``
+    environment variable.  When neither pins a backend the result is
+    ``None`` and the caller keeps the dynamic behaviour: every operation
+    consults the ambient fast-path switch
     (:func:`repro.perf.config.fast_path_enabled`) at call time.
     """
     if backend is not None:
         return get_backend(backend)
-    if fast is not None:
-        return COLUMNAR if fast else REFERENCE
-    if scenario is not None:
-        return get_backend(scenario)
     return _backend_env_pin()

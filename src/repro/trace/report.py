@@ -16,7 +16,8 @@ Consumes the JSONL event stream written by
 
 Three export surfaces: a human table (:func:`render_text`), a JSON dict
 (:func:`to_json`), and a Prometheus-style text exposition
-(:func:`to_prometheus`) for scraping into standard dashboards.
+(:func:`to_prometheus`, folded by the live metrics registry) for
+scraping into standard dashboards.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.trace.budgets import RoundBudget, budget_for_run
-from repro.trace.events import charge_events, validate_events
+from repro.trace.events import strip_ambient, validate_events
 
 
 @dataclass
@@ -371,89 +372,22 @@ def to_json(summary: TraceSummary) -> Dict[str, Any]:
     }
 
 
-def to_metric_families(summary: TraceSummary) -> List[Any]:
-    """The summary as :class:`repro.obs.prom.MetricFamily` rows.
+def to_prometheus(
+    events: Sequence[Dict[str, Any]], envelope: Optional[int] = None
+) -> str:
+    """Prometheus text exposition of a trace (one scrape per trace).
 
-    The same formatter backs the live ``/metrics`` endpoint
-    (:class:`repro.obs.server.ObsServer`), so the two exposition
-    surfaces share metric names, ``# HELP``/``# TYPE`` headers, label
-    escaping and value formatting by construction.  Monotone totals are
-    counters; skew and budget headroom are gauges.
+    The events are folded by the live registry
+    (:class:`repro.obs.registry.MetricsRegistry`), so ``repro report
+    --prometheus`` and the ``/metrics`` endpoint share one set of metric
+    names, types, label escaping and value formatting.  Ambient
+    ``wall_ns`` stamps are stripped first: the exposition of a trace
+    never depends on whether it was recorded with wall-clock stamps.
     """
-    from repro.obs.prom import MetricFamily
-
-    fams: List[Any] = []
-
-    def counter(name: str, help_text: str) -> MetricFamily:
-        fam = MetricFamily(name, "counter", help_text)
-        fams.append(fam)
-        return fam
-
-    def gauge(name: str, help_text: str) -> MetricFamily:
-        fam = MetricFamily(name, "gauge", help_text)
-        fams.append(fam)
-        return fam
-
-    counter("repro_rounds_total",
-            "Synchronous rounds charged on the ledger").add(summary.rounds)
-    counter("repro_messages_total", "Messages delivered").add(summary.messages)
-    counter("repro_words_total", "Words moved").add(summary.words)
-    fam = counter("repro_supersteps_total",
-                  "Communication supersteps by engine")
-    for name, count in sorted(summary.engines.items()):
-        fam.add(count, engine=name)
-    fam = counter("repro_phase_rounds_total",
-                  "Rounds attributed to each ledger phase")
-    for name, row in sorted(summary.phases.items()):
-        fam.add(row.rounds, phase=name)
-    fam = counter("repro_phase_words_total",
-                  "Words attributed to each ledger phase")
-    for name, row in sorted(summary.phases.items()):
-        fam.add(row.words, phase=name)
-    fam = counter("repro_machine_send_words_total",
-                  "Cumulative words sent per machine")
-    for i, w in enumerate(summary.send_words):
-        fam.add(w, machine=i)
-    fam = counter("repro_machine_recv_words_total",
-                  "Cumulative words received per machine")
-    for i, w in enumerate(summary.recv_words):
-        fam.add(w, machine=i)
-    gauge("repro_machine_send_skew",
-          "Max/mean skew of cumulative per-machine send words"
-          ).add(round(summary.send_skew, 4))
-    gauge("repro_machine_recv_skew",
-          "Max/mean skew of cumulative per-machine recv words"
-          ).add(round(summary.recv_skew, 4))
-    fam = counter("repro_message_size_count",
-                  "Messages by declared word size")
-    for w, c in sorted(summary.size_hist.items()):
-        fam.add(c, words=w)
-    counter("repro_batch_budget_violations_total",
-            "Batches whose measured rounds exceeded the theorem envelope"
-            ).add(summary.budget_violations)
-    if summary.batches:
-        headrooms = [b.budget_rounds - b.rounds for b in summary.batches]
-        gauge("repro_budget_headroom_rounds",
-              "Theorem-budget headroom of the latest batch "
-              "(envelope minus measured rounds; negative = over budget)"
-              ).add(headrooms[-1])
-        gauge("repro_budget_headroom_rounds_min",
-              "Worst theorem-budget headroom seen this run"
-              ).add(min(headrooms))
-    counter("repro_strict_violations_total",
-            "Strict-mode violations recorded").add(len(summary.violations))
-    fam = counter("repro_faults_total",
-                  "Injected transport faults by kind")
-    for kind, count in sorted(summary.faults.items()):
-        fam.add(count, kind=kind)
-    counter("repro_recovery_rounds_total",
-            "Rounds spent in crash-recovery rollback/replay"
-            ).add(summary.recovery_rounds)
-    return fams
-
-
-def to_prometheus(summary: TraceSummary) -> str:
-    """Prometheus text exposition of a trace report (one scrape per trace)."""
     from repro.obs.prom import render_families
+    from repro.obs.registry import MetricsRegistry
 
-    return render_families(to_metric_families(summary))
+    registry = MetricsRegistry(envelope=envelope)
+    for event in events:
+        registry.apply(strip_ambient(event))
+    return render_families(registry.collect())

@@ -14,7 +14,7 @@ import pytest
 from repro.obs import BusSink, MetricsRegistry, TelemetryBus
 from repro.trace.scenarios import Scenario, run_traced
 
-TINY = Scenario("tiny", n=80, k=4, batch=4, n_batches=2, seed=3)
+TINY = Scenario("tiny", n=80, k=4, batch=4, n_batches=2, init="free", seed=3)
 
 
 @pytest.fixture(autouse=True)

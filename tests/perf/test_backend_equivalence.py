@@ -60,7 +60,7 @@ def test_reference_trace_digest_matches_columnar(tmp_path):
     files themselves differ only in their engine tags, by design)."""
     from repro.trace.scenarios import Scenario, run_traced
 
-    scenario = Scenario("t-eq", n=60, k=4, batch=6, n_batches=3, seed=2)
+    scenario = Scenario("t-eq", n=60, k=4, batch=6, n_batches=3, init="free", seed=2)
     digests = {
         name: run_traced(scenario, str(tmp_path / f"{name}.jsonl"),
                          backend=name)["digest"]
@@ -85,7 +85,7 @@ def test_chaos_equivalence_across_backends():
     from repro.faults import CrashEvent, FaultPlan, run_chaos
     from repro.trace.scenarios import Scenario
 
-    scenario = Scenario("t-chaos", n=40, k=4, batch=4, n_batches=3, seed=4)
+    scenario = Scenario("t-chaos", n=40, k=4, batch=4, n_batches=3, init="free", seed=4)
     plan = FaultPlan(seed=5, drop=0.02, dup=0.01,
                      crashes=(CrashEvent(batch=1, machine=2),))
     ref, col = (run_chaos(scenario, plan, checkpoint_every=2, backend=name)

@@ -1,9 +1,8 @@
 """Backend selection: registry, precedence, and the environment layer.
 
 The selection seam has an exact precedence order — explicit ``backend=``
-argument, then explicit ``fast=``, then a scenario's ``backend`` field,
-then ``REPRO_BACKEND``, then ``REPRO_FAST`` — and the engine that runs
-must always be the engine that is reported.
+argument, then ``REPRO_BACKEND``, then ``REPRO_FAST`` — and the engine
+that runs must always be the engine that is reported.
 """
 
 import numpy as np
@@ -68,18 +67,7 @@ class TestRegistry:
 class TestPrecedence:
     def test_explicit_backend_wins_over_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        got = resolve_backend(backend="reference", fast=True, scenario="columnar")
-        assert got.name == "reference"
-
-    def test_fast_arg_beats_scenario_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "scalar")
-        assert resolve_backend(fast=True, scenario="reference").name == "inproc-columnar"
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        assert resolve_backend(fast=False, scenario="columnar").name == "reference"
-
-    def test_scenario_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert resolve_backend(scenario="columnar").name == "inproc-columnar"
+        assert resolve_backend(backend="reference").name == "reference"
 
     def test_env_is_the_last_pin(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "scalar")
@@ -93,20 +81,6 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_FAST", "0")
         assert backend_from_env().name == "reference"
         assert config.fast_path_enabled() is False
-
-    def test_scenario_field_flows_through_run_traced(self, tmp_path):
-        from repro.trace.scenarios import Scenario, run_traced
-
-        base = Scenario("t-sel", n=24, k=4, batch=4, n_batches=2, seed=0)
-        pinned = Scenario("t-sel", n=24, k=4, batch=4, n_batches=2, seed=0,
-                          backend="reference")
-        plain = run_traced(base, str(tmp_path / "plain.jsonl"))
-        ref = run_traced(pinned, str(tmp_path / "ref.jsonl"))
-        # The pin changes the engine, never the ledger.
-        assert ref["digest"] == plain["digest"]
-        # An explicit fast argument outranks the scenario pin.
-        fast = run_traced(pinned, str(tmp_path / "fast.jsonl"), fast=True)
-        assert fast["digest"] == plain["digest"]
 
     def test_build_pins_the_instance(self):
         from repro.core import DynamicMST

@@ -4,7 +4,7 @@ from repro.trace import first_divergence, read_trace, render_divergence
 from repro.trace.events import TRACE_SCHEMA
 from repro.trace.scenarios import Scenario, run_traced
 
-TINY = Scenario("tiny", n=60, k=4, batch=3, n_batches=2, seed=0)
+TINY = Scenario("tiny", n=60, k=4, batch=3, n_batches=2, init="free", seed=0)
 
 
 def synthetic(triples):
@@ -88,7 +88,7 @@ def test_engine_pins_produce_equivalent_traces(tmp_path):
     """Scalar and columnar runs diff clean — the fast-path contract, located."""
     s = tmp_path / "scalar.jsonl"
     c = tmp_path / "columnar.jsonl"
-    scalar = run_traced(TINY, str(s), fast=False)
-    columnar = run_traced(TINY, str(c), fast=True)
+    scalar = run_traced(TINY, str(s), backend="reference")
+    columnar = run_traced(TINY, str(c), backend="inproc-columnar")
     assert scalar["digest"] == columnar["digest"]
     assert first_divergence(read_trace(s), read_trace(c)) is None

@@ -6,7 +6,7 @@ from repro.trace import read_trace, render_text, summarize, to_json, to_promethe
 from repro.trace.budgets import DEFAULT_ENVELOPE, RoundBudget, budget_for_run
 from repro.trace.scenarios import Scenario, run_traced
 
-TINY = Scenario("tiny", n=60, k=4, batch=3, n_batches=2, seed=0)
+TINY = Scenario("tiny", n=60, k=4, batch=3, n_batches=2, init="free", seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_to_json_shape(traced):
 
 def test_to_prometheus_exposition(traced):
     result, events = traced
-    text = to_prometheus(summarize(events))
+    text = to_prometheus(events)
     assert f"repro_rounds_total {result['rounds']}" in text
     assert f"repro_words_total {result['words']}" in text
     assert "# TYPE repro_rounds_total counter" in text
@@ -176,7 +176,7 @@ def test_empty_trace_summarizes_to_zeroes():
     assert summary.send_skew == 1.0  # no load is perfectly balanced
     text = render_text(summary)
     assert "totals: rounds=0" in text
-    prom = to_prometheus(summary)
+    prom = to_prometheus(events)
     assert "repro_rounds_total 0" in prom
     # No batches → no headroom gauges (nothing to report headroom on).
     assert "repro_budget_headroom_rounds" not in prom
@@ -195,7 +195,7 @@ def test_single_phase_trace():
     assert (row.rounds, row.messages, row.words, row.calls) == (3, 2, 4, 1)
     assert "only.phase" in render_text(summary)
     assert 'repro_phase_rounds_total{phase="only.phase"} 3' in to_prometheus(
-        summary
+        events
     )
 
 
@@ -206,7 +206,7 @@ def test_prometheus_escapes_label_values():
         {"type": "charge", "seq": 1, "index": 0, "rounds": 1,
          "messages": 0, "words": 0, "phases": [hostile]},
     ]
-    prom = to_prometheus(summarize(events, validate=False))
+    prom = to_prometheus(events)
     expected = 'del.\\"odd\\\\phase\\"\\nnewline'
     assert f'repro_phase_rounds_total{{phase="{expected}"}} 1' in prom
     # The raw (unescaped) value must not appear on any sample line.
@@ -228,14 +228,14 @@ def test_chaos_section_with_zero_faults():
     text = render_text(summary)
     assert "faults: none" in text
     assert "crashes=1" in text
-    prom = to_prometheus(summary)
+    prom = to_prometheus(events)
     assert "repro_faults_total 0" in prom  # empty family scrapes as zero
     assert "repro_recovery_rounds_total 5" in prom
 
 
 def test_gauges_are_typed_as_gauges(traced):
     _result, events = traced
-    prom = to_prometheus(summarize(events))
+    prom = to_prometheus(events)
     assert "# TYPE repro_machine_send_skew gauge" in prom
     assert "# TYPE repro_machine_recv_skew gauge" in prom
     assert "# TYPE repro_budget_headroom_rounds gauge" in prom

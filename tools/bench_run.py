@@ -35,14 +35,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np
 
-# One scenario registry serves the bench harness and `repro trace`: a
-# trace captured from a benchmark scenario is the same workload.
+# Every trajectory runs through `repro trace`'s runner: a scenario name
+# fixes its ledger, whichever harness records it.
 from repro.trace.scenarios import (
     FULL_SCENARIOS,
     INIT_SCENARIOS,
     INIT_SMOKE_SCENARIOS,
     SMOKE_SCENARIOS,
     Scenario,
+    run_traced,
 )
 
 
@@ -55,67 +56,6 @@ _OBS_SESSION: Optional[Any] = None
 
 def _obs_sink() -> Optional[Any]:
     return _OBS_SESSION.sink() if _OBS_SESSION is not None else None
-
-
-def _run_engine(graph, stream, k: int, seed: int, backend: str,
-                profile: bool, trace_path: Optional[str] = None,
-                init: str = "free") -> Dict[str, Any]:
-    """One full trajectory on a fresh structure; returns timing + ledger."""
-    from repro.core import DynamicMST
-    from repro.sim.metrics import PhaseProfiler
-
-    rng = np.random.default_rng(seed)
-    recorder = None
-    if trace_path is not None:
-        from repro.trace import TraceRecorder
-
-        recorder = TraceRecorder(trace_path, meta={"harness": "bench_run"})
-    telemetry = _obs_sink()
-    trace: Optional[Any] = recorder
-    if telemetry is not None:
-        if recorder is not None:
-            from repro.obs import TeeSink
-
-            trace = TeeSink(recorder, telemetry)
-        else:
-            trace = telemetry
-    t_init = time.perf_counter()
-    # The recorder rides through build so a measured (distributed) init
-    # is captured too; timed throughput then includes recording overhead.
-    dm = DynamicMST.build(graph, k, rng=rng, init=init, backend=backend,
-                          trace=trace)
-    init_wall_s = time.perf_counter() - t_init
-    if profile:
-        dm.net.ledger.profiler = PhaseProfiler()
-    t0 = time.perf_counter()
-    for batch in stream:
-        dm.apply_batch(batch)
-    wall_s = time.perf_counter() - t0
-    dm.check()
-    if trace is not None:
-        dm.detach_trace()
-    if recorder is not None:
-        recorder.close()
-    if telemetry is not None:
-        telemetry.close()
-    ledger = dm.net.ledger
-    out: Dict[str, Any] = {
-        "backend": backend,
-        "wall_s": wall_s,
-        "init_wall_s": init_wall_s,
-        "init_rounds": dm.init_rounds,
-        "rounds": ledger.rounds,
-        "messages": ledger.messages,
-        "words": ledger.words,
-        "digest": ledger.digest(),
-        "msf_weight": round(dm.total_weight(), 9),
-        "strict_violations": dm.net.strict_violations,
-    }
-    if profile:
-        out["profile"] = dm.net.ledger.profiler.as_dict()
-    if trace_path is not None:
-        out["trace"] = trace_path
-    return out
 
 
 def _run_faults(scenario: Scenario, reference: Dict[str, Any]) -> Dict[str, Any]:
@@ -177,16 +117,26 @@ def _wall(run: Dict[str, Any], init_mode: str) -> float:
     return run["init_wall_s"] + run["wall_s"]
 
 
-def _best_of(runner, repeats: int, init_mode: str) -> Dict[str, Any]:
-    """Repeat a trajectory and keep the fastest run (digests are checked
-    to be identical across repeats — a repeat may change timing, never
-    the ledger)."""
+def _best_of(scenario: Scenario, backend: str, profile: bool,
+             trace_path: Optional[str], repeats: int) -> Dict[str, Any]:
+    """Run the scenario's trajectory ``repeats`` times on ``backend`` and
+    keep the fastest run (digests are checked to be identical across
+    repeats — a repeat may change timing, never the ledger)."""
     best: Optional[Dict[str, Any]] = None
     for _ in range(max(repeats, 1)):
-        run = runner()
+        telemetry = _obs_sink()
+        try:
+            run = run_traced(scenario, trace_path, profile=profile,
+                             backend=backend, telemetry=telemetry)
+        finally:
+            if telemetry is not None:
+                telemetry.close()
+        run["backend"] = backend
+        if trace_path is not None:
+            run["trace"] = trace_path
         if best is not None and run["digest"] != best["digest"]:
             raise AssertionError("repeat changed the ledger digest")
-        if best is None or _wall(run, init_mode) < _wall(best, init_mode):
+        if best is None or _wall(run, scenario.init) < _wall(best, scenario.init):
             best = run
     assert best is not None
     return best
@@ -196,14 +146,7 @@ def run_scenario(scenario: Scenario, profile: bool,
                  trace_dir: Optional[str] = None,
                  faults: bool = False,
                  repeats: int = 1) -> Dict[str, Any]:
-    from repro.graphs import churn_stream, random_weighted_graph
-
     name, n, k = scenario.name, scenario.n, scenario.k
-    batch, n_batches, seed = scenario.batch, scenario.n_batches, scenario.seed
-    rng = np.random.default_rng(seed)
-    graph = random_weighted_graph(n, scenario.m, rng)
-    stream = list(churn_stream(graph.copy(), batch, n_batches, rng=rng))
-    n_updates = sum(len(b) for b in stream)
 
     def trace_path(column: str) -> Optional[str]:
         if trace_dir is None:
@@ -211,19 +154,16 @@ def run_scenario(scenario: Scenario, profile: bool,
         return os.path.join(trace_dir, f"{name}-{column}.jsonl")
 
     init_mode = scenario.init
-    reference = _best_of(
-        lambda: _run_engine(graph, stream, k, seed, backend="reference",
-                            profile=False, trace_path=trace_path("reference"),
-                            init=init_mode),
-        repeats, init_mode,
-    )
+    reference = _best_of(scenario, "reference", False,
+                         trace_path("reference"), repeats)
+    n_updates = sum(b["size"] for b in reference["batches"])
     result = {
         "name": name,
         "n": n,
         "k": k,
-        "batch": batch,
-        "n_batches": n_batches,
-        "seed": seed,
+        "batch": scenario.batch,
+        "n_batches": scenario.n_batches,
+        "seed": scenario.seed,
         "init": init_mode,
         "n_updates": n_updates,
         "backends": ["reference", "inproc-columnar"],
@@ -237,12 +177,8 @@ def run_scenario(scenario: Scenario, profile: bool,
     )
     # The columnar column is called ``fast`` (and its speedup also plain
     # ``speedup`` / ``init_speedup``) in every trajectory file.
-    fast = _best_of(
-        lambda: _run_engine(graph, stream, k, seed, backend="inproc-columnar",
-                            profile=profile, trace_path=trace_path("fast"),
-                            init=init_mode),
-        repeats, init_mode,
-    )
+    fast = _best_of(scenario, "inproc-columnar", profile, trace_path("fast"),
+                    repeats)
     if fast["digest"] != reference["digest"]:
         raise AssertionError(
             f"{name}: ledger digests diverge — inproc-columnar "
