@@ -2,8 +2,7 @@
 
 Series: init rounds vs n at fixed k (linear), vs k at fixed n (inverse);
 plus the fast-vs-reference init wall-clock table in the same schema as
-the trajectory harness (``fast_path_speedup`` / ``tools/bench_run.py``),
-digest-checked.
+``fast_path_speedup`` in ``bench_throughput.py``, digest-checked.
 """
 
 import time
@@ -59,9 +58,8 @@ def test_init_round_table(benchmark):
 def test_init_fast_path_table():
     """Columnar init vs scalar reference, byte-identical ledgers.
 
-    Same schema as ``fast_path_speedup`` (the trajectory harness's
-    reference/fast/speedup/digest columns), so EXPERIMENTS.md can cite
-    init and update speedups side by side.
+    Same reference/fast/speedup/digest columns as ``fast_path_speedup``,
+    so EXPERIMENTS.md can cite init and update speedups side by side.
     """
     rows = []
     for name, n, k in (("small", 512, 8), ("medium", 1024, 8), ("large", 2048, 16)):

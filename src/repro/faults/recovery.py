@@ -33,7 +33,7 @@ from repro.errors import ReproError
 from repro.graphs.streams import Update
 
 #: Ledger phases charged by the fault/recovery machinery.  Their summed
-#: rounds are the "recovery overhead" the bench harness reports.
+#: rounds are the "recovery overhead" ``run_chaos`` reports.
 OVERHEAD_PHASES = ("checkpoint", "recovery", "fault-retry")
 
 

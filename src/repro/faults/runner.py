@@ -1,9 +1,9 @@
 """Drive a named scenario through a fault plan, checked per batch.
 
-Shared by ``repro chaos`` and the benchmark harness's ``--faults``
-trajectory: one function that builds the scenario's workload, runs it
-under a :class:`~repro.faults.session.ChaosSession`, and cross-checks
-the maintained forest against the sequential Kruskal oracle after every
+Behind ``repro chaos`` and the pinned fault tests: one function that
+builds the scenario's workload, runs it under a
+:class:`~repro.faults.session.ChaosSession`, and cross-checks the
+maintained forest against the sequential Kruskal oracle after every
 batch — the acceptance criterion of the fault model ("under any seeded
 fault plan the forest matches the oracle after every batch").
 """

@@ -9,9 +9,9 @@ CLI surfaces build on it:
 * ``repro watch <scenario>`` — :func:`watch_scenario`, which loops a
   named scenario under an attached :class:`~repro.obs.sink.BusSink` so
   the dashboard has something to show;
-* ``--serve-metrics`` on ``repro trace`` / ``repro chaos`` / the bench
-  harness — the session's :meth:`~ObsSession.sink` is teed alongside
-  the normal file recorder.
+* ``--serve-metrics`` on ``repro trace`` / ``repro chaos`` /
+  ``repro stream`` / ``repro serve`` — the session's
+  :meth:`~ObsSession.sink` is teed alongside the normal file recorder.
 
 Everything here is strictly additive: the simulator's charge path is
 untouched, the file recorder writes the same bytes with or without a

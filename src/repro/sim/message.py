@@ -31,7 +31,7 @@ class Message:
 
     ``slots=True`` drops the per-instance ``__dict__``: the reference
     path allocates one ``Message`` per (src, dst) word batch, so the
-    layout matters at bench scales (measured by ``tools/bench_run.py``).
+    layout matters at bench scales.
     """
 
     src: int

@@ -14,7 +14,7 @@ Three instrumentation hooks ride along:
 * the **phase profiler** — attach a :class:`PhaseProfiler` to
   ``ledger.profiler`` and every ``ledger.phase(...)`` block additionally
   records wall time and allocation counts (``sys.getallocatedblocks``
-  deltas), surfaced by the ``--profile`` CLI flag and the bench harness.
+  deltas), surfaced by the ``--profile`` CLI flag.
 * the **trace recorder** — attach any :class:`TraceSink` (in practice a
   :class:`repro.trace.recorder.TraceRecorder`) to ``ledger.recorder``
   and every charge and phase boundary is reported as a structured

@@ -20,7 +20,7 @@ ledger-charged core is untouched.
 
 from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer, CutResult
 from repro.stream.ingest import StreamIngestor, StreamReport
-from repro.stream.metrics import FrontierPoint, percentile
+from repro.stream.metrics import percentile
 from repro.stream.policy import DEADLINE_TICKS, cut_reason
 from repro.stream.shapes import SHAPES, make_shape, shape_names
 
@@ -30,7 +30,6 @@ __all__ = [
     "CutResult",
     "StreamIngestor",
     "StreamReport",
-    "FrontierPoint",
     "percentile",
     "DEADLINE_TICKS",
     "cut_reason",

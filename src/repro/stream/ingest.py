@@ -32,7 +32,7 @@ from typing import Dict, List
 from repro.graphs.mst import forest_digest
 from repro.graphs.streams import ArrivalStream
 from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer
-from repro.stream.metrics import FrontierPoint, percentile
+from repro.stream.metrics import percentile
 from repro.stream.policy import cut_reason
 
 
@@ -66,41 +66,6 @@ class StreamReport:
     @property
     def rounds_per_update(self) -> float:
         return self.rounds / self.admitted if self.admitted else 0.0
-
-    def frontier_point(self, shape: str) -> FrontierPoint:
-        return FrontierPoint(
-            shape=shape,
-            coalesced=self.coalesced,
-            updates_per_s=self.updates_per_s,
-            p50_ticks=self.p50_ticks,
-            p99_ticks=self.p99_ticks,
-            rounds_per_update=self.rounds_per_update,
-            shipped_fraction=self.shipped / self.admitted if self.admitted else 0.0,
-            forest_digest=self.forest_digest,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "coalesced": self.coalesced,
-            "admitted": self.admitted,
-            "shipped": self.shipped,
-            "absorbed": self.absorbed,
-            "cuts": self.cuts,
-            "batches": self.batches,
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "words": self.words,
-            "elapsed_ticks": self.elapsed_ticks,
-            "wall_s": self.wall_s,
-            "updates_per_s": self.updates_per_s,
-            "rounds_per_update": self.rounds_per_update,
-            "p50_ticks": self.p50_ticks,
-            "p99_ticks": self.p99_ticks,
-            "peak_queue_depth": self.peak_queue_depth,
-            "msf_weight": self.msf_weight,
-            "forest_digest": self.forest_digest,
-            "cut_reasons": dict(self.cut_reasons),
-        }
 
 
 class StreamIngestor:

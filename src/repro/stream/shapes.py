@@ -1,9 +1,10 @@
-"""Named stream shapes for the frontier harness, CLI, and CI smoke.
+"""Named stream shapes for the CLI and the tests.
 
 Each shape is a seeded builder producing an
-:class:`~repro.graphs.streams.ArrivalStream`; the bench sweep, the
-``repro stream`` subcommand, and the tests all draw from this registry
-so "sliding-window at seed 0" means the same workload everywhere.
+:class:`~repro.graphs.streams.ArrivalStream`; the ``repro stream``
+subcommand and the tests (including the replay of the committed
+frontier sweep) all draw from this registry so "sliding-window at
+seed 0" means the same workload everywhere.
 """
 
 from __future__ import annotations

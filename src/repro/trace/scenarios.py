@@ -1,17 +1,17 @@
 """Named scenarios and the one runner every harness builds them through.
 
 One registry and one build path serve every surface: ``repro trace``
-records a named run, ``repro chaos`` drives it under a fault plan,
-``repro watch`` loops it with live telemetry, and ``tools/bench_run.py``
-times it once per engine.  All of them take the graph and batches from
-:meth:`Scenario.workload` and the structure from :meth:`Scenario.build`,
-so a scenario name fixes its ledger: the digest ``repro trace`` prints
-for a benchmark scenario is the digest of its ``BENCH_*.json`` row.
+records a named run, ``repro chaos`` drives it under a fault plan and
+``repro watch`` loops it with live telemetry.  All of them take the
+graph and batches from :meth:`Scenario.workload` and the structure from
+:meth:`Scenario.build`, so a scenario name fixes its ledger: the digest
+``repro trace`` prints for a benchmark scenario is the digest of its
+committed ``BENCH_*.json`` row.  Wall-clock benchmarking lives in
+``bench/``, which builds its own workloads and never imports this module.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -181,20 +181,16 @@ def run_traced(
     ``telemetry`` is an extra :class:`~repro.sim.metrics.TraceSink`
     (typically a :class:`repro.obs.BusSink`) teed alongside the file
     recorder; teeing never changes the file bytes or the ledger digest.
-
-    ``init_wall_s`` times the build and ``wall_s`` the batch loop.
     """
     from repro.sim.metrics import PhaseProfiler
 
     graph, stream = scenario.workload()
     with trace_sink(sink, telemetry, scenario.meta()) as (rec, trace):
-        t_build = time.perf_counter()  # simlint: disable=SIM003 host-side benchmark timing; never feeds a protocol decision
         dm = scenario.build(graph, engine=engine, backend=backend, trace=trace)
         profiler = PhaseProfiler() if profile else None
         dm.net.ledger.profiler = profiler
         try:
             batch_reports: List[Dict[str, int]] = []
-            t_batches = time.perf_counter()  # simlint: disable=SIM003 host-side benchmark timing; never feeds a protocol decision
             for i, batch in enumerate(stream):
                 if perturb_batch is not None and i == perturb_batch:
                     with dm.net.ledger.phase("perturbation"):
@@ -204,7 +200,6 @@ def run_traced(
                     {"size": report.size, "rounds": report.rounds,
                      "messages": report.messages, "words": report.words}
                 )
-            t_end = time.perf_counter()  # simlint: disable=SIM003 host-side benchmark timing; never feeds a protocol decision
             dm.check()
         finally:
             if trace is not None:
@@ -218,8 +213,6 @@ def run_traced(
         "digest": ledger.digest(),
         "msf_weight": round(dm.total_weight(), 9),
         "init_rounds": dm.init_rounds,
-        "wall_s": t_end - t_batches,
-        "init_wall_s": t_batches - t_build,
         "strict_violations": dm.net.strict_violations,
         "batches": batch_reports,
         "events": rec.seq if rec is not None else 0,

@@ -52,7 +52,5 @@ def test_suppressions_in_src_are_all_used():
     # backend registry cache), 1×SIM002 (repro.sim.executor fork-pool
     # worker function, one of the seed's 7), 1×SIM002 (pool telemetry
     # sink slot) and 6×SIM003 (pool dispatch timing).
-    # + 3×SIM003 (run_traced build/batch-loop timing, moved in from
-    # tools/bench_run.py when every harness began sharing the runner).
     report = _report()
-    assert report.suppressions_used == 16, report.format_text()
+    assert report.suppressions_used == 13, report.format_text()

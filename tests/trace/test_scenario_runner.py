@@ -1,15 +1,14 @@
 """One scenario runner: a scenario name fixes its ledger in every harness.
 
-``repro trace`` (:func:`run_traced`), ``repro chaos`` (:func:`run_chaos`)
-and ``tools/bench_run.py`` (:func:`run_scenario`) all build a scenario
-through :meth:`Scenario.workload` and :meth:`Scenario.build`, so they
-charge the same ledger — and that ledger is the one the committed
-``BENCH_*.json`` trajectory files record.
+``repro trace`` (:func:`run_traced`) and ``repro chaos``
+(:func:`run_chaos`) both build a scenario through
+:meth:`Scenario.workload` and :meth:`Scenario.build`, so they charge the
+same ledger — and that ledger is the one the committed ``BENCH_*.json``
+trajectory files record.  Cross-engine parity on the smoke scenarios is
+pinned in ``tests/perf/test_scenario_parity.py``.
 """
 
 import json
-import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,9 +18,6 @@ from repro.trace import read_trace, validate_events
 from repro.trace.scenarios import get_scenario, run_traced
 
 ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, os.fspath(ROOT / "tools"))
-
-import bench_run  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["smoke-small", "smoke-medium", "smoke-init"])
@@ -29,11 +25,8 @@ def test_every_harness_charges_the_same_ledger(name):
     scenario = get_scenario(name)
     traced = run_traced(scenario, None)["digest"]
     chaos = run_chaos(scenario, FaultPlan(seed=0), checkpoint_every=None)
-    bench = bench_run.run_scenario(scenario, profile=False)
     assert chaos["ok"]
     assert chaos["digest"] == traced
-    assert bench["reference"]["digest"] == traced
-    assert bench["fast"]["digest"] == traced
 
 
 def _committed_digests():
@@ -51,11 +44,11 @@ def test_traced_run_reproduces_the_committed_bench_row(name):
 
 def test_bench_trace_validates_and_names_its_scenario(tmp_path):
     scenario = get_scenario("smoke-small")
-    bench_run.run_scenario(scenario, profile=False, trace_dir=str(tmp_path))
-    for column in ("reference", "fast"):
-        events = read_trace(tmp_path / f"smoke-small-{column}.jsonl")
-        validate_events(events)
-        assert events[0]["meta"] == scenario.meta()
+    path = tmp_path / "smoke-small.jsonl"
+    run_traced(scenario, str(path))
+    events = read_trace(path)
+    validate_events(events)
+    assert events[0]["meta"] == scenario.meta()
 
 
 def test_bench_trace_is_closed_when_a_batch_raises(tmp_path, monkeypatch):
@@ -65,8 +58,8 @@ def test_bench_trace_is_closed_when_a_batch_raises(tmp_path, monkeypatch):
         raise RuntimeError("batch failed")
 
     monkeypatch.setattr(DynamicMST, "apply_batch", broken)
+    path = tmp_path / "smoke-small.jsonl"
     with pytest.raises(RuntimeError, match="batch failed"):
-        bench_run.run_scenario(get_scenario("smoke-small"), profile=False,
-                               trace_dir=str(tmp_path))
-    events = read_trace(tmp_path / "smoke-small-reference.jsonl")
+        run_traced(get_scenario("smoke-small"), str(path))
+    events = read_trace(path)
     assert events[-1]["type"] == "trace_end"
