@@ -33,10 +33,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         g = random_weighted_graph(args.n, args.m, rng)
     dm = DynamicMST.build(g, args.k, rng=rng, init=args.init, engine=args.engine,
                           backend=args.backend)
-    if args.profile:
-        from repro.sim.metrics import PhaseProfiler
-
-        dm.net.ledger.profiler = PhaseProfiler()
     print(f"n={args.n} m={args.m} k={args.k} engine={args.engine}")
     print(f"init: {dm.init_rounds} rounds; MSF weight {dm.total_weight():.3f}")
     for i, batch in enumerate(
@@ -47,8 +43,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
               f"weight {dm.total_weight():.3f}")
     dm.check()
     print("consistency check passed")
-    if args.profile:
-        print(dm.net.ledger.profiler.report())
     return 0
 
 
@@ -56,12 +50,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core import DynamicMST
     from repro.graphs import churn_stream, random_weighted_graph
 
-    profiler = None
-    if args.profile:
-        from repro.sim.metrics import PhaseProfiler
-
-        # One profiler across all trials: the counters aggregate.
-        profiler = PhaseProfiler()
     rng = np.random.default_rng(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -70,8 +58,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         k = int(rng.integers(2, 9))
         g = random_weighted_graph(n, m, rng, connected=False)
         dm = DynamicMST.build(g, k, rng=rng, init="free", engine=args.engine)
-        if profiler is not None:
-            dm.net.ledger.profiler = profiler
         try:
             for batch in churn_stream(g, int(rng.integers(1, k + 2)), 5, rng=rng):
                 dm.apply_batch(batch)
@@ -80,8 +66,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             print(f"trial {trial}: FAILED — {type(exc).__name__}: {exc}")
     print(f"{args.trials - failures}/{args.trials} randomized trials passed")
-    if profiler is not None:
-        print(profiler.report())
     return 1 if failures else 0
 
 
@@ -91,10 +75,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     stream = read_stream(args.stream)
     dm = DynamicMST.build(stream.initial, args.k, rng=args.seed, init=args.init)
-    if args.profile:
-        from repro.sim.metrics import PhaseProfiler
-
-        dm.net.ledger.profiler = PhaseProfiler()
     print(f"replaying {len(stream)} batches over k={args.k} machines "
           f"(init {dm.init_rounds} rounds)")
     for i, batch in enumerate(stream):
@@ -104,8 +84,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"batch {i}: {rep.size:>3} updates  {rep.rounds:>5} rounds")
     dm.check()
     print(f"done; total {dm.rounds} rounds, MSF weight {dm.total_weight():.4f}")
-    if args.profile:
-        print(dm.net.ledger.profiler.report())
     return 0
 
 
@@ -148,7 +126,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     out = args.out or f"{scenario.name}.trace.jsonl"
     with _serving_metrics(args) as telemetry:
         summary = run_traced(
-            scenario, out, engine=args.engine, profile=args.profile,
+            scenario, out, engine=args.engine,
             perturb_batch=args.perturb_batch, backend=args.backend,
             telemetry=telemetry,
         )
@@ -321,8 +299,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
           f"rounds {rep.rounds}  elapsed {rep.elapsed_ticks} ticks")
     print(f"staleness p50 {rep.p50_ticks:.0f} ticks  p99 {rep.p99_ticks:.0f} "
           f"ticks  peak queue {rep.peak_queue_depth}")
-    print(f"throughput {rep.updates_per_s:.1f} updates/s  "
-          f"{rep.rounds_per_update:.2f} rounds/update")
+    print(f"{rep.rounds_per_update:.2f} rounds/update")
     print(f"MSF weight {rep.msf_weight:.4f}  forest digest "
           f"{rep.forest_digest[:16]}")
     print("consistency check passed")
@@ -470,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--backend", default=None, metavar="NAME",
                       help="execution backend: reference or inproc-columnar "
                            "(default: ambient REPRO_BACKEND)")
-    demo.add_argument("--profile", action="store_true",
-                      help="print per-phase wall-time/allocation counters")
     demo.set_defaults(fn=_cmd_demo)
 
     verify = sub.add_parser("verify", help="randomized self-check vs the oracle")
@@ -479,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--engine", default="sample_gather",
                         choices=["boruvka", "lotker", "sample_gather"])
-    verify.add_argument("--profile", action="store_true",
-                        help="print per-phase wall-time/allocation counters "
-                             "aggregated over all trials")
     verify.set_defaults(fn=_cmd_verify)
 
     replay = sub.add_parser("replay", help="replay a JSON update stream")
@@ -489,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--k", type=int, default=8)
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument("--init", choices=["distributed", "free"], default="free")
-    replay.add_argument("--profile", action="store_true",
-                        help="print per-phase wall-time/allocation counters")
     replay.set_defaults(fn=_cmd_replay)
 
     trace = sub.add_parser(
@@ -502,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default <scenario>.trace.jsonl)")
     trace.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
-    trace.add_argument("--profile", action="store_true",
-                       help="embed per-phase wall/alloc counters in run_end")
     trace.add_argument("--backend", default=None, metavar="NAME",
                        help="execution backend: reference or inproc-columnar")
     trace.add_argument("--perturb-batch", type=int, default=None,

@@ -176,16 +176,14 @@ class DynamicMST:
         recorder = ledger.recorder
         if recorder is None:
             return
-        fields: Dict[str, object] = {
-            "rounds": ledger.rounds,
-            "messages": ledger.messages,
-            "words": ledger.words,
-            "digest": ledger.digest(),
-            "strict_violations": self.net.strict_violations,
-        }
-        if ledger.profiler is not None:
-            fields["profile"] = ledger.profiler.as_dict()
-        recorder.emit("run_end", **fields)
+        recorder.emit(
+            "run_end",
+            rounds=ledger.rounds,
+            messages=ledger.messages,
+            words=ledger.words,
+            digest=ledger.digest(),
+            strict_violations=self.net.strict_violations,
+        )
         ledger.recorder = None
 
     # ------------------------------------------------------------------

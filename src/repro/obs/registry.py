@@ -8,6 +8,8 @@ the live operational state the ROADMAP dashboard asks for:
   gauge over the run's wall-clock window;
 * balance — per-machine cumulative send/recv words and their **skew**
   (max/mean), the quantity the Lenzen-routing assumptions keep near 1;
+* phases — the ledger's per-phase charge totals, plus **wall time**
+  (inclusive and self) paired from stamped ``phase_start``/``phase_end``;
 * latency — **batch histograms** in both charged rounds and wall
   seconds;
 * headroom — the live **theorem-budget headroom** per batch, from
@@ -23,10 +25,16 @@ the live operational state the ROADMAP dashboard asks for:
 Aggregation happens on :meth:`pump` (called by every ``collect``/
 ``snapshot``), so the registry needs no thread of its own: the HTTP
 scrape is the scheduler.  Nothing here ever touches the simulator.
+
+This is the one fold of trace events: :func:`repro.trace.report.summarize`
+feeds a recorded trace through a bus-less registry, so ``repro report``
+and ``/metrics`` cannot disagree.  Its state stays bounded, as a
+long-running daemon needs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bus import Subscription, TelemetryBus
@@ -76,6 +84,24 @@ class Histogram:
         }
 
 
+@dataclass
+class PhaseRow:
+    """One ledger phase's totals.
+
+    Every charge made while the phase is on the stack adds its triple
+    and one call (the ledger's rule).  ``wall_s`` (inclusive) and
+    ``self_s`` (minus directly nested phases) sum its stamped
+    activations; ``None`` when none was stamped.
+    """
+
+    rounds: int = 0
+    messages: int = 0
+    words: int = 0
+    calls: int = 0
+    wall_s: Optional[float] = None
+    self_s: Optional[float] = None
+
+
 def _skew(loads: Sequence[int]) -> float:
     positive = [x for x in loads if x > 0]
     if not positive:
@@ -118,8 +144,10 @@ class MetricsRegistry:
         self.recv_words: List[int] = []
         self.size_hist: Dict[int, int] = {}
         # phases (same attribution rule as the ledger)
-        self.phase_rounds: Dict[str, int] = {}
-        self.phase_words: Dict[str, int] = {}
+        self.phases: Dict[str, PhaseRow] = {}
+        #: Open stamped activations by depth: [name, start wall_ns,
+        #: inclusive ns of directly nested phases]; None if unpairable.
+        self._open_phases: List[Optional[List[Any]]] = []
         # batches / budget
         self.run_meta: Dict[str, Any] = {}
         self.budget: Optional[RoundBudget] = None
@@ -177,7 +205,10 @@ class MetricsRegistry:
         """Drain and fold pending bus events; returns how many."""
         if self._sub is None:
             return 0
+        dropped = self._sub.dropped
         events = self._sub.poll(max_events)
+        if self._sub.dropped != dropped:  # no span pairs across lost events
+            self._open_phases.clear()
         for event in events:
             self.apply(event)
         return len(events)
@@ -230,14 +261,37 @@ class MetricsRegistry:
 
     def _fold_charge(self, event: Dict[str, Any]) -> None:
         rounds = int(event["rounds"])
+        messages = int(event["messages"])
         words = int(event["words"])
         self.charges += 1
         self.rounds += rounds
-        self.messages += int(event["messages"])
+        self.messages += messages
         self.words += words
         for name in event.get("phases", ()):
-            self.phase_rounds[name] = self.phase_rounds.get(name, 0) + rounds
-            self.phase_words[name] = self.phase_words.get(name, 0) + words
+            row = self.phases.setdefault(name, PhaseRow())
+            row.rounds += rounds
+            row.messages += messages
+            row.words += words
+            row.calls += 1
+
+    def _on_phase_start(self, event: Dict[str, Any]) -> None:
+        depth, wall, stack = int(event["depth"]), event.get("wall_ns"), self._open_phases
+        del stack[depth:]
+        stack += [None] * (depth - len(stack))
+        stack.append([event["name"], wall, 0] if isinstance(wall, int) else None)
+
+    def _on_phase_end(self, event: Dict[str, Any]) -> None:
+        depth, wall, stack = int(event["depth"]), event.get("wall_ns"), self._open_phases
+        span = stack[depth] if depth < len(stack) else None
+        del stack[depth:]
+        if span is None or span[0] != event["name"] or not isinstance(wall, int):
+            return  # its phase_start was never seen, or nothing is stamped
+        inclusive = max(0, wall - span[1])
+        row = self.phases.setdefault(span[0], PhaseRow())
+        row.wall_s = (row.wall_s or 0.0) + inclusive / 1e9
+        row.self_s = (row.self_s or 0.0) + max(0, inclusive - span[2]) / 1e9
+        if depth and stack[-1] is not None:
+            stack[-1][2] += inclusive
 
     def _on_batch_start(self, event: Dict[str, Any]) -> None:
         wall = event.get("wall_ns")
@@ -372,6 +426,14 @@ class MetricsRegistry:
     # derived gauges
     # ------------------------------------------------------------------
     @property
+    def phase_rounds(self) -> Dict[str, int]:
+        return {n: r.rounds for n, r in self.phases.items() if r.calls}
+
+    @property
+    def phase_words(self) -> Dict[str, int]:
+        return {n: r.words for n, r in self.phases.items() if r.calls}
+
+    @property
     def send_skew(self) -> float:
         return _skew(self.send_words)
 
@@ -426,12 +488,18 @@ class MetricsRegistry:
 
         fam = counter("repro_phase_rounds_total",
                       "Rounds attributed to each ledger phase")
-        for name in sorted(self.phase_rounds):
-            fam.add(self.phase_rounds[name], phase=name)
+        for name, rounds in sorted(self.phase_rounds.items()):
+            fam.add(rounds, phase=name)
         fam = counter("repro_phase_words_total",
                       "Words attributed to each ledger phase")
-        for name in sorted(self.phase_words):
-            fam.add(self.phase_words[name], phase=name)
+        for name, words in sorted(self.phase_words.items()):
+            fam.add(words, phase=name)
+        fam = counter("repro_phase_seconds_total",
+                      "Self wall seconds of each ledger phase "
+                      "(directly nested phases excluded)")
+        for name, row in sorted(self.phases.items()):
+            if row.self_s is not None:
+                fam.add(round(row.self_s, 9), phase=name)
 
         fam = counter("repro_machine_send_words_total",
                       "Cumulative words sent per machine")
@@ -595,11 +663,9 @@ class MetricsRegistry:
             },
             "engines": self.engines,
             "phases": {
-                name: {
-                    "rounds": self.phase_rounds[name],
-                    "words": self.phase_words.get(name, 0),
-                }
-                for name in sorted(self.phase_rounds)
+                name: {"rounds": row.rounds, "words": row.words,
+                       "self_s": row.self_s}
+                for name, row in sorted(self.phases.items())
             },
             "budget": {
                 "describe": (

@@ -4,30 +4,29 @@ Every communication super-step reports its cost here.  The benchmark
 harness reads ledgers to regenerate the paper's complexity claims, so the
 ledger is the single source of truth for "how many rounds did that take".
 
-Three instrumentation hooks ride along:
+Two instrumentation hooks ride along:
 
 * the **charge transcript** — every ``charge`` call is appended to
   ``transcript`` as a ``(rounds, messages, words)`` tuple, and
   :meth:`Ledger.digest` hashes it.  Two runs are *ledger-equivalent* iff
   their digests match: same charges, same order, byte for byte.  This is
   the contract the columnar fast path (:mod:`repro.perf`) is held to.
-* the **phase profiler** — attach a :class:`PhaseProfiler` to
-  ``ledger.profiler`` and every ``ledger.phase(...)`` block additionally
-  records wall time and allocation counts (``sys.getallocatedblocks``
-  deltas), surfaced by the ``--profile`` CLI flag.
 * the **trace recorder** — attach any :class:`TraceSink` (in practice a
   :class:`repro.trace.recorder.TraceRecorder`) to ``ledger.recorder``
   and every charge and phase boundary is reported as a structured
   event; the network layer additionally reports per-superstep load
   vectors and strict violations through the same sink.  Detached (the
   default) the hooks cost one attribute read per charge.
+
+The ledger never reads a clock.  Per-phase wall time, when wanted, comes
+from the ``wall_ns`` stamps a sink puts on the ``phase_start``/
+``phase_end`` events (``REPRO_TRACE_WALL=1``; the live bus always
+stamps), folded by :class:`repro.obs.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
@@ -47,64 +46,6 @@ class PhaseStats:
         self.messages += messages
         self.words += words
         self.calls += 1
-
-    def merged(self, other: "PhaseStats") -> "PhaseStats":
-        return PhaseStats(
-            rounds=self.rounds + other.rounds,
-            messages=self.messages + other.messages,
-            words=self.words + other.words,
-            calls=self.calls + other.calls,
-        )
-
-
-@dataclass
-class ProfileStats:
-    """Wall-clock and allocation cost of one named phase (inclusive)."""
-
-    wall_s: float = 0.0
-    alloc_blocks: int = 0
-    calls: int = 0
-
-    def add(self, wall_s: float, alloc_blocks: int) -> None:
-        self.wall_s += wall_s
-        self.alloc_blocks += alloc_blocks
-        self.calls += 1
-
-
-class PhaseProfiler:
-    """Lightweight per-phase wall-time / allocation counters.
-
-    Attached to a :class:`Ledger` (``ledger.profiler = PhaseProfiler()``)
-    it samples ``time.perf_counter`` and ``sys.getallocatedblocks`` around
-    every ``ledger.phase(...)`` block.  Nested phases each record their
-    own inclusive cost.  Overhead is two clock reads per phase — cheap
-    enough to leave on for whole benchmark runs.
-    """
-
-    def __init__(self) -> None:
-        self.phases: Dict[str, ProfileStats] = {}
-
-    def record(self, name: str, wall_s: float, alloc_blocks: int) -> None:
-        self.phases.setdefault(name, ProfileStats()).add(wall_s, alloc_blocks)
-
-    def report(self) -> str:
-        lines = ["phase                         wall_s    allocs    calls"]
-        for name in sorted(self.phases, key=lambda n: -self.phases[n].wall_s):
-            s = self.phases[name]
-            lines.append(
-                f"{name:<28} {s.wall_s:>8.3f} {s.alloc_blocks:>9d} {s.calls:>8d}"
-            )
-        return "\n".join(lines)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: {
-                "wall_s": s.wall_s,
-                "alloc_blocks": float(s.alloc_blocks),
-                "calls": float(s.calls),
-            }
-            for name, s in self.phases.items()
-        }
 
 
 class TraceSink(Protocol):
@@ -150,8 +91,6 @@ class Ledger:
         self._phase_stack: List[str] = []
         #: Ordered record of every charge — the equivalence contract.
         self.transcript: List[Tuple[int, int, int]] = []
-        #: Optional wall-time/allocation profiler fed by :meth:`phase`.
-        self.profiler: Optional[PhaseProfiler] = None
         #: Optional structured-event recorder (see :mod:`repro.trace`).
         self.recorder: Optional[TraceSink] = None
 
@@ -174,28 +113,16 @@ class Ledger:
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Attribute all charges inside the block to ``name`` (nestable)."""
-        profiler = self.profiler
         recorder = self.recorder
         depth = len(self._phase_stack)
         if recorder is not None:
             recorder.on_phase_start(name, depth)
             r0, m0, w0 = self.rounds, self.messages, self.words
-        if profiler is not None:
-            # simlint: disable=SIM003 profiling instrumentation only; wall time never feeds back into round accounting
-            t0 = time.perf_counter()
-            a0 = sys.getallocatedblocks()
         self._phase_stack.append(name)
         try:
             yield
         finally:
             self._phase_stack.pop()
-            if profiler is not None:
-                profiler.record(
-                    name,
-                    # simlint: disable=SIM003 profiling instrumentation only; wall time never feeds back into round accounting
-                    time.perf_counter() - t0,
-                    sys.getallocatedblocks() - a0,
-                )
             if recorder is not None:
                 recorder.on_phase_end(
                     name, depth,

@@ -19,13 +19,12 @@ under the cut rule of :mod:`repro.stream.policy`.  Time is modelled in
 Everything here is host-side bookkeeping: the ledger sees exactly the
 ``apply_batch`` calls and nothing else, so scheduling charges zero
 rounds, and the whole loop is a deterministic function of (stream,
-coalescing, capacity) — wall-clock is read only to report throughput,
-never to decide anything.
+coalescing, capacity).  It never reads a clock, so two runs of one
+stream on equal cores return equal :class:`StreamReport` values.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -50,18 +49,12 @@ class StreamReport:
     messages: int
     words: int
     elapsed_ticks: int
-    wall_s: float
     p50_ticks: float
     p99_ticks: float
     peak_queue_depth: int
     msf_weight: float
     forest_digest: str
     cut_reasons: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def updates_per_s(self) -> float:
-        """Raw admitted arrivals per wall second (offered-load throughput)."""
-        return self.admitted / self.wall_s if self.wall_s > 0 else 0.0
 
     @property
     def rounds_per_update(self) -> float:
@@ -91,7 +84,6 @@ class StreamIngestor:
         latencies: List[int] = []
         reasons: Dict[str, int] = {}
         run_before = ledger.snapshot()
-        t0 = time.perf_counter()  # simlint: disable=SIM003 host-side throughput report; never feeds a scheduling or protocol decision
         while i < len(arr) or buf.pending_cost:
             while i < len(arr) and arr[i].tick <= now:
                 buf.admit(arr[i].update, arr[i].tick, now)
@@ -134,7 +126,6 @@ class StreamIngestor:
                     oldest_age=age,
                     batches=len(cut.batches),
                 )
-        wall = time.perf_counter() - t0  # simlint: disable=SIM003 host-side throughput report; never feeds a scheduling or protocol decision
         latencies.extend(buf.drain_resolved())
         run_delta = ledger.since(run_before)
         report = StreamReport(
@@ -148,7 +139,6 @@ class StreamIngestor:
             messages=run_delta.messages,
             words=run_delta.words,
             elapsed_ticks=now,
-            wall_s=wall,
             p50_ticks=percentile(latencies, 50),
             p99_ticks=percentile(latencies, 99),
             peak_queue_depth=peak_queue,

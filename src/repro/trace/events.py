@@ -12,11 +12,12 @@ Event types (``repro-trace/1``):
     recorder construction — scenario name, CLI arguments, …).
 ``run_start`` / ``run_end``
     Emitted by :meth:`repro.core.api.DynamicMST.attach_trace` and
-    :meth:`TraceRecorder.close`.  ``run_start`` carries the model
-    metadata (``model``, ``k``, ``words_per_round`` or ``space``,
-    ``engine``); ``run_end`` carries ledger totals and, when a
-    :class:`~repro.sim.metrics.PhaseProfiler` was attached, its
-    per-phase wall/alloc summary under ``profile``.
+    :meth:`~repro.core.api.DynamicMST.detach_trace`.  ``run_start``
+    carries the model metadata (``model``, ``k``, ``words_per_round``
+    or ``space``, ``engine``); ``run_end`` carries ledger totals, the
+    ledger ``digest`` and the ``strict_violations`` count.  No emitter
+    writes the optional ``profile`` any more; older traces carry a
+    per-phase wall/alloc summary there, and readers ignore it.
 ``superstep``
     One communication superstep *and* its ledger charge, merged: the
     transcript ``index``, the charge triple ``rounds``/``messages``/
@@ -33,6 +34,9 @@ Event types (``repro-trace/1``):
 ``phase_start`` / ``phase_end``
     Ledger phase boundaries.  ``phase_end`` carries the phase's charge
     delta (``rounds``/``messages``/``words``) for that activation.
+    With ``wall_ns`` stamps, a pair matched by ``depth`` is the one
+    wall-time span: the activation's inclusive wall time is the
+    difference of the two stamps.
 ``batch_start`` / ``batch_end``
     Update-batch boundaries from the :class:`DynamicMST` facade:
     ``size`` and ``mode`` on start; the ledger delta plus ``details``

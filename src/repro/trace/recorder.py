@@ -17,11 +17,11 @@ build without this module.
 Traces are deterministic: events carry no wall-clock timestamps (the
 ordering key is ``seq``), so two runs of the same seeded scenario write
 byte-identical traces and ``repro trace-diff`` on them reports zero
-divergence.  Wall-time, when wanted, rides in the ``run_end`` event via
-an attached :class:`~repro.sim.metrics.PhaseProfiler` summary — or, for
-per-event timing, opt in with ``REPRO_TRACE_WALL=1`` (or
-``wall_clock=True``): every event then carries a ``wall_ns`` ambient
-field.  Ambient fields are stripped by the digest/diff paths
+divergence.  Wall time, when wanted, is opt-in with
+``REPRO_TRACE_WALL=1`` (or ``wall_clock=True``): every event then
+carries a ``wall_ns`` ambient field, and ``repro report`` pairs the
+stamps on ``phase_start``/``phase_end`` into each phase's inclusive and
+self wall time.  Ambient fields are stripped by the digest/diff paths
 (:func:`repro.trace.events.strip_ambient`), so opting in never changes
 ledger digests or trace equivalence — only the literal file bytes.
 """

@@ -4,9 +4,10 @@ Consumes the JSONL event stream written by
 :class:`~repro.trace.recorder.TraceRecorder` and produces:
 
 * per-phase totals (rounds, messages, words, calls — the same
-  attribution rule as :class:`~repro.sim.metrics.Ledger`), merged with
-  wall/alloc numbers when the run carried a
-  :class:`~repro.sim.metrics.PhaseProfiler`;
+  attribution rule as :class:`~repro.sim.metrics.Ledger`) and, when the
+  events carry ``wall_ns`` stamps (``REPRO_TRACE_WALL=1``), each phase's
+  inclusive and self wall time, paired from its ``phase_start``/
+  ``phase_end`` events;
 * per-machine cumulative send/recv word loads and their skew
   (max/mean) — the quantity the Lenzen-routing assumptions keep near 1;
 * a message-size histogram;
@@ -14,29 +15,24 @@ Consumes the JSONL event stream written by
   budget (:mod:`repro.trace.budgets`);
 * engine-selection and strict-violation tallies.
 
-Three export surfaces: a human table (:func:`render_text`), a JSON dict
-(:func:`to_json`), and a Prometheus-style text exposition
-(:func:`to_prometheus`, folded by the live metrics registry) for
-scraping into standard dashboards.
+The events are folded once, by the live metrics registry
+(:class:`repro.obs.registry.MetricsRegistry`), the same fold behind
+``/metrics``.  Three export surfaces: a human table
+(:func:`render_text`), a JSON dict (:func:`to_json`), and a
+Prometheus-style text exposition (:func:`to_prometheus`) for scraping
+into standard dashboards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.trace.budgets import RoundBudget, budget_for_run
 from repro.trace.events import strip_ambient, validate_events
 
-
-@dataclass
-class PhaseRow:
-    rounds: int = 0
-    messages: int = 0
-    words: int = 0
-    calls: int = 0
-    wall_s: Optional[float] = None
-    alloc_blocks: Optional[int] = None
+if TYPE_CHECKING:
+    from repro.obs.registry import MetricsRegistry, PhaseRow
 
 
 @dataclass
@@ -63,6 +59,8 @@ class TraceSummary:
     phases: Dict[str, PhaseRow] = field(default_factory=dict)
     send_words: List[int] = field(default_factory=list)
     recv_words: List[int] = field(default_factory=list)
+    send_skew: float = 1.0
+    recv_skew: float = 1.0
     size_hist: Dict[int, int] = field(default_factory=dict)
     batches: List[BatchRow] = field(default_factory=list)
     engines: Dict[str, int] = field(default_factory=dict)
@@ -76,31 +74,18 @@ class TraceSummary:
     recovery_rounds: int = 0
     replayed_batches: int = 0
 
-    # -- load skew ------------------------------------------------------
-    @staticmethod
-    def _skew(loads: Sequence[int]) -> float:
-        positive = [x for x in loads if x > 0]
-        if not positive:
-            return 1.0
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean > 0 else 1.0
-
-    @property
-    def send_skew(self) -> float:
-        return self._skew(self.send_words)
-
-    @property
-    def recv_skew(self) -> float:
-        return self._skew(self.recv_words)
-
     @property
     def budget_violations(self) -> int:
         return sum(1 for b in self.batches if not b.within_budget)
 
 
-def _grow_to(vec: List[int], n: int) -> None:
-    if len(vec) < n:
-        vec.extend([0] * (n - len(vec)))
+#: :class:`TraceSummary` fields the registry folds under the same name.
+_FOLDED = (
+    "rounds", "messages", "words", "charges", "supersteps", "phases",
+    "send_words", "recv_words", "send_skew", "recv_skew", "size_hist",
+    "engines", "faults", "crashes", "restarts", "checkpoints",
+    "recoveries", "recovery_rounds", "replayed_batches",
+)
 
 
 def summarize(
@@ -108,97 +93,39 @@ def summarize(
     envelope: Optional[int] = None,
     validate: bool = True,
 ) -> TraceSummary:
-    """Roll a full event stream into a :class:`TraceSummary`."""
+    """Roll a full event stream into a :class:`TraceSummary`.
+
+    The events are folded by one bus-less registry.  Read from the list
+    itself is only what a live registry must not keep: the trace meta,
+    one row per batch, the violation messages and engine selections.
+    """
     if validate:
         validate_events(events)
-    meta: Dict[str, Any] = {}
-    run: Dict[str, Any] = {}
-    for event in events:
-        if event["type"] == "trace_start":
-            meta = dict(event.get("meta") or {})
-        elif event["type"] == "run_start":
-            run = {k: v for k, v in event.items() if k not in ("type", "seq")}
-            break
-    summary = TraceSummary(
-        meta=meta, run=run, budget=budget_for_run(run or meta, envelope=envelope)
-    )
+    registry = _fold(events, envelope)
 
-    open_batch: Optional[Dict[str, Any]] = None
-    for event in events:
-        etype = event["type"]
-        if etype in ("superstep", "charge"):
-            summary.charges += 1
-            summary.rounds += int(event["rounds"])
-            summary.messages += int(event["messages"])
-            summary.words += int(event["words"])
-            # Same attribution rule as Ledger.charge: every name on the
-            # stack (including repeats) receives the full triple.
-            for name in event.get("phases", ()):
-                row = summary.phases.setdefault(name, PhaseRow())
-                row.rounds += int(event["rounds"])
-                row.messages += int(event["messages"])
-                row.words += int(event["words"])
-                row.calls += 1
-            if etype == "superstep":
-                summary.supersteps += 1
-                engine = str(event.get("engine", "?"))
-                summary.engines[engine] = summary.engines.get(engine, 0) + 1
-                send = [int(x) for x in event.get("send", ())]
-                recv = [int(x) for x in event.get("recv", ())]
-                _grow_to(summary.send_words, len(send))
-                _grow_to(summary.recv_words, len(recv))
-                for i, w in enumerate(send):
-                    summary.send_words[i] += w
-                for i, w in enumerate(recv):
-                    summary.recv_words[i] += w
-                for wstr, count in (event.get("sizes") or {}).items():
-                    w = int(wstr)
-                    summary.size_hist[w] = summary.size_hist.get(w, 0) + int(count)
-        elif etype == "batch_start":
-            open_batch = event
-        elif etype == "batch_end":
-            open_batch = None
-            size = int(event["size"])
-            mode = str(event["mode"])
-            rounds = int(event["rounds"])
-            allowed = summary.budget.batch_budget(size, mode)
-            summary.batches.append(
-                BatchRow(
-                    size=size, mode=mode, rounds=rounds,
-                    messages=int(event["messages"]), words=int(event["words"]),
-                    budget_rounds=allowed, within_budget=rounds <= allowed,
-                )
-            )
-        elif etype == "engine":
-            feature = str(event["feature"])
-            per = summary.engine_selections.setdefault(feature, {})
-            per[str(event["engine"])] = per.get(str(event["engine"]), 0) + 1
-        elif etype == "violation":
-            summary.violations.append(
-                {"kind": str(event["kind"]), "message": str(event["message"])}
-            )
-        elif etype == "fault":
-            for kind, count in (event["kinds"] or {}).items():
-                summary.faults[str(kind)] = (
-                    summary.faults.get(str(kind), 0) + int(count)
-                )
-        elif etype == "machine_crash":
-            summary.crashes += 1
-        elif etype == "machine_restart":
-            summary.restarts += 1
-        elif etype == "checkpoint":
-            summary.checkpoints += 1
-        elif etype == "recovery_end":
-            summary.recoveries += 1
-            summary.recovery_rounds += int(event["rounds"])
-            summary.replayed_batches += int(event["replayed"])
-        elif etype == "run_end" and "profile" in event:
-            for name, prof in (event["profile"] or {}).items():
-                row = summary.phases.setdefault(name, PhaseRow())
-                row.wall_s = float(prof.get("wall_s", 0.0))
-                row.alloc_blocks = int(prof.get("alloc_blocks", 0))
-    del open_batch  # an unterminated batch simply contributes no row
-    return summary
+    def of_type(etype: str) -> List[Dict[str, Any]]:
+        return [e for e in events if e.get("type") == etype]
+
+    starts = of_type("trace_start")
+    meta = dict(starts[0].get("meta") or {}) if starts else {}
+    budget = registry.budget or budget_for_run(meta, envelope=envelope)
+    batches = []
+    for e in of_type("batch_end"):
+        size, mode, rounds = int(e["size"]), str(e["mode"]), int(e["rounds"])
+        allowed = budget.batch_budget(size, mode)
+        batches.append(BatchRow(size, mode, rounds, int(e["messages"]),
+                                int(e["words"]), allowed, rounds <= allowed))
+    engine_selections: Dict[str, Dict[str, int]] = {}
+    for e in of_type("engine"):
+        per = engine_selections.setdefault(str(e["feature"]), {})
+        per[str(e["engine"])] = per.get(str(e["engine"]), 0) + 1
+    return TraceSummary(
+        meta=meta, run=registry.run_meta, budget=budget, batches=batches,
+        engine_selections=engine_selections,
+        violations=[{"kind": str(e["kind"]), "message": str(e["message"])}
+                    for e in of_type("violation")],
+        **{name: getattr(registry, name) for name in _FOLDED},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +159,10 @@ def render_text(summary: TraceSummary) -> str:
 
     if summary.phases:
         lines.append("")
-        has_profile = any(r.wall_s is not None for r in summary.phases.values())
+        has_wall = any(r.wall_s is not None for r in summary.phases.values())
         header = f"{'phase':<28} {'rounds':>8} {'messages':>9} {'words':>10} {'calls':>7}"
-        if has_profile:
-            header += f" {'wall_s':>8} {'allocs':>9}"
+        if has_wall:
+            header += f" {'wall_s':>8} {'self_s':>8}"
         lines.append(header)
         for name in sorted(summary.phases, key=lambda n: -summary.phases[n].rounds):
             row = summary.phases[name]
@@ -243,13 +170,9 @@ def render_text(summary: TraceSummary) -> str:
                 f"{name:<28} {row.rounds:>8} {row.messages:>9} "
                 f"{row.words:>10} {row.calls:>7}"
             )
-            if has_profile:
-                wall = f"{row.wall_s:8.3f}" if row.wall_s is not None else f"{'-':>8}"
-                alloc = (
-                    f"{row.alloc_blocks:9d}" if row.alloc_blocks is not None
-                    else f"{'-':>9}"
-                )
-                text += f" {wall} {alloc}"
+            if has_wall:
+                text += (f" {row.wall_s:8.3f} {row.self_s:8.3f}" if row.wall_s is not None
+                         else f" {'-':>8} {'-':>8}")
             lines.append(text)
 
     if summary.send_words or summary.recv_words:
@@ -323,7 +246,7 @@ def to_json(summary: TraceSummary) -> Dict[str, Any]:
                 "words": row.words,
                 "calls": row.calls,
                 **(
-                    {"wall_s": row.wall_s, "alloc_blocks": row.alloc_blocks}
+                    {"wall_s": row.wall_s, "self_s": row.self_s}
                     if row.wall_s is not None
                     else {}
                 ),
@@ -385,9 +308,16 @@ def to_prometheus(
     never depends on whether it was recorded with wall-clock stamps.
     """
     from repro.obs.prom import render_families
-    from repro.obs.registry import MetricsRegistry
+
+    registry = _fold([strip_ambient(e) for e in events], envelope)
+    return render_families(registry.collect())
+
+
+def _fold(events: Sequence[Dict[str, Any]], envelope: Optional[int]) -> MetricsRegistry:
+    """``events`` folded through one bus-less registry."""
+    from repro.obs.registry import MetricsRegistry  # repro.obs imports this package
 
     registry = MetricsRegistry(envelope=envelope)
     for event in events:
-        registry.apply(strip_ambient(event))
-    return render_families(registry.collect())
+        registry.apply(event)
+    return registry

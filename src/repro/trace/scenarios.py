@@ -6,8 +6,11 @@ records a named run, ``repro chaos`` drives it under a fault plan and
 graph and batches from :meth:`Scenario.workload` and the structure from
 :meth:`Scenario.build`, so a scenario name fixes its ledger: the digest
 ``repro trace`` prints for a benchmark scenario is the digest of its
-committed ``BENCH_*.json`` row.  Wall-clock benchmarking lives in
-``bench/``, which builds its own workloads and never imports this module.
+committed ``BENCH_*.json`` row.  The runner reads no clock: a per-phase
+wall profile of a scenario is ``REPRO_TRACE_WALL=1 repro trace <name>``
+followed by ``repro report``, which folds the stamped phase events.
+Wall-clock benchmarking lives in ``bench/``, which builds its own
+workloads and never imports this module.
 """
 
 from __future__ import annotations
@@ -161,7 +164,6 @@ def run_traced(
     scenario: Scenario,
     sink: Optional[Union[str, IO[str]]],
     engine: str = "sample_gather",
-    profile: bool = False,
     perturb_batch: Optional[int] = None,
     backend: Optional[str] = None,
     telemetry: Optional[Any] = None,
@@ -172,8 +174,6 @@ def run_traced(
     run without a file recorder (live telemetry only).
     ``backend`` pins the execution engine by name (``None`` = the
     ambient default, see :mod:`repro.sim.executor`).
-    ``profile`` attaches a :class:`~repro.sim.metrics.PhaseProfiler` to
-    the batch loop; its counters land in ``run_end`` and the summary.
     ``perturb_batch`` deliberately charges one extra bookkeeping round
     before that batch index — a seeded fault for exercising
     ``repro trace-diff`` (the acceptance path for divergence
@@ -182,13 +182,9 @@ def run_traced(
     (typically a :class:`repro.obs.BusSink`) teed alongside the file
     recorder; teeing never changes the file bytes or the ledger digest.
     """
-    from repro.sim.metrics import PhaseProfiler
-
     graph, stream = scenario.workload()
     with trace_sink(sink, telemetry, scenario.meta()) as (rec, trace):
         dm = scenario.build(graph, engine=engine, backend=backend, trace=trace)
-        profiler = PhaseProfiler() if profile else None
-        dm.net.ledger.profiler = profiler
         try:
             batch_reports: List[Dict[str, int]] = []
             for i, batch in enumerate(stream):
@@ -205,7 +201,7 @@ def run_traced(
             if trace is not None:
                 dm.detach_trace()
     ledger = dm.net.ledger
-    out: Dict[str, Any] = {
+    return {
         "scenario": scenario.name,
         "rounds": ledger.rounds,
         "messages": ledger.messages,
@@ -217,6 +213,3 @@ def run_traced(
         "batches": batch_reports,
         "events": rec.seq if rec is not None else 0,
     }
-    if profiler is not None:
-        out["profile"] = profiler.as_dict()
-    return out

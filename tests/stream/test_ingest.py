@@ -88,6 +88,13 @@ class TestDeterminism:
                       "p50_ticks", "p99_ticks", "cut_reasons"):
             assert getattr(a, field) == getattr(b, field), field
 
+    def test_reports_compare_equal(self):
+        # The ingestor reads no clock, so the whole report is a function
+        # of the stream and the core: two fresh runs compare equal.
+        arrivals = _shape(ticks=20, rate=8)
+        a, b = (_run(arrivals)[1] for _ in range(2))
+        assert a == b
+
 
 class TestSchedulerBehaviour:
     def test_short_trickle_only_flushes(self):

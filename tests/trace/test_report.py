@@ -101,14 +101,17 @@ def test_to_prometheus_exposition(traced):
         float(value)
 
 
-def test_profile_rides_into_phase_rows(tmp_path):
+def test_profile_rides_into_phase_rows(tmp_path, monkeypatch):
+    # A per-phase wall profile is a stamped trace folded by the report.
+    monkeypatch.setenv("REPRO_TRACE_WALL", "1")
     path = tmp_path / "prof.jsonl"
-    run_traced(TINY, str(path), profile=True)
+    run_traced(TINY, str(path))
     summary = summarize(read_trace(path))
     profiled = [r for r in summary.phases.values() if r.wall_s is not None]
     assert profiled
-    assert all(r.wall_s >= 0 for r in profiled)
-    assert "wall_s" in render_text(summary)
+    assert all(0 <= r.self_s <= r.wall_s for r in profiled)
+    text = render_text(summary)
+    assert "wall_s" in text and "self_s" in text
 
 
 # ----------------------------------------------------------------------
