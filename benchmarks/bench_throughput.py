@@ -7,7 +7,6 @@ and how much the columnar fast path (:mod:`repro.perf`) buys over the
 scalar reference engine at identical ledgers.
 """
 
-import os
 import time
 
 import numpy as np
@@ -16,6 +15,9 @@ from _tables import emit_table
 from repro.baselines import SequentialDynamicMST
 from repro.core import DynamicMST
 from repro.graphs import churn_stream, random_weighted_graph
+
+#: Floor on the large scenario's columnar-over-reference speedup.
+MIN_SPEEDUP = 3.0
 
 
 def _throughput(n, k, batch, n_batches=6, seed=0):
@@ -64,9 +66,9 @@ def _fast_vs_reference(n, k, batch, n_batches, seed=0):
 
     out = []
     digests = []
-    for fast in (False, True):
+    for backend in ("reference", "inproc-columnar"):
         dm = DynamicMST.build(g, k, rng=np.random.default_rng(seed),
-                              init="free", fast=fast)
+                              init="free", backend=backend)
         t0 = time.perf_counter()
         for b in stream:
             dm.apply_batch(b)
@@ -83,8 +85,7 @@ def test_fast_path_speedup_table():
     The speedup scales with *steps per structural script* (batch size),
     not with n: both engines are linear in n, but the fast path pays a
     fixed pack/scatter cost per script that amortises over its steps.
-    The large row is the headline: batch 64 must be >= 3x (override the
-    floor with REPRO_BENCH_MIN_SPEEDUP).
+    The large row is the headline: batch 64 must be >= 3x.
     """
     scenarios = (
         ("small", 300, 8, 8, 4),
@@ -105,6 +106,5 @@ def test_fast_path_speedup_table():
          "speedup_x", "ledger_digest"],
         rows,
     )
-    floor = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-    assert speedups["large"] >= floor, (
-        f"large scenario speedup {speedups['large']:.2f}x < {floor}x")
+    assert speedups["large"] >= MIN_SPEEDUP, (
+        f"large scenario speedup {speedups['large']:.2f}x < {MIN_SPEEDUP}x")

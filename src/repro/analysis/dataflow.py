@@ -89,8 +89,6 @@ def is_fast_gate_test(test: ast.expr, gate_vars: Set[str]) -> bool:
             return True
         if isinstance(node, ast.Name) and node.id in gate_vars:
             return True
-        if isinstance(node, ast.Constant) and node.value == "REPRO_FAST":
-            return True
     return False
 
 

@@ -18,7 +18,8 @@ distributed state against first principles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.batch_addition import batch_add
 from repro.core.batch_deletion import batch_delete
@@ -65,8 +66,9 @@ class DynamicMST:
         self.vp = vp
         self.engine = engine
         self.rng = as_rng(rng)
-        #: Tri-state columnar-fast-path pin: True/False force it for every
-        #: operation on this instance; None defers to the process default.
+        #: Tri-state columnar-fast-path pin set from ``backend=``: True/False
+        #: force it for every operation on this instance; None defers to the
+        #: ambient default.
         self.fast: Optional[bool] = None
         self.shadow = graph.copy()
         self.states, self._next_tour_id = make_states(graph, vp, net)
@@ -86,7 +88,6 @@ class DynamicMST:
         init: str = "distributed",
         words_per_round: int = 1,
         vp: Optional[VertexPartition] = None,
-        fast: Optional[bool] = None,
         trace: Optional[TraceSink] = None,
         backend: Optional[str] = None,
     ) -> "DynamicMST":
@@ -95,14 +96,11 @@ class DynamicMST:
         ``init="distributed"`` runs the Theorem 5.8 protocol (O(n/k +
         log n) measured rounds); ``init="free"`` installs the structure
         from the oracle without charging the ledger (for update-focused
-        benchmarks).  ``fast`` pins the columnar fast path on (True) or
-        off (False) for this instance regardless of the process default;
-        both settings produce byte-identical ledgers (see
-        :mod:`repro.perf`).  ``backend`` names the engine instead
-        (``reference`` or ``inproc-columnar``, or an alias; see
-        :mod:`repro.sim.executor`) and takes precedence over ``fast``;
-        with both ``None`` the instance follows the ambient default
-        (``REPRO_BACKEND``/``REPRO_FAST``) at each operation.  ``trace``
+        benchmarks).  ``backend`` names the engine for every operation on
+        this instance, init included: ``reference`` or
+        ``inproc-columnar`` (see :mod:`repro.sim.executor`); both charge
+        byte-identical ledgers.  With ``None`` the instance follows the
+        ambient default (``REPRO_BACKEND``) at each operation.  ``trace``
         attaches a recorder *before* initialisation, so a measured init's
         charges are part of the trace (charge indices must be contiguous
         from 0 — a recorder attached after a distributed init would start
@@ -113,23 +111,34 @@ class DynamicMST:
         if vp is None:
             vp = random_vertex_partition(sorted(graph.vertices()), k, rng)
         dm = cls(graph, k, vp, net, engine=engine, rng=rng)
-        dm.fast = get_backend(backend).fast if backend is not None else fast
-        if trace is not None:
-            dm.attach_trace(trace)
-        before = net.ledger.snapshot()
-        with dm._engine_context():
-            if init == "distributed":
-                _msf, dm._next_tour_id = distributed_init(
-                    net, vp, dm.states, sorted(graph.vertices()), dm._next_tour_id
-                )
-            elif init == "free":
-                _msf, dm._next_tour_id = free_init(
-                    graph, vp, dm.states, dm._next_tour_id
-                )
-            else:
-                raise ValueError(f"unknown init mode {init!r}")
-        dm.init_rounds = net.ledger.since(before).rounds
+        if init == "distributed":
+            run = partial(distributed_init, net, vp, dm.states, sorted(graph.vertices()))
+        elif init == "free":
+            run = partial(free_init, graph, vp, dm.states)
+        else:
+            raise ValueError(f"unknown init mode {init!r}")
+        dm._initialise(run, backend, trace)
         return dm
+
+    def _initialise(
+        self,
+        run: Callable[[int], Tuple[object, int]],
+        backend: Optional[str],
+        trace: Optional[TraceSink],
+    ) -> None:
+        """Pin ``backend``, attach ``trace``, then run the init step ``run``.
+
+        ``run`` takes the tour-id counter and returns ``(msf, counter)``;
+        it runs under the pinned engine, and the rounds it charges become
+        :attr:`init_rounds`.  Every facade's ``build`` ends here.
+        """
+        self.fast = get_backend(backend).fast if backend is not None else None
+        if trace is not None:
+            self.attach_trace(trace)
+        before = self.net.ledger.snapshot()
+        with self._engine_context():
+            _msf, self._next_tour_id = run(self._next_tour_id)
+        self.init_rounds = self.net.ledger.since(before).rounds
 
     def _engine_context(self):
         """The engine scope for one operation on this instance: the

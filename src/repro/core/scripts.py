@@ -42,7 +42,6 @@ from repro.euler.labels import (
 from repro.euler.tour import ETEdge
 from repro.core.state import MachineState
 from repro.graphs.graph import normalize
-from repro.perf import config as _perf_config
 from repro.perf.config import fast_path_enabled
 from repro.sim.message import WORDS_ET_EDGE, WORDS_ID
 from repro.sim.network import Network
@@ -389,29 +388,6 @@ def _repair_witnesses(
                 st.tour_of[x] = tid
 
 
-def estimate_batch_rows(
-    states: Sequence[MachineState],
-    cuts: Sequence[Tuple[int, int]],
-    links: Sequence[Tuple[int, int, float]],
-) -> int:
-    """Estimate the rows a columnar batch would pack (harness-side).
-
-    The columnar engine packs every machine's MST-edge rows in the tours
-    the batch touches, so the estimate sums the locally-known sizes of
-    those tours across machines.  Both engines are wire-identical, so
-    the estimate steers local cost only — it can never change a ledger.
-    """
-    endpoints = {x for (u, v) in cuts for x in (u, v)}
-    endpoints.update(x for (u, v, _w) in links for x in (u, v))
-    tours = set()
-    for st in states:
-        for x in endpoints:
-            t = st.tour_of.get(x)
-            if t is not None:
-                tours.add(t)
-    return sum(st.tour_size.get(t, 0) for st in states for t in tours)
-
-
 def run_structural_batch(
     net: Network,
     vp: VertexPartition,
@@ -426,21 +402,22 @@ def run_structural_batch(
     |links|) broadcasts in O(1) dependency sets → O((|cuts|+|links|)/k + 1)
     rounds, measured on ``net.ledger``.
 
-    Dispatch is adaptive: the columnar engine pays a fixed pack/scatter
-    cost per batch, so batches whose estimated affected slice is under
-    ``UPDATE_MIN_ROWS`` run the scalar per-edge loops instead (same
-    wire, same ledger — only the local arithmetic differs).
+    With the fast path on, the columnar engine
+    (:func:`repro.perf.columnar.run_structural_batch_columnar`) applies
+    every non-empty batch; the per-edge loops below are the reference
+    engine.  Both send the same wire, so both charge the same ledger.
+    An empty batch reaches neither engine.
     """
-    if fast_path_enabled() and (
-        estimate_batch_rows(states, cuts, links) >= _perf_config.UPDATE_MIN_ROWS
-    ):
+    if not cuts and not links:
+        return next_tour_id
+    if fast_path_enabled():
         from repro.perf.columnar import run_structural_batch_columnar
 
         return run_structural_batch_columnar(
             net, vp, states, cuts, links, next_tour_id
         )
     recorder = net.ledger.recorder
-    if recorder is not None and (cuts or links):
+    if recorder is not None:
         recorder.on_engine("structural_batch", "scalar")
     if cuts:
         params = _collect_cut_params(net, vp, states, cuts)

@@ -20,6 +20,7 @@ both layouts.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from repro.core.api import DynamicMST
@@ -28,6 +29,7 @@ from repro.errors import InconsistentUpdate
 from repro.graphs.generators import RngLike, as_rng
 from repro.graphs.graph import WeightedGraph
 from repro.mpc.init_mpc import mpc_init
+from repro.sim.metrics import TraceSink
 from repro.sim.network import MPCNetwork
 from repro.sim.partition import (
     VertexPartition,
@@ -47,12 +49,16 @@ class MPCDynamicMST(DynamicMST):
         engine: str = "sample_gather",
         init: str = "mpc",
         space: Optional[int] = None,
-        **_ignored,
+        trace: Optional[TraceSink] = None,
+        backend: Optional[str] = None,
     ) -> "MPCDynamicMST":
         """Partition ``graph`` over k MPC machines with space S each.
 
         ``space`` defaults to ceil(4m/k) + Θ(k) so that kS = Θ(m) with
         room for the doubled (directed) edge copies and scratch state.
+        ``trace`` and ``backend`` act as in
+        :meth:`repro.core.api.DynamicMST.build`: the recorder is attached
+        before init, and the named engine runs init and every batch.
         """
         rng = as_rng(rng)
         if space is None:
@@ -63,17 +69,14 @@ class MPCDynamicMST(DynamicMST):
         dm = cls(graph, k, vp, net, engine=engine, rng=rng)
         dm.edge_partition = ep
         dm.space = space
-        before = net.ledger.snapshot()
         if init == "mpc":
-            _msf, dm._next_tour_id = mpc_init(
-                net, vp, dm.states, sorted(graph.vertices()), dm._next_tour_id,
-                batch_limit=space,
-            )
+            run = partial(mpc_init, net, vp, dm.states, sorted(graph.vertices()),
+                          batch_limit=space)
         elif init == "free":
-            _msf, dm._next_tour_id = free_init(graph, vp, dm.states, dm._next_tour_id)
+            run = partial(free_init, graph, vp, dm.states)
         else:
             raise ValueError(f"unknown MPC init mode {init!r}")
-        dm.init_rounds = net.ledger.since(before).rounds
+        dm._initialise(run, backend, trace)
         return dm
 
     @property

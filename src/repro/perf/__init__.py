@@ -3,8 +3,9 @@
 The paper's guarantees are *round counts*; this package is about the
 other axis — wall-clock speed of the simulation itself.  It provides:
 
-* :mod:`repro.perf.config` — the fast-path switch (``REPRO_FAST``),
-  overridable per call site or per :class:`~repro.core.api.DynamicMST`;
+* :mod:`repro.perf.config` — the fast-path switch, set by naming an
+  execution backend (``backend=``, ``--backend`` or ``REPRO_BACKEND``;
+  see :mod:`repro.sim.executor`);
 * :mod:`repro.perf.columnar` — batched application of Euler label
   scripts over per-machine NumPy arrays, using the verified kernels of
   :mod:`repro.euler.vectorized` instead of per-edge Python calls.
@@ -20,12 +21,10 @@ from repro.perf.config import (
     VECTOR_MIN_ROWS,
     fast_path_enabled,
     override_fast_path,
-    set_fast_path,
 )
 
 __all__ = [
     "VECTOR_MIN_ROWS",
     "fast_path_enabled",
     "override_fast_path",
-    "set_fast_path",
 ]

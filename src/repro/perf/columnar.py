@@ -682,7 +682,8 @@ def run_structural_batch_columnar(
     ledger transcript matches byte for byte.  Locally, one
     :class:`MachineLabelPlane` per machine spans both the cut and the
     link phase; the witness repair and link-parameter collection between
-    them read and write through the planes.
+    them read and write through the planes.  The dispatcher hands it
+    non-empty batches only.
     """
     from repro.core.scripts import (
         _collect_cut_params,
@@ -690,8 +691,6 @@ def run_structural_batch_columnar(
         build_link_script,
     )
 
-    if not cuts and not links:
-        return next_tour_id
     recorder = net.ledger.recorder
     if recorder is not None:
         recorder.on_engine("structural_batch", "columnar")

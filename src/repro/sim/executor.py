@@ -7,20 +7,20 @@ engine; both are held to the same contract — **byte-identical ledgers,
 digests and trace events** — enforced by the cross-backend equivalence
 suite in ``tests/perf``:
 
-* ``reference`` (alias ``scalar``) — the scalar engine; per-edge Python
-  loops, the ground truth the columnar engine is diffed against;
-* ``inproc-columnar`` (alias ``columnar``) — the NumPy columnar engine
-  of :mod:`repro.perf` (the production default).
+* ``reference`` — the scalar engine; per-edge Python loops, the ground
+  truth the columnar engine is diffed against;
+* ``inproc-columnar`` — the NumPy columnar engine of :mod:`repro.perf`
+  (the production default).
 
-A backend is nothing more than a name for one setting of the fast-path
-switch (:mod:`repro.perf.config`): selecting one means running under
-``override_fast_path(backend.fast)``.
+A backend name is the only engine selector: ``backend=`` in code,
+``--backend`` on the CLI and ``REPRO_BACKEND`` in the environment, each
+accepting exactly those two names.  A backend is one setting of the
+fast-path switch (:mod:`repro.perf.config`): selecting one means running
+under ``override_fast_path(backend.fast)``.
 
-Backend selection goes through :func:`resolve_backend` — an explicit
-``backend=`` name, then the ``REPRO_BACKEND`` environment variable.
-With neither set the ambient fast-path switch decides, whose
-environment layer is :func:`backend_from_env` (``REPRO_BACKEND`` before
-``REPRO_FAST``).
+:func:`resolve_backend` resolves a run's pin — an explicit ``backend=``
+name, then ``REPRO_BACKEND``.  With neither set the ambient fast-path
+switch decides, whose environment layer is :func:`backend_from_env`.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ COLUMNAR = ExecutionBackend("inproc-columnar", fast=True)
 
 _BACKENDS: Dict[str, ExecutionBackend] = {b.name: b for b in (REFERENCE, COLUMNAR)}
 
-#: Accepted spellings per canonical backend name.
-BACKEND_ALIASES: Dict[str, str] = {
-    "reference": "reference",
-    "scalar": "reference",
-    "inproc-columnar": "inproc-columnar",
-    "columnar": "inproc-columnar",
-}
-
 
 def backend_names() -> List[str]:
     """Canonical backend names, stable order (reference first)."""
@@ -58,18 +50,17 @@ def backend_names() -> List[str]:
 
 
 def get_backend(name: str) -> ExecutionBackend:
-    """The backend registered under ``name`` or an alias.
+    """The backend registered under ``name``.
 
-    Raises ``ValueError`` naming the known backends on an unknown name.
+    Raises ``ValueError`` naming the known backends on any other name.
     """
-    canonical = BACKEND_ALIASES.get(name.strip().lower())
-    if canonical is None:
-        known = ", ".join(sorted(BACKEND_ALIASES))
+    backend = _BACKENDS.get(name)
+    if backend is None:
         raise ValueError(
-            f"unknown execution backend {name!r} (known backends and "
-            f"aliases: {known})"
+            f"unknown execution backend {name!r} (known backends: "
+            f"{', '.join(_BACKENDS)})"
         )
-    return _BACKENDS[canonical]
+    return backend
 
 
 def _backend_env_pin() -> Optional[ExecutionBackend]:
@@ -81,18 +72,11 @@ def _backend_env_pin() -> Optional[ExecutionBackend]:
 def backend_from_env() -> ExecutionBackend:
     """The backend the environment selects — the one place it is read.
 
-    ``REPRO_BACKEND`` wins; otherwise ``REPRO_FAST`` decides (unset or
-    truthy → columnar; ``""``/``0``/``false``/``no`` → reference).  The
+    ``REPRO_BACKEND`` names it; unset or empty means columnar.  The
     fast-path switch's environment layer is this function's ``fast``, so
     the engine that runs and the engine reported always agree.
     """
-    pinned = _backend_env_pin()
-    if pinned is not None:
-        return pinned
-    value = os.environ.get("REPRO_FAST")
-    if value is not None and value.strip() in ("", "0", "false", "no"):
-        return REFERENCE
-    return COLUMNAR
+    return _backend_env_pin() or COLUMNAR
 
 
 def resolve_backend(backend: Optional[str] = None) -> Optional[ExecutionBackend]:

@@ -45,10 +45,10 @@ def test_suppressions_in_src_are_all_used():
     # its keep.  Pin the current count so new ones get a second look.
     # 6 from the seed (2×SIM003 repro.sim.strict RNG-state reads, 1×SIM004
     # repro.sim.program superstep loop, 3×SIM005 repro.core.api report
-    # log) + 2×SIM002 (repro.perf.config fast-path toggle) + 1×SIM003
-    # (the trace recorder's opt-in wall_ns stamp).  The BusSink stamp's
-    # suppression is not counted: pyproject.toml disables SIM003 for
-    # src/repro/obs, so it is never consulted.
+    # log) + 1×SIM002 (repro.perf.config override_fast_path scope) +
+    # 1×SIM003 (the trace recorder's opt-in wall_ns stamp).  The BusSink
+    # stamp's suppression is not counted: pyproject.toml disables SIM003
+    # for src/repro/obs, so it is never consulted.
     # Removed with the parallel backend (25 → 13): 3×SIM002
     # (repro.perf.config backend toggle), 1×SIM002 (repro.sim.executor
     # backend registry cache), 1×SIM002 (repro.sim.executor fork-pool
@@ -57,5 +57,7 @@ def test_suppressions_in_src_are_all_used():
     # Removed with the phase profiler and the stream ingestor's clock
     # (13 → 9): 2×SIM003 in Ledger.phase and 2×SIM003 in
     # StreamIngestor.run.
+    # Removed with the process-wide engine default (9 → 8): its setter's
+    # 1×SIM002 in repro.perf.config.
     report = _report()
-    assert report.suppressions_used == 9, report.format_text()
+    assert report.suppressions_used == 8, report.format_text()

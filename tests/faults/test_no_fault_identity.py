@@ -3,8 +3,8 @@
 The hook gates on ``enabled``, so with nothing to inject the network
 must take the untouched code path: ledger digests equal, charge
 transcripts equal, and recorded JSONL traces *byte-identical* to a run
-with no hook at all — under the strict sanitizer (REPRO_STRICT=1) and
-the columnar fast path (REPRO_FAST=1) alike.
+with no hook at all — on both engines (``REPRO_BACKEND``), with and
+without the strict sanitizer (``REPRO_STRICT=1``).
 """
 
 import io
@@ -77,20 +77,24 @@ def assert_identity(monkeypatch, **env):
     assert trace_chaos == trace_ref  # byte-identical JSONL
 
 
+# REPRO_BACKEND x REPRO_STRICT. "default"/"strict" name the sanitizer
+# mode on the reference (scalar) engine; "fast" is the columnar engine.
+
+
 def test_identity_default_mode(monkeypatch):
-    assert_identity(monkeypatch, REPRO_STRICT=None, REPRO_FAST=None)
+    assert_identity(monkeypatch, REPRO_BACKEND="reference", REPRO_STRICT=None)
 
 
 def test_identity_strict_mode(monkeypatch):
-    assert_identity(monkeypatch, REPRO_STRICT="1", REPRO_FAST=None)
+    assert_identity(monkeypatch, REPRO_BACKEND="reference", REPRO_STRICT="1")
 
 
 def test_identity_fast_path(monkeypatch):
-    assert_identity(monkeypatch, REPRO_STRICT=None, REPRO_FAST="1")
+    assert_identity(monkeypatch, REPRO_BACKEND="inproc-columnar", REPRO_STRICT=None)
 
 
 def test_identity_strict_and_fast(monkeypatch):
-    assert_identity(monkeypatch, REPRO_STRICT="1", REPRO_FAST="1")
+    assert_identity(monkeypatch, REPRO_BACKEND="inproc-columnar", REPRO_STRICT="1")
 
 
 def test_disabled_hook_emits_no_fault_meta(monkeypatch):

@@ -1,11 +1,15 @@
 """MPCDynamicMST end-to-end (Theorem 8.1)."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import InconsistentUpdate
 from repro.graphs import Update, churn_stream, random_weighted_graph
 from repro.mpc import MPCDynamicMST
+from repro.trace.recorder import TraceRecorder
 
 
 class TestEndToEnd:
@@ -43,6 +47,25 @@ class TestEndToEnd:
         g = random_weighted_graph(10, 15, rng)
         with pytest.raises(ValueError):
             MPCDynamicMST.build(g, 2, rng=rng, init="warp")
+
+    @pytest.mark.parametrize("backend,engine", [
+        ("reference", "scalar"), ("inproc-columnar", "columnar"),
+    ])
+    def test_build_traces_init_on_the_named_engine(self, backend, engine):
+        g = random_weighted_graph(40, 100, rng=0)
+        buf = io.StringIO()
+        rec = TraceRecorder(buf)
+        dm = MPCDynamicMST.build(g, 4, rng=0, trace=rec, backend=backend)
+        dm.detach_trace()
+        rec.close()
+        events = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [e["type"] for e in events[:2]] == ["trace_start", "run_start"]
+        assert events[1]["model"] == "mpc"
+        assert [e["engine"] for e in events
+                if e["type"] == "engine" and e["feature"] == "mpc_init"] == [engine]
+        assert dm.init_rounds > 0
+        assert events[-2]["type"] == "run_end"
+        assert events[-2]["rounds"] == dm.init_rounds
 
 
 class TestScaling:

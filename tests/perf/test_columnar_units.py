@@ -1,8 +1,9 @@
 """Unit-level behaviour of the columnar machinery.
 
 The end-to-end contract lives in ``test_fast_path_equivalence``; these
-tests pin the pieces it is built from: the fast-path switch's precedence
-stack, the partial tour-index swap, and the affected-slice pack of
+tests pin the pieces it is built from: the fast-path switch's two
+layers (an override scope, then ``REPRO_BACKEND``), the partial
+tour-index swap, and the affected-slice pack of
 :class:`~repro.perf.columnar.MachineLabelPlane`.
 """
 
@@ -12,55 +13,34 @@ import pytest
 from repro.core.state import MachineState
 from repro.euler.tour import ETEdge
 from repro.perf.columnar import MachineLabelPlane
-from repro.perf.config import (
-    fast_path_enabled,
-    override_fast_path,
-    set_fast_path,
-)
+from repro.perf.config import fast_path_enabled, override_fast_path
 
 
 class TestConfigPrecedence:
     def test_env_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        set_fast_path(None)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert fast_path_enabled() is True
 
     @pytest.mark.parametrize("value,expect", [
-        ("0", False), ("false", False), ("no", False), ("", False),
-        ("1", True), ("yes", True),
+        ("reference", False), ("inproc-columnar", True), ("", True),
     ])
     def test_env_values(self, monkeypatch, value, expect):
-        monkeypatch.setenv("REPRO_FAST", value)
-        set_fast_path(None)
+        monkeypatch.setenv("REPRO_BACKEND", value)
         assert fast_path_enabled() is expect
 
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        set_fast_path(False)
-        try:
-            assert fast_path_enabled() is False
-        finally:
-            set_fast_path(None)
-
     def test_override_beats_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        set_fast_path(True)
-        try:
-            with override_fast_path(False):
-                assert fast_path_enabled() is False
-                with override_fast_path(True):
-                    assert fast_path_enabled() is True
-                assert fast_path_enabled() is False
-        finally:
-            set_fast_path(None)
+        monkeypatch.setenv("REPRO_BACKEND", "inproc-columnar")
+        with override_fast_path(False):
+            assert fast_path_enabled() is False
+            with override_fast_path(True):
+                assert fast_path_enabled() is True
+            assert fast_path_enabled() is False
+        assert fast_path_enabled() is True
 
-    def test_none_override_is_transparent(self):
-        set_fast_path(False)
-        try:
-            with override_fast_path(None):
-                assert fast_path_enabled() is False
-        finally:
-            set_fast_path(None)
+    def test_none_override_is_transparent(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        with override_fast_path(None):
+            assert fast_path_enabled() is False
 
 
 def _two_tour_state():

@@ -41,12 +41,12 @@ def _machine_fingerprint(st):
     }
 
 
-def _run(builder, graph, stream, k, seed, fast, init="free"):
-    with override_fast_path(fast):
-        dm = builder(graph, k, rng=np.random.default_rng(seed), init=init)
-        for batch in stream:
-            dm.apply_batch(batch)
-        dm.check()
+def _run(builder, graph, stream, k, seed, backend, init="free"):
+    dm = builder(graph, k, rng=np.random.default_rng(seed), init=init,
+                 backend=backend)
+    for batch in stream:
+        dm.apply_batch(batch)
+    dm.check()
     return {
         "transcript": list(dm.net.ledger.transcript),
         "digest": dm.net.ledger.digest(),
@@ -77,8 +77,8 @@ class TestKMachine:
         batch = int(rng.integers(1, 2 * k + 1))
         g = random_weighted_graph(n, m, rng, connected=False)
         stream = list(churn_stream(g.copy(), batch, 5, rng=rng))
-        ref = _run(DynamicMST.build, g, stream, k, seed, fast=False)
-        fst = _run(DynamicMST.build, g, stream, k, seed, fast=True)
+        ref = _run(DynamicMST.build, g, stream, k, seed, backend="reference")
+        fst = _run(DynamicMST.build, g, stream, k, seed, backend="inproc-columnar")
         _assert_equivalent(ref, fst)
 
     def test_large_batches_exercise_long_scripts(self):
@@ -87,8 +87,8 @@ class TestKMachine:
         rng = np.random.default_rng(3)
         g = random_weighted_graph(80, 200, rng)
         stream = list(churn_stream(g.copy(), 24, 4, rng=rng))
-        ref = _run(DynamicMST.build, g, stream, 4, 3, fast=False)
-        fst = _run(DynamicMST.build, g, stream, 4, 3, fast=True)
+        ref = _run(DynamicMST.build, g, stream, 4, 3, backend="reference")
+        fst = _run(DynamicMST.build, g, stream, 4, 3, backend="inproc-columnar")
         _assert_equivalent(ref, fst)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -99,9 +99,9 @@ class TestKMachine:
         rng = np.random.default_rng(seed)
         g = random_weighted_graph(24, 60, rng, connected=False)
         stream = list(churn_stream(g.copy(), 6, 3, rng=rng))
-        ref = _run(DynamicMST.build, g, stream, 4, seed, fast=False,
+        ref = _run(DynamicMST.build, g, stream, 4, seed, backend="reference",
                    init="distributed")
-        fst = _run(DynamicMST.build, g, stream, 4, seed, fast=True,
+        fst = _run(DynamicMST.build, g, stream, 4, seed, backend="inproc-columnar",
                    init="distributed")
         _assert_equivalent(ref, fst)
 
@@ -109,7 +109,7 @@ class TestKMachine:
         g = random_weighted_graph(20, 40, np.random.default_rng(0))
         with override_fast_path(False):
             dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
-                                  init="free", fast=True)
+                                  init="free", backend="inproc-columnar")
             for batch in churn_stream(g.copy(), 4, 3,
                                       rng=np.random.default_rng(0)):
                 dm.apply_batch(batch)
@@ -125,6 +125,6 @@ class TestMPC:
         k = int(rng.integers(2, 6))
         g = random_weighted_graph(n, m, rng, connected=False)
         stream = list(churn_stream(g.copy(), 4, 4, rng=rng))
-        ref = _run(MPCDynamicMST.build, g, stream, k, seed, fast=False)
-        fst = _run(MPCDynamicMST.build, g, stream, k, seed, fast=True)
+        ref = _run(MPCDynamicMST.build, g, stream, k, seed, backend="reference")
+        fst = _run(MPCDynamicMST.build, g, stream, k, seed, backend="inproc-columnar")
         _assert_equivalent(ref, fst)

@@ -51,11 +51,11 @@ def _machine_fingerprint(st):
     }
 
 
-def _init_run(builder, graph, k, seed, fast, **build_kw):
+def _init_run(builder, graph, k, seed, backend, **build_kw):
     """Build (measured init) only — no update batches; init is the subject."""
-    with override_fast_path(fast):
-        dm = builder(graph, k, rng=np.random.default_rng(seed), **build_kw)
-        dm.check()
+    dm = builder(graph, k, rng=np.random.default_rng(seed), backend=backend,
+                 **build_kw)
+    dm.check()
     return {
         "transcript": list(dm.net.ledger.transcript),
         "digest": dm.net.ledger.digest(),
@@ -87,9 +87,9 @@ class TestDistributedInit:
         n = int(rng.integers(20, 90))
         m = int(rng.integers(n, 3 * n))
         g = random_weighted_graph(n, m, rng, connected=False)
-        ref = _init_run(DynamicMST.build, g, k, seed, fast=False,
+        ref = _init_run(DynamicMST.build, g, k, seed, backend="reference",
                         init="distributed")
-        fst = _init_run(DynamicMST.build, g, k, seed, fast=True,
+        fst = _init_run(DynamicMST.build, g, k, seed, backend="inproc-columnar",
                         init="distributed")
         assert ref["init_rounds"] == fst["init_rounds"] > 0
         _assert_equivalent(ref, fst)
@@ -98,8 +98,10 @@ class TestDistributedInit:
         # Borůvka must stall out cleanly (no chosen edges) in both paths.
         rng = np.random.default_rng(5)
         g = random_weighted_graph(40, 30, rng, connected=False)
-        ref = _init_run(DynamicMST.build, g, 4, 5, fast=False, init="distributed")
-        fst = _init_run(DynamicMST.build, g, 4, 5, fast=True, init="distributed")
+        ref = _init_run(DynamicMST.build, g, 4, 5, backend="reference",
+                        init="distributed")
+        fst = _init_run(DynamicMST.build, g, 4, 5, backend="inproc-columnar",
+                        init="distributed")
         _assert_equivalent(ref, fst)
 
 
@@ -113,8 +115,8 @@ class TestMPCInit:
         n = int(rng.integers(16, 60))
         m = int(rng.integers(n, 2 * n))
         g = random_weighted_graph(n, m, rng, connected=False)
-        ref = _init_run(MPCDynamicMST.build, g, k, seed, fast=False)
-        fst = _init_run(MPCDynamicMST.build, g, k, seed, fast=True)
+        ref = _init_run(MPCDynamicMST.build, g, k, seed, backend="reference")
+        fst = _init_run(MPCDynamicMST.build, g, k, seed, backend="inproc-columnar")
         _assert_equivalent(ref, fst)
 
 

@@ -1,12 +1,10 @@
 """Engine parity on the smoke scenarios, pinned to their ledger digests.
 
 Both engines run smoke-small, smoke-medium and smoke-init through
-:func:`repro.trace.scenarios.run_traced` under ``REPRO_STRICT=1``.  The
-suite's conftest opens the ``UPDATE_MIN_ROWS`` gate, so the columnar
-engine really applies its structural batches here (at these sizes the
-default gate would route them to the scalar loops).  Each engine must
-charge the pinned ledger, end on the same MSF weight and record no
-strict violation.  The pins are the digests ``repro trace`` prints for
+:func:`repro.trace.scenarios.run_traced` under ``REPRO_STRICT=1``; the
+columnar engine applies every structural batch at these sizes too.  Each
+engine must charge the pinned ledger, end on the same MSF weight and
+record no strict violation.  The pins are the digests ``repro trace`` prints for
 these scenarios.
 """
 

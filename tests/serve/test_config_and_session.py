@@ -26,7 +26,9 @@ class TestServeConfig:
         assert cfg.backend == "reference"
         assert cfg.resolved_backend() == "reference"
         # an explicit backend wins over the environment
-        assert ServeConfig.from_env(backend="scalar").backend == "scalar"
+        assert ServeConfig.from_env(backend="inproc-columnar").backend == (
+            "inproc-columnar"
+        )
 
     def test_from_env_rejects_an_unknown_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -35,15 +37,13 @@ class TestServeConfig:
 
     def test_resolved_backend_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_FAST", raising=False)
         assert ServeConfig().resolved_backend() == "inproc-columnar"
-        monkeypatch.setenv("REPRO_FAST", "0")
+        assert ServeConfig().hello_payload()["backend"] == "inproc-columnar"
+        assert ServeConfig(backend="reference").resolved_backend() == "reference"
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert ServeConfig().resolved_backend() == "reference"
-        # aliases are reported under their canonical name
-        assert ServeConfig(backend="scalar").resolved_backend() == "reference"
-        assert ServeConfig(backend="columnar").hello_payload()["backend"] == (
-            "inproc-columnar"
-        )
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ServeConfig(backend="scalar").resolved_backend()
 
     def test_initial_graph_is_deterministic(self):
         cfg = small_config()

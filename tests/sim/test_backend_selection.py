@@ -1,27 +1,36 @@
 """Backend selection: registry, precedence, and the environment layer.
 
-The selection seam has an exact precedence order — explicit ``backend=``
-argument, then ``REPRO_BACKEND``, then ``REPRO_FAST`` — and the engine
-that runs must always be the engine that is reported.
+A backend name is the only engine selector — an explicit ``backend=``
+argument, then ``REPRO_BACKEND`` — and each accepts exactly
+``reference`` or ``inproc-columnar``.  The engine that runs must always
+be the engine that is named and reported.
 """
+
+import inspect
+import io
+import json
 
 import numpy as np
 import pytest
 
+from repro.core import DynamicMST
+from repro.graphs import churn_stream, random_weighted_graph
+from repro.mpc import MPCDynamicMST
 from repro.perf import config
 from repro.sim.executor import (
-    BACKEND_ALIASES,
+    COLUMNAR,
+    REFERENCE,
     backend_from_env,
     backend_names,
     get_backend,
     resolve_backend,
 )
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture(autouse=True)
 def _no_ambient_backend(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_FAST", raising=False)
 
 
 class TestRegistry:
@@ -29,28 +38,33 @@ class TestRegistry:
         assert backend_names() == ["reference", "inproc-columnar"]
 
     @pytest.mark.parametrize(
-        "alias,canonical",
+        "name,canonical",
         [
             ("reference", "reference"),
-            ("scalar", "reference"),
-            ("SCALAR", "reference"),
             ("inproc-columnar", "inproc-columnar"),
-            ("columnar", "inproc-columnar"),
         ],
     )
-    def test_aliases(self, alias, canonical):
-        assert get_backend(alias).name == canonical
+    def test_aliases(self, name, canonical):
+        # A backend's canonical name is its only spelling.
+        assert get_backend(name).name == canonical
+
+    @pytest.mark.parametrize("name", ["scalar", "SCALAR", "columnar", "Reference"])
+    def test_former_aliases_are_rejected(self, name):
+        with pytest.raises(ValueError) as exc:
+            get_backend(name)
+        assert "reference, inproc-columnar" in str(exc.value)
 
     def test_instances_are_cached(self):
-        assert get_backend("scalar") is get_backend("reference")
+        assert get_backend("reference") is REFERENCE
+        assert get_backend("inproc-columnar") is COLUMNAR
 
     def test_unknown_backend_message_names_the_menu(self):
         with pytest.raises(ValueError) as exc:
             get_backend("gpu")
-        msg = str(exc.value)
-        assert "unknown execution backend 'gpu'" in msg
-        for alias in BACKEND_ALIASES:
-            assert alias in msg
+        assert str(exc.value) == (
+            "unknown execution backend 'gpu' "
+            "(known backends: reference, inproc-columnar)"
+        )
 
     def test_parallel_is_no_longer_a_backend(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -66,11 +80,11 @@ class TestRegistry:
 
 class TestPrecedence:
     def test_explicit_backend_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+        monkeypatch.setenv("REPRO_BACKEND", "inproc-columnar")
         assert resolve_backend(backend="reference").name == "reference"
 
     def test_env_is_the_last_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert resolve_backend().name == "reference"
 
     def test_nothing_pinned_defers_to_ambient(self):
@@ -78,44 +92,58 @@ class TestPrecedence:
 
     def test_env_default_backend_follows_fast_path(self, monkeypatch):
         assert backend_from_env().name == "inproc-columnar"
-        monkeypatch.setenv("REPRO_FAST", "0")
+        assert config.fast_path_enabled() is True
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert backend_from_env().name == "reference"
         assert config.fast_path_enabled() is False
 
     def test_build_pins_the_instance(self):
-        from repro.core import DynamicMST
-        from repro.graphs import random_weighted_graph
-
         g = random_weighted_graph(16, 30, np.random.default_rng(0))
-        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
-                              backend="columnar")
-        assert dm.fast is True
-        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
-                              fast=True, backend="scalar")
-        assert dm.fast is False
+        for backend, fast in (("inproc-columnar", True), ("reference", False),
+                              (None, None)):
+            dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
+                                  backend=backend)
+            assert dm.fast is fast
+
+    @pytest.mark.parametrize("facade", [DynamicMST, MPCDynamicMST])
+    def test_build_takes_a_backend_name_only(self, facade):
+        params = inspect.signature(facade.build).parameters
+        assert "backend" in params and "trace" in params
+        assert "fast" not in params
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
 
 class TestEnvironmentLayer:
-    """``REPRO_BACKEND`` outranks ``REPRO_FAST``, and the engine the fast
-    path runs is the engine :func:`backend_from_env` reports."""
-
-    @pytest.mark.parametrize(
-        "backend,fast,expected",
-        [
-            ("inproc-columnar", "0", "inproc-columnar"),
-            ("reference", "1", "reference"),
-        ],
-    )
-    def test_repro_backend_beats_repro_fast(self, monkeypatch, backend,
-                                            fast, expected):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
-        monkeypatch.setenv("REPRO_FAST", fast)
-        reported = backend_from_env()
-        assert reported.name == expected
-        assert config.fast_path_enabled() is reported.fast
-
     def test_override_outranks_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "reference")
-        with config.override_fast_path(get_backend("columnar").fast):
+        with config.override_fast_path(get_backend("inproc-columnar").fast):
             assert config.fast_path_enabled() is True
         assert config.fast_path_enabled() is False
+
+
+def _structural_engines(backend):
+    """Engines of every structural batch in a small traced run, and its digest."""
+    buf = io.StringIO()
+    rec = TraceRecorder(buf)
+    g = random_weighted_graph(40, 100, rng=0)
+    dm = DynamicMST.build(g, 4, rng=0, init="free", trace=rec, backend=backend)
+    for batch in churn_stream(g.copy(), 8, 4, rng=1):
+        dm.apply_batch(batch)
+    dm.detach_trace()
+    rec.close()
+    events = [json.loads(line) for line in buf.getvalue().splitlines()]
+    engines = [e["engine"] for e in events
+               if e["type"] == "engine" and e["feature"] == "structural_batch"]
+    return engines, dm.net.ledger.digest()
+
+
+def test_the_named_engine_runs_at_any_size():
+    # n=40, k=4, batches of 8: far below any packing crossover, and the
+    # columnar engine still applies every structural batch it is named for.
+    col_engines, col_digest = _structural_engines("inproc-columnar")
+    ref_engines, ref_digest = _structural_engines("reference")
+    assert col_engines and set(col_engines) == {"columnar"}
+    assert ref_engines and set(ref_engines) == {"scalar"}
+    assert len(col_engines) == len(ref_engines)
+    assert col_digest == ref_digest
+    assert col_digest.startswith("38bc40de10c7")
