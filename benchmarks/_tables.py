@@ -2,14 +2,17 @@
 
 Every bench computes the series a paper claim predicts, prints it, and
 persists it under benchmarks/results/ so EXPERIMENTS.md can cite the
-numbers.  pytest-benchmark handles the wall-clock side; these tables are
-the round-complexity side (the paper's own metric).
+numbers.  Most tables count rounds, messages and words (the paper's own
+metric) and regenerate byte-identically; four time the host instead
+(``fast_path_speedup``, ``theorem_5_8_init_fast``, ``throughput`` and
+``vectorized_labels``).  Wall clock as a performance claim belongs to
+``bench/``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

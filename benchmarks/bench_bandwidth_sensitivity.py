@@ -26,7 +26,7 @@ def _mean_rounds(words_per_round, n=300, k=12, seed=0):
     return float(np.mean(costs))
 
 
-def test_bandwidth_table(benchmark):
+def test_bandwidth_table():
     rows = []
     base = None
     for w in (1, 2, 4, 8, 32, 128):
@@ -44,4 +44,3 @@ def test_bandwidth_table(benchmark):
     assert by[8] < by[1] / 3          # bandwidth helps
     assert by[128] >= by[32] * 0.5    # ...until the R term floors it
     assert by[128] > 5                # supersteps never go below R
-    benchmark(_mean_rounds, 4, 100, 8)

@@ -10,7 +10,7 @@ from repro.euler import BracketComponents, EulerForest
 from repro.graphs import Edge
 
 
-def test_figure_1_euler_tour(benchmark):
+def test_figure_1_euler_tour():
     """Figure 1: an Euler tour over an MST rooted at r, edge labels."""
     edges = [
         Edge(0, 1, 0.1), Edge(0, 2, 0.2), Edge(1, 3, 0.3),
@@ -30,10 +30,9 @@ def test_figure_1_euler_tour(benchmark):
         rows,
     )
     assert [r[1] for r in rows] == sorted(r[1] for r in rows)
-    benchmark(EulerForest.build, range(6), edges)
 
 
-def test_figures_2_3_decomposition(benchmark):
+def test_figures_2_3_decomposition():
     """Figures 2-3: M -> M' -> M'' with sets A and B.
 
     The instance: an MST path with a branching vertex, three new edges;
@@ -91,10 +90,9 @@ def test_figures_2_3_decomposition(benchmark):
     )
     assert b_vertices == [2]  # the branching (shaded) vertex
     assert len(paths) <= len(anchors)
-    benchmark(build_paths, anchors, {tid: sorted(entries)})
 
 
-def test_figure_4_brackets(benchmark):
+def test_figure_4_brackets():
     """Figure 4: deleted-edge label pairs as brackets -> components."""
     bc = BracketComponents([(2, 11), (4, 7), (13, 16)], size=18)
     rows = []
@@ -111,4 +109,3 @@ def test_figure_4_brackets(benchmark):
         rows,
     )
     assert bc.n_components == 4
-    benchmark(BracketComponents, [(2, 11), (4, 7), (13, 16)], 18)

@@ -15,7 +15,7 @@ def _rounds(strategy, k, B):
     return net.ledger.rounds
 
 
-def test_rerouting_round_table(benchmark):
+def test_rerouting_round_table():
     k = 16
     rows = []
     for B in (16, 32, 64, 128, 256):
@@ -31,4 +31,3 @@ def test_rerouting_round_table(benchmark):
     for B, bok, sched, naive in rows:
         assert sched <= 3 * bok + 4
         assert naive == B
-    benchmark(_rounds, scheduled_broadcasts, 16, 128)

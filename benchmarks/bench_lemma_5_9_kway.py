@@ -26,7 +26,7 @@ def _cut_batch_rounds(n, k, b, seed=0):
     return net.ledger.rounds - before
 
 
-def test_kway_merge_round_table(benchmark):
+def test_kway_merge_round_table():
     rows = []
     for k, b in ((16, 1), (16, 4), (16, 16), (4, 4), (8, 8), (32, 32), (64, 64)):
         rows.append((k, b, _cut_batch_rounds(256, k, b)))
@@ -38,4 +38,3 @@ def test_kway_merge_round_table(benchmark):
     )
     at_bk = {r[0]: r[2] for r in rows if r[0] == r[1]}
     assert at_bk[64] <= 2 * at_bk[4] + 10  # flat at b = k
-    benchmark(_cut_batch_rounds, 128, 8, 8)

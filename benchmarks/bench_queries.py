@@ -35,7 +35,7 @@ def _costs(n=400, k=16, seed=0):
     return out
 
 
-def test_query_cost_table(benchmark):
+def test_query_cost_table():
     rows = []
     for k in (8, 32):
         costs = _costs(k=k)
@@ -51,4 +51,3 @@ def test_query_cost_table(benchmark):
     # O(1) single queries; 64 batched cost << 64 singles.
     assert by[(32, "connectivity(1)")] <= by[(8, "connectivity(1)")] + 4
     assert by[(32, "connectivity(64 batched)")] <= 20 * by[(32, "connectivity(1)")]
-    benchmark(_costs, 200, 8)

@@ -27,7 +27,7 @@ def _phase_profile(kind, n=400, k=16, seed=0, n_batches=4):
     return phases
 
 
-def test_round_breakdown_table(benchmark):
+def test_round_breakdown_table():
     rows = []
     for kind in ("add", "del"):
         phases = _phase_profile(kind)
@@ -47,4 +47,3 @@ def test_round_breakdown_table(benchmark):
     # The structural update (Lemma 5.9) must not dominate asymptotically
     # differently from the rest — all phases are O(1) at b = k.
     assert all(r[2] < 400 for r in rows)
-    benchmark(_phase_profile, "add", 100, 8, 0, 1)

@@ -20,7 +20,7 @@ def _peak(graph, k, seed=0, batches=4):
     return dm.peak_space_words(), bound
 
 
-def test_space_table(benchmark):
+def test_space_table():
     rng = np.random.default_rng(0)
     cases = [
         ("uniform", random_weighted_graph(200, 1000, rng), 8),
@@ -40,4 +40,3 @@ def test_space_table(benchmark):
         rows,
     )
     assert all(r[6] <= 40 for r in rows)  # constant-factor overhead
-    benchmark(_peak, random_weighted_graph(100, 400, 1), 8)

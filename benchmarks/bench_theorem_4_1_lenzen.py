@@ -30,7 +30,7 @@ def _sort_rounds(k, seed=0):
     return net.ledger.rounds
 
 
-def test_lenzen_round_table(benchmark):
+def test_lenzen_round_table():
     ks = [4, 8, 16, 32, 64, 128]
     rows = [(k, _route_rounds(k), _sort_rounds(k)) for k in ks]
     emit_table(
@@ -42,4 +42,3 @@ def test_lenzen_round_table(benchmark):
     # O(1) claim: 32x more machines, bounded round growth.
     assert rows[-1][1] <= 2 * rows[1][1] + 8
     assert rows[-1][2] <= 2 * rows[1][2] + 8
-    benchmark(_sort_rounds, 32)

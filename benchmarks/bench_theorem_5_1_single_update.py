@@ -22,7 +22,7 @@ def _mean_single_rounds(n, k, seed=0, updates=16):
     return float(np.mean(costs))
 
 
-def test_single_update_round_table(benchmark):
+def test_single_update_round_table():
     rows = []
     for n, k in ((64, 8), (256, 8), (1024, 8), (256, 4), (256, 16), (256, 32)):
         rows.append((n, k, round(_mean_single_rounds(n, k), 1)))
@@ -34,4 +34,3 @@ def test_single_update_round_table(benchmark):
     )
     by_n = {r[0]: r[2] for r in rows if r[1] == 8}
     assert by_n[1024] <= 1.6 * by_n[64]
-    benchmark(_mean_single_rounds, 128, 8, 0, 4)

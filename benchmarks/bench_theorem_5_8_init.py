@@ -38,7 +38,7 @@ def _fast_vs_reference_init(n, k, seed=0):
     return wall[0], wall[1], digests[0]
 
 
-def test_init_round_table(benchmark):
+def test_init_round_table():
     rows = []
     for n, k in ((128, 8), (256, 8), (512, 8), (1024, 8), (512, 4), (512, 16), (512, 32)):
         r = _init_rounds(n, k)
@@ -52,7 +52,6 @@ def test_init_round_table(benchmark):
     # Linear in n at fixed k; inverse in k at fixed n.
     per_unit = [r[4] for r in rows]
     assert max(per_unit) <= 3 * min(per_unit)
-    benchmark(_init_rounds, 128, 8)
 
 
 def test_init_fast_path_table():

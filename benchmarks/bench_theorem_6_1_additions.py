@@ -23,7 +23,7 @@ def _mean_add_batch_rounds(n, k, b, seed=0, n_batches=4):
     return float(np.mean(costs))
 
 
-def test_addition_round_table(benchmark):
+def test_addition_round_table():
     k = 16
     rows_b = [
         (k, b, round(_mean_add_batch_rounds(400, k, b), 1))
@@ -44,4 +44,3 @@ def test_addition_round_table(benchmark):
     assert max(flat_k) <= 1.5 * min(flat_k)
     by_b = {r[1]: r[2] for r in rows_b}
     assert by_b[64] / by_b[16] >= 1.8  # linear regime beyond b = k
-    benchmark(_mean_add_batch_rounds, 200, 8, 8, 0, 2)

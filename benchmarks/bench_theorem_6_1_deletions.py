@@ -23,7 +23,7 @@ def _mean_del_batch_rounds(n, k, b, engine, seed=0, n_batches=4):
     return float(np.mean(costs))
 
 
-def test_deletion_round_table(benchmark):
+def test_deletion_round_table():
     rows = []
     for k in (4, 8, 16, 32):
         row = [k]
@@ -39,4 +39,3 @@ def test_deletion_round_table(benchmark):
     )
     sg = {r[0]: r[3] for r in rows}
     assert sg[32] <= 1.6 * sg[8]
-    benchmark(_mean_del_batch_rounds, 200, 8, 8, "sample_gather", 0, 2)

@@ -11,7 +11,7 @@ from repro.graphs import random_weighted_graph
 from repro.lowerbound import run_lower_bound_experiment
 
 
-def test_lower_bound_table(benchmark):
+def test_lower_bound_table():
     rng = np.random.default_rng(0)
     g = random_weighted_graph(150, 4000, rng)
     rows = []
@@ -31,7 +31,3 @@ def test_lower_bound_table(benchmark):
     )
     assert rows[-1][3] > rows[0][3]          # bigger δ, more rounds
     assert all(r[4] >= r[2] for r in rows)   # ingress ≥ Ω(b) words
-    benchmark(
-        run_lower_bound_experiment,
-        random_weighted_graph(60, 600, 1), 4, 0.5, 0, 2,
-    )

@@ -30,7 +30,7 @@ def _mpc_batch_rounds(n, k, b, seed=0, n_batches=4):
     return float(np.mean(costs))
 
 
-def test_mpc_round_table(benchmark):
+def test_mpc_round_table():
     init_rows = [(n, 8, _mpc_init_rounds(n, 8)) for n in (128, 256, 512, 1024)]
     emit_table(
         "theorem_8_1_mpc_init",
@@ -51,4 +51,3 @@ def test_mpc_round_table(benchmark):
     assert init_rows[-1][2] <= 3 * init_rows[0][2]
     # near-flat batches up to S (S ~ 4m/k = 600 here).
     assert batch_rows[-1][3] <= 3 * batch_rows[0][3]
-    benchmark(_mpc_init_rounds, 128, 8)

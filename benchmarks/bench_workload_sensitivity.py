@@ -41,7 +41,7 @@ WORKLOADS = {
 }
 
 
-def test_workload_sensitivity_table(benchmark):
+def test_workload_sensitivity_table():
     rows = []
     for name in sorted(WORKLOADS):
         mean_rounds, mean_size = _mean_rounds(WORKLOADS[name])
@@ -55,4 +55,3 @@ def test_workload_sensitivity_table(benchmark):
     )
     per_update = [r[3] for r in rows]
     assert max(per_update) <= 8 * min(per_update)
-    benchmark(_mean_rounds, WORKLOADS["hotspot"], 100, 8)

@@ -1,10 +1,11 @@
 """The title question, live: how fast can you update your MST?
 
 An update stream arrives at a fixed rate (updates per communication
-round) while the cluster maintains the exact MST.  Below the Θ(k)-per-
-O(1)-rounds ceiling the backlog stays flat; above it the cluster falls
-behind linearly.  Adding machines raises the ceiling — the whole point
-of the k-machine result.
+round) and the streaming ingestor feeds it to the cluster, at most k
+updates per cut.  Below the Θ(k)-per-O(1)-rounds ceiling the queue
+drains soon after the last arrival; above it the cluster falls behind
+linearly.  Adding machines raises the ceiling — the whole point of the
+k-machine result.
 
 Run:  python examples/keeping_up.py
 """
@@ -12,26 +13,28 @@ Run:  python examples/keeping_up.py
 import numpy as np
 
 from repro.core import DynamicMST
-from repro.core.stream_driver import OnlineChurn, StreamDriver
-from repro.graphs import random_weighted_graph
+from repro.graphs import random_weighted_graph, uniform_arrival_stream
 
 
-def run(k, rate, total_rounds=8000, seed=0):
+def run(k, rate, n_ticks=8000, seed=0):
     rng = np.random.default_rng(seed)
     g = random_weighted_graph(200, 600, rng)
     dm = DynamicMST.build(g, k, rng=rng, init="free")
-    driver = StreamDriver(dm, OnlineChurn(g, rng=rng), rate=rate)
-    return driver.run(total_rounds)
+    stream = uniform_arrival_stream(g, rate, n_ticks, rng=rng)
+    return stream, dm.ingest(stream, coalesce=False)
 
 
-print(f"{'k':>3} {'rate':>6} {'applied':>8} {'final backlog':>13} {'verdict':>10}")
+print(f"{'k':>3} {'rate':>6} {'arrivals':>8} {'drain lag':>9} {'verdict':>14}")
 for k in (8, 32):
     for rate in (0.05, 0.1, 0.2):
-        tr = run(k, rate)
-        verdict = "FALLING BEHIND" if tr.diverged() else "keeps up"
-        print(f"{k:>3} {rate:>6} {tr.applied:>8} {tr.final_backlog:>13} {verdict:>14}")
+        stream, report = run(k, rate)
+        # Ticks (rounds) from the last arrival until the queue is empty.
+        lag = report.elapsed_ticks - stream.horizon
+        verdict = "FALLING BEHIND" if lag > stream.horizon / 10 else "keeps up"
+        print(f"{k:>3} {rate:>6} {report.admitted:>8} {lag:>9} {verdict:>14}")
 
-print("\nat k=8 the cluster saturates between 0.05 and 0.1 updates/round;")
-print("k=32 absorbs 4x the stream — throughput scales with the cluster,")
-print("exactly the O(k)-updates-per-O(1)-rounds claim (and Theorem 7.1")
-print("says no algorithm can push the ceiling to k^(1+eps)).")
+print("\nevery cut ships at most k updates, so k=8 falls behind once the stream")
+print("outpaces Theta(k) updates per O(1) rounds (already at 0.05 updates/round);")
+print("k=32 still keeps up at 0.1, a rate that sinks k=8 — the ceiling rises")
+print("with the cluster, the O(k)-updates-per-O(1)-rounds claim (and Theorem")
+print("7.1 says no algorithm can push it to k^(1+eps)).")

@@ -1,6 +1,6 @@
 """One-shot artifact: regenerate every table and write a report.
 
-Runs the full benchmark harness (pytest-benchmark) and stitches
+Runs every bench under benchmarks/ and stitches
 benchmarks/results/*.txt into REPRODUCTION_REPORT.md — the single file a
 reviewer reads next to EXPERIMENTS.md.
 
@@ -52,7 +52,7 @@ def main() -> int:
         print("running the benchmark harness (this regenerates every table)...")
         t0 = time.time()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only", "-q"],
+            [sys.executable, "-m", "pytest", "benchmarks/", "-q"],
             cwd=ROOT,
         )
         if proc.returncode != 0:

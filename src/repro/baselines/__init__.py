@@ -16,11 +16,9 @@
 from repro.baselines.sequential import SequentialDynamicMST
 from repro.baselines.recompute import RecomputeBaseline
 from repro.baselines.one_at_a_time import OneAtATimeBaseline
-from repro.baselines.approximate import ApproximateDynamicMST
 
 __all__ = [
     "SequentialDynamicMST",
     "RecomputeBaseline",
     "OneAtATimeBaseline",
-    "ApproximateDynamicMST",
 ]

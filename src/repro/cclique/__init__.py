@@ -30,7 +30,6 @@ from repro.cclique.engines import (
 )
 from repro.cclique.sketches import AGMSketch, SketchConnectivity
 from repro.cclique.model import CongestedClique
-from repro.cclique.dynamic_connectivity import SketchDynamicConnectivity
 
 __all__ = [
     "CCEdge",
@@ -42,5 +41,4 @@ __all__ = [
     "AGMSketch",
     "SketchConnectivity",
     "CongestedClique",
-    "SketchDynamicConnectivity",
 ]

@@ -426,6 +426,8 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.executor import backend_names
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Batch-dynamic exact MST for cluster computing "
@@ -445,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--engine", default="sample_gather",
                       choices=["boruvka", "lotker", "sample_gather"])
     demo.add_argument("--backend", default=None, metavar="NAME",
+                      choices=backend_names(),
                       help="execution backend: reference or inproc-columnar "
                            "(default: ambient REPRO_BACKEND)")
     demo.set_defaults(fn=_cmd_demo)
@@ -473,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
     trace.add_argument("--backend", default=None, metavar="NAME",
+                       choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")
     trace.add_argument("--perturb-batch", type=int, default=None,
                        help="charge one extra round before this batch index "
@@ -529,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
     chaos.add_argument("--backend", default=None, metavar="NAME",
+                       choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")
     chaos.add_argument("-o", "--out", default=None,
                        help="record the run (incl. fault/recovery events) "
@@ -553,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--engine", default="sample_gather",
                        choices=["boruvka", "lotker", "sample_gather"])
     watch.add_argument("--backend", default=None, metavar="NAME",
+                       choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")
     watch.add_argument("--envelope", type=int, default=None,
                        help="rounds allowed per ceil(batch/capacity) unit "
@@ -592,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--init", choices=["distributed", "free"],
                         default="free")
         sp.add_argument("--backend", default=None, metavar="NAME",
+                        choices=backend_names(),
                         help="execution backend: reference or inproc-columnar "
                              "(default: REPRO_BACKEND)")
         sp.add_argument("--no-coalesce", action="store_true",

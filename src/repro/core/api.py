@@ -494,21 +494,9 @@ class DynamicMST:
     def check(self) -> None:
         """Raise ProtocolError if the distributed state is inconsistent.
 
-        Centralized instrumentation (free); for the in-model O(1)-round
-        self-check see :meth:`audit`.
+        Centralized instrumentation (free).
         """
         check_global_consistency(self.states, self.shadow, self.vp)
-
-    def audit(self) -> bool:
-        """Distributed fingerprint self-audit (O(#tours/k + 1) rounds).
-
-        Returns True if every tour's labels pass the Schwartz–Zippel
-        walk check; see :mod:`repro.core.audit`.
-        """
-        from repro.core.audit import distributed_audit
-
-        ok, _bad = distributed_audit(self.net, self.vp, self.states, rng=self.rng)
-        return ok
 
     def _prune_tours(self) -> None:
         """Drop per-machine tour-size entries no longer referenced."""

@@ -56,6 +56,8 @@ class ServeConfig:
             raise ValueError("queue bounds must be positive")
         if self.rate_limit < 0 or self.rate_burst <= 0:
             raise ValueError("rate limit must be >= 0 and burst positive")
+        if self.backend is not None:
+            get_backend(self.backend)  # an unknown name raises ValueError
 
     @classmethod
     def from_env(cls, **overrides: object) -> "ServeConfig":

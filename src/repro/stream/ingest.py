@@ -3,8 +3,8 @@
 :class:`StreamIngestor` replays an :class:`~repro.graphs.streams.ArrivalStream`
 against a live :class:`~repro.core.api.DynamicMST` (or its MPC subclass)
 under the cut rule of :mod:`repro.stream.policy`.  Time is modelled in
-*ticks*, one tick per communication round — the convention of
-:mod:`repro.core.stream_driver`:
+*ticks*, one tick per communication round; this loop is the project's
+one clock for streamed updates:
 
 * arrivals whose tick has come are admitted into the buffer (raw FIFO or
   coalescing, see :mod:`repro.stream.coalescer`);

@@ -34,6 +34,5 @@ def test_expected_example_set():
         "social_stream.py",
         "lower_bound_demo.py",
         "model_comparison.py",
-        "steiner_backbone.py",
         "checkpoint_replay.py",
     } <= set(EXAMPLES)

@@ -25,6 +25,6 @@ def test_reference_covers_key_apis():
     for needle in (
         "repro.core.api", "DynamicMST", "apply_batch",
         "repro.euler.labels", "repro.comm.lenzen", "lenzen_sort",
-        "repro.steiner.dynamic", "repro.lowerbound.adversary",
+        "repro.stream.ingest", "repro.lowerbound.adversary",
     ):
         assert needle in generated, needle

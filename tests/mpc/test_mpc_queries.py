@@ -34,13 +34,3 @@ class TestMPCEngines:
             if batch:
                 dm.apply_batch(batch)
                 dm.check()
-
-    def test_steiner_over_mpc(self, rng):
-        from repro.steiner import DynamicSteinerTree
-
-        g = random_weighted_graph(25, 60, rng)
-        dm = MPCDynamicMST.build(g, 4, rng=rng, init="free")
-        st = DynamicSteinerTree(dm, [0, 5, 10])
-        assert st.weight() >= 0
-        st.update_terminals(add=[15])
-        st.dm.check()

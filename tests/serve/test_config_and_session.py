@@ -35,6 +35,12 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="unknown execution backend"):
             ServeConfig.from_env()
 
+    def test_unknown_backend_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ServeConfig(backend="scalar")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ServeConfig.from_env(backend="scalar")
+
     def test_resolved_backend_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert ServeConfig().resolved_backend() == "inproc-columnar"

@@ -69,3 +69,21 @@ def test_stream_no_coalesce_ships_everything(capsys):
 def test_stream_rejects_unknown_shape(capsys):
     assert main(["stream", "nope"]) == 2
     assert "unknown stream shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo"],
+    ["trace", "smoke-small"],
+    ["chaos", "smoke-small"],
+    ["watch", "smoke-small"],
+    ["serve"],
+    ["loadgen"],
+], ids=lambda argv: argv[0])
+def test_backend_rejects_an_unknown_name_up_front(argv, capsys):
+    """An unknown engine is a usage error (exit 2), not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--backend", "scalar"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'scalar'" in capsys.readouterr().err
+    args = build_parser().parse_args(argv + ["--backend", "reference"])
+    assert args.backend == "reference"
