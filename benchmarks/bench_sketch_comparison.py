@@ -23,7 +23,8 @@ def test_sketch_vs_euler_state_table():
         dm = DynamicMST.build(g, 8, rng=rng, init="free")
         # Euler per-vertex state: MST incidences + one witness per vertex.
         euler_words = sum(
-            WORDS_ET_EDGE * (len(st.mst) + len(st.witness)) for st in dm.states
+            WORDS_ET_EDGE * (st.mst_count() + len(st.witness_items()))
+            for st in dm.states
         ) / n
         sc = SketchConnectivity(g, rng=rng)
         sc.components()

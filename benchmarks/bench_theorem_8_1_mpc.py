@@ -11,11 +11,15 @@ from repro.graphs import churn_stream, random_weighted_graph
 from repro.mpc import MPCDynamicMST
 
 
-def _mpc_init_rounds(n, k, seed=0):
+def _mpc_init_costs(n, k, seed=0):
+    """Rounds, messages and words of the measured init (the whole ledger
+    of a fresh build)."""
     rng = np.random.default_rng(seed)
     g = random_weighted_graph(n, 3 * n, rng)
     dm = MPCDynamicMST.build(g, k, rng=rng)
-    return dm.init_rounds
+    ledger = dm.net.ledger
+    assert ledger.rounds == dm.init_rounds
+    return dm.init_rounds, ledger.messages, ledger.words
 
 
 def _mpc_batch_rounds(n, k, b, seed=0, n_batches=4):
@@ -31,11 +35,13 @@ def _mpc_batch_rounds(n, k, b, seed=0, n_batches=4):
 
 
 def test_mpc_round_table():
-    init_rows = [(n, 8, _mpc_init_rounds(n, 8)) for n in (128, 256, 512, 1024)]
+    # Messages and words ride along so that a wider message on the init
+    # wire (not only an extra superstep) moves this table.
+    init_rows = [(n, 8, *_mpc_init_costs(n, 8)) for n in (128, 256, 512, 1024)]
     emit_table(
         "theorem_8_1_mpc_init",
         "Theorem 8.1 — MPC initialisation rounds (claim: O(log n), not O(n/S))",
-        ["n", "k", "init_rounds"],
+        ["n", "k", "init_rounds", "init_messages", "init_words"],
         init_rows,
     )
     batch_rows = [

@@ -3,8 +3,12 @@
 The round counts are the reproduction; this tracks how fast the
 simulator itself processes updates, against the single-machine
 sequential oracle — the price of simulating k machines faithfully —
-and how much the columnar fast path (:mod:`repro.perf`) buys over the
-scalar reference engine at identical ledgers.
+and how much the columnar engine (:mod:`repro.perf`) buys over the
+scalar reference engine at identical ledgers.  The columnar engine keeps
+every machine's Euler state resident in fleet-stacked columns and runs
+each Lemma 5.9 step once over all machines, so its per-batch host work
+follows the batch; the reference engine loops over each machine's
+affected edges and witnesses in Python, per step.
 """
 
 import statistics
@@ -90,11 +94,12 @@ def _fast_vs_reference(n, k, batch, n_batches, seed=0):
 def test_fast_path_speedup_table():
     """Columnar fast path vs scalar reference at byte-identical ledgers.
 
-    The speedup scales with *steps per structural script* (batch size),
-    not with n: both engines are linear in n, but the fast path pays a
-    fixed pack/scatter cost per script that amortises over its steps.
-    The large row is the headline: batch 64 must be >= 3x, in the
-    median of ``REPEATS`` runs per engine.
+    The speedup grows with *steps per structural script* (batch size)
+    and with k: a reference step walks every machine's affected rows in
+    Python, a columnar step is one masked pass over the fleet's columns
+    plus per-machine work on the few rows the step names.  The large row
+    is the headline: batch 64 must be >= 3x, in the median of
+    ``REPEATS`` runs per engine.
     """
     scenarios = (
         ("small", 300, 8, 8, 4),

@@ -39,6 +39,8 @@ ORDER = [
     ("Workload sensitivity", "workload_sensitivity"),
     ("Sketch comparison", "sketch_comparison"),
     ("Vectorized kernels", "vectorized_labels"),
+    ("Engine speedup (columnar vs reference)", "fast_path_speedup"),
+    ("Engine speedup — Theorem 5.8 init", "theorem_5_8_init_fast"),
     ("Throughput", "throughput"),
     ("Keeping up (title question)", "keeping_up"),
     ("Figure 1", "figure_1_euler_tour"),

@@ -45,18 +45,18 @@ from repro.sim.message import WORDS_COMPONENT_EDGE, Message
 from repro.sim.network import Network
 
 
-def _cc_local_msf(edges: Sequence[CCEdge]) -> List[CCEdge]:
+def _cc_local_msf(edges: Sequence[CCEdge], net: Network) -> List[CCEdge]:
     """Machine-local cycle deletion over super-vertices (no communication).
 
     Pure local computation (no wire), so the columnar kernel
     (:func:`repro.perf.cclique_columnar.cc_local_msf_columnar`) is used
-    above the vectorize/loop crossover when the fast path is on; it
-    returns the identical edge list in the identical order.
+    above the vectorize/loop crossover when ``net`` runs the fast path;
+    it returns the identical edge list in the identical order.
     """
-    if fast_path_enabled() and len(edges) >= _perf_config.VECTOR_MIN_ROWS:
+    if fast_path_enabled(net) and len(edges) >= _perf_config.VECTOR_MIN_ROWS:
         from repro.perf.cclique_columnar import cc_local_msf_columnar
 
-        return cc_local_msf_columnar(edges)
+        return cc_local_msf_columnar(edges, net)
     dsu = DisjointSet()
     out: List[CCEdge] = []
     for e in sorted(edges):
@@ -90,7 +90,7 @@ def boruvka_engine(
     crossover; both engines are wire-identical, so the gate never changes
     a ledger).
     """
-    if fast_path_enabled() and (
+    if fast_path_enabled(net) and (
         sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
     ):
         from repro.perf.cclique_columnar import boruvka_engine_columnar
@@ -164,7 +164,7 @@ def lotker_engine(
     k = net.k
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
-    current: List[List[CCEdge]] = [_cc_local_msf(edges) for edges in local_edges]
+    current: List[List[CCEdge]] = [_cc_local_msf(edges, net) for edges in local_edges]
     stride = 1
     with net.ledger.phase("cc.lotker"):
         while stride < k:
@@ -181,7 +181,7 @@ def lotker_engine(
                 partner = m + stride
                 if partner < k:
                     received = [p[1] for _src, p in inboxes.get(m, [])]
-                    current[m] = _cc_local_msf(current[m] + received)
+                    current[m] = _cc_local_msf(current[m] + received, net)
                     current[partner] = []
             stride *= 2
     return _broadcast_result(net, 0, current[0])
@@ -203,7 +203,7 @@ def sample_gather_engine(
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
     rng = as_rng(rng)
-    current: List[List[CCEdge]] = [_cc_local_msf(edges) for edges in local_edges]
+    current: List[List[CCEdge]] = [_cc_local_msf(edges, net) for edges in local_edges]
     threshold = max(gather_factor * k, n_vertices)
 
     for attempt in range(max_sparsify + 1):
@@ -234,7 +234,7 @@ def sample_gather_engine(
         inboxes = lenzen_route(net, msgs)
         for m in range(k):
             received = [p[1] for _src, p in inboxes.get(m, [])]
-            new_local[m] = _cc_local_msf(new_local[m] + received)
+            new_local[m] = _cc_local_msf(new_local[m] + received, net)
         current = new_local
 
     # Sparse case (JN base case): gather everything at a random leader and
@@ -249,7 +249,7 @@ def sample_gather_engine(
     ]
     inboxes = lenzen_route(net, msgs)
     received = [p[1] for _src, p in inboxes.get(leader, [])]
-    msf = _cc_local_msf(current[leader] + received)
+    msf = _cc_local_msf(current[leader] + received, net)
     return _broadcast_result(net, leader, msf)
 
 

@@ -101,7 +101,7 @@ def lenzen_route(
     msgs.sort(key=lambda m: (m.src, m.dst, repr(m.payload)))
     colours = _bipartite_edge_coloring([(m.src, m.dst) for m in msgs])
 
-    fast = fast_path_enabled()
+    fast = fast_path_enabled(net)
     phase1: List[Tuple[int, int, Any, int]] = []
     at_intermediate: List[Tuple[int, Message]] = []  # (intermediate, original)
     for m, c in zip(msgs, colours):

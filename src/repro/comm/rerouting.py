@@ -43,7 +43,7 @@ def scheduled_broadcasts(
     if not reqs:
         return []
     k = net.k
-    fast = fast_path_enabled()
+    fast = fast_path_enabled(net)
     if announce and k > 1:
         # Step 1: every machine broadcasts its request count (1 word).
         counts: dict[int, int] = {}

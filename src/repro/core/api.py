@@ -30,8 +30,7 @@ from repro.errors import InconsistentUpdate
 from repro.graphs.generators import RngLike, as_rng
 from repro.graphs.graph import Edge, WeightedGraph, normalize
 from repro.graphs.streams import Update
-from repro.perf.config import override_fast_path
-from repro.sim.executor import get_backend
+from repro.sim.executor import backend_from_env, get_backend
 from repro.sim.metrics import TraceSink
 from repro.sim.network import FaultHook, KMachineNetwork
 from repro.sim.partition import VertexPartition, random_vertex_partition
@@ -47,6 +46,11 @@ class BatchReport:
     words: int
     mode: str  # "batch" or "one_at_a_time"
     details: Dict[str, int] = field(default_factory=dict)
+
+
+def _fast(backend: Optional[str]) -> bool:
+    """The engine flag a build pins: ``backend``, else ``REPRO_BACKEND``."""
+    return (get_backend(backend) if backend is not None else backend_from_env()).fast
 
 
 class DynamicMST:
@@ -66,10 +70,6 @@ class DynamicMST:
         self.vp = vp
         self.engine = engine
         self.rng = as_rng(rng)
-        #: Tri-state columnar-fast-path pin set from ``backend=``: True/False
-        #: force it for every operation on this instance; None defers to the
-        #: ambient default.
-        self.fast: Optional[bool] = None
         self.shadow = graph.copy()
         self.states, self._next_tour_id = make_states(graph, vp, net)
         self.init_rounds = 0
@@ -96,18 +96,20 @@ class DynamicMST:
         ``init="distributed"`` runs the Theorem 5.8 protocol (O(n/k +
         log n) measured rounds); ``init="free"`` installs the structure
         from the oracle without charging the ledger (for update-focused
-        benchmarks).  ``backend`` names the engine for every operation on
-        this instance, init included: ``reference`` or
+        benchmarks).  ``backend`` names the engine: ``reference`` or
         ``inproc-columnar`` (see :mod:`repro.sim.executor`); both charge
-        byte-identical ledgers.  With ``None`` the instance follows the
-        ambient default (``REPRO_BACKEND``) at each operation.  ``trace``
+        byte-identical ledgers.  With ``None``, ``REPRO_BACKEND`` is
+        resolved once, here.  The engine is fixed at build: it picks the
+        machines' storage (dicts or resident fleet columns, see
+        :mod:`repro.core.state`) and runs init and every later operation,
+        so an instance never switches engine mid-run.  ``trace``
         attaches a recorder *before* initialisation, so a measured init's
         charges are part of the trace (charge indices must be contiguous
         from 0 — a recorder attached after a distributed init would start
         mid-transcript).
         """
         rng = as_rng(rng)
-        net = KMachineNetwork(k, words_per_round=words_per_round)
+        net = KMachineNetwork(k, words_per_round=words_per_round, fast=_fast(backend))
         if vp is None:
             vp = random_vertex_partition(sorted(graph.vertices()), k, rng)
         dm = cls(graph, k, vp, net, engine=engine, rng=rng)
@@ -117,34 +119,30 @@ class DynamicMST:
             run = partial(free_init, graph, vp, dm.states)
         else:
             raise ValueError(f"unknown init mode {init!r}")
-        dm._initialise(run, backend, trace)
+        dm._initialise(run, trace)
         return dm
 
     def _initialise(
         self,
         run: Callable[[int], Tuple[object, int]],
-        backend: Optional[str],
         trace: Optional[TraceSink],
     ) -> None:
-        """Pin ``backend``, attach ``trace``, then run the init step ``run``.
+        """Attach ``trace``, then run the init step ``run``.
 
         ``run`` takes the tour-id counter and returns ``(msf, counter)``;
-        it runs under the pinned engine, and the rounds it charges become
-        :attr:`init_rounds`.  Every facade's ``build`` ends here.
+        the rounds it charges become :attr:`init_rounds`.  Every facade's
+        ``build`` ends here.
         """
-        self.fast = get_backend(backend).fast if backend is not None else None
         if trace is not None:
             self.attach_trace(trace)
         before = self.net.ledger.snapshot()
-        with self._engine_context():
-            _msf, self._next_tour_id = run(self._next_tour_id)
+        _msf, self._next_tour_id = run(self._next_tour_id)
         self.init_rounds = self.net.ledger.since(before).rounds
 
-    def _engine_context(self):
-        """The engine scope for one operation on this instance: the
-        tri-state ``fast`` pin, with ``None`` deferring to the ambient
-        default at call time."""
-        return override_fast_path(self.fast)
+    @property
+    def fast(self) -> bool:
+        """Does this instance run the columnar engine?  Fixed at build."""
+        return self.net.fast
 
     # ------------------------------------------------------------------
     # observability (repro.trace)
@@ -240,10 +238,6 @@ class DynamicMST:
 
     def apply_batch(self, batch: Sequence[Update]) -> BatchReport:
         """Apply a mixed batch: deletions first (§6.2), then additions (§6.1)."""
-        with self._engine_context():
-            return self._apply_batch(batch)
-
-    def _apply_batch(self, batch: Sequence[Update]) -> BatchReport:
         adds, dels = self._validate_batch(batch)
         recorder = self.net.ledger.recorder
         if recorder is not None:
@@ -282,25 +276,22 @@ class DynamicMST:
 
     def apply_one_at_a_time(self, batch: Sequence[Update]) -> BatchReport:
         """Baseline: process a batch as individual §5.4 updates."""
-        with self._engine_context():
-            return self._apply_one_at_a_time(batch)
-
-    def _apply_one_at_a_time(self, batch: Sequence[Update]) -> BatchReport:
         adds, dels = self._validate_batch(batch)
         recorder = self.net.ledger.recorder
         if recorder is not None:
             recorder.emit("batch_start", size=len(batch), mode="one_at_a_time")
         before = self.net.ledger.snapshot()
-        for (u, v) in dels:
-            self._next_tour_id, _ = single_delete(
-                self.net, self.vp, self.states, u, v, self._next_tour_id
-            )
-            self.shadow.remove_edge(u, v)
-        for (u, v, w) in adds:
-            self._next_tour_id, _ = single_add(
-                self.net, self.vp, self.states, u, v, w, self._next_tour_id
-            )
-            self.shadow.add_edge(u, v, w)
+        with self.net.ledger.phase("one_at_a_time"):
+            for (u, v) in dels:
+                self._next_tour_id, _ = single_delete(
+                    self.net, self.vp, self.states, u, v, self._next_tour_id
+                )
+                self.shadow.remove_edge(u, v)
+            for (u, v, w) in adds:
+                self._next_tour_id, _ = single_add(
+                    self.net, self.vp, self.states, u, v, w, self._next_tour_id
+                )
+                self.shadow.add_edge(u, v, w)
         delta = self.net.ledger.since(before)
         report = BatchReport(
             size=len(batch), rounds=delta.rounds, messages=delta.messages,
@@ -374,7 +365,7 @@ class DynamicMST:
         st = self.states[home]
         st.vertices.add(x)
         st.track(x)
-        st.tour_of[x] = self._next_tour_id
+        st.set_tour_id(x, self._next_tour_id)
         st.tour_size[self._next_tour_id] = 0
         self._next_tour_id += 1
 
@@ -392,9 +383,7 @@ class DynamicMST:
         st = self.states[home]
         st.vertices.discard(x)
         for s2 in self.states:
-            s2.tracked.discard(x)
-            s2.witness.pop(x, None)
-            s2.tour_of.pop(x, None)
+            s2.untrack(x)
         self.vp.remove_vertex(x)
         self._prune_tours()
         return report
@@ -405,18 +394,35 @@ class DynamicMST:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def forest(self) -> Tuple[Dict[Tuple[int, int], float], Dict[int, int]]:
+        """Forest edges ``{(u, v): weight}`` and every vertex's component
+        label (the minimum vertex id of its tree), read host-side.
+
+        A vertex's tour id names its tree, so the labels come from the
+        hosting machines' tour ids — no union-find over the edges.
+        """
+        if self.fast:
+            return self.states[0].fleet.forest()  # type: ignore[attr-defined]
+        edges: Dict[Tuple[int, int], float] = {}
+        for st in self.states:
+            for ete in st.iter_mst():
+                edges[(ete.u, ete.v)] = ete.weight
+        first: Dict[Optional[int], int] = {}
+        tours: Dict[int, Optional[int]] = {}
+        for x in sorted(self.shadow.vertices()):
+            tid = self.states[self.vp.home(x)].tour_id(x)
+            tours[x] = tid
+            first.setdefault(tid, x)
+        return edges, {x: first[tid] for x, tid in tours.items()}
+
     def msf_edges(self) -> Set[Edge]:
         """The current minimum spanning forest (union of machine views)."""
-        out: Dict[Tuple[int, int], Edge] = {}
-        for st in self.states:
-            for (u, v), ete in st.mst.items():
-                out[(u, v)] = ete.as_edge()
-        return set(out.values())
+        return {Edge(u, v, w) for (u, v), w in self.forest()[0].items()}
 
     def in_mst(self, u: int, v: int) -> bool:
         """Would be answered by either hosting machine locally."""
         key = normalize(u, v)
-        return key in self.states[self.vp.home(key[0])].mst
+        return self.states[self.vp.home(key[0])].mst_edge(key) is not None
 
     def total_weight(self) -> float:
         return sum(e.weight for e in self.msf_edges())
@@ -501,8 +507,6 @@ class DynamicMST:
     def _prune_tours(self) -> None:
         """Drop per-machine tour-size entries no longer referenced."""
         for st in self.states:
-            live = {t for t in st.tour_of.values() if t is not None}
-            live.update(e.tour for e in st.mst.values())
-            live.update(w.tour for w in st.witness.values() if w is not None)
+            live = st.live_tours()
             st.tour_size = {t: s for t, s in st.tour_size.items() if t in live}
             st.refresh_gauges()

@@ -36,7 +36,7 @@ from repro.core.decomposition import (
     solve_contracted,
 )
 from repro.core.scripts import run_structural_batch, _repair_witnesses
-from repro.core.state import MachineState
+from repro.core.state import MachineStateBase
 from repro.errors import InconsistentUpdate
 from repro.graphs.graph import normalize
 from repro.perf.config import fast_path_enabled
@@ -49,7 +49,7 @@ from repro.sim.partition import VertexPartition
 def batch_add(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     adds: Sequence[Tuple[int, int, float]],
     next_tour_id: int,
 ) -> Tuple[int, Dict[str, int]]:
@@ -75,7 +75,7 @@ def batch_add(
     reqs = []
     for x in a_vertices:
         st = states[vp.home(x)]
-        tid = st.tour_of[x]
+        tid = st.tour_id(x)
         size = st.tour_size.get(tid, 0)
         interval = st.parent_interval(x)
         if interval is None:
@@ -99,7 +99,7 @@ def batch_add(
     # Fast path: the incident-M′ degree of every vertex of a tour falls
     # out of one batched membership pass (repro.perf.steiner) instead of
     # per-vertex bisect loops; the counted edge sets are identical.
-    use_fast = fast_path_enabled()
+    use_fast = fast_path_enabled(net)
     eligible = {
         tid: entries
         for tid, entries in a_entries_by_tour.items()
@@ -107,16 +107,23 @@ def batch_add(
     }
     b_reqs = []
     for st in states:
-        deg_map = steiner_degrees(st, eligible) if use_fast else None
-        for x in sorted(st.vertices):
-            if x in a_anchors:
+        if use_fast:
+            # Only a vertex with at least 3 incident M′ edges can qualify,
+            # so the degree map names every candidate.
+            deg_map = steiner_degrees(st, eligible)
+            owned = sorted(
+                x for x, deg in deg_map.items()
+                if deg >= 3 and x in st.vertices and x not in a_anchors
+            )
+        else:
+            owned = [x for x in sorted(st.vertices) if x not in a_anchors]
+        for x in owned:
+            tid = st.tour_id(x)
+            entries = eligible.get(tid)
+            if entries is None:
                 continue
-            tid = st.tour_of.get(x)
-            entries = a_entries_by_tour.get(tid)
-            if not entries or len(entries) < 2:
-                continue
-            if deg_map is not None:
-                deg = deg_map.get(x, 0)
+            if use_fast:
+                deg = deg_map[x]
             else:
                 deg = sum(
                     1
@@ -160,7 +167,7 @@ def batch_add(
             ]
         else:
             members = []
-            for ete in st.mst.values():
+            for ete in st.iter_mst():
                 tour_paths = paths_by_tour.get(ete.tour)
                 if not tour_paths:
                     continue

@@ -30,11 +30,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cclique.ccedge import CCEdge
-from repro.cclique.engines import cc_msf
+from repro.cclique.engines import _cc_local_msf, cc_msf
 from repro.comm.lenzen import lenzen_route, lenzen_sort
 from repro.comm.rerouting import scheduled_broadcasts
 from repro.core.scripts import run_structural_batch
-from repro.core.state import MachineState
+from repro.core.state import MachineStateBase
 from repro.errors import InconsistentUpdate, ProtocolError
 from repro.euler.brackets import BracketComponents
 from repro.euler.tour import ETEdge
@@ -54,7 +54,7 @@ from repro.sim.partition import VertexPartition
 def batch_delete(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     dels: Sequence[Tuple[int, int]],
     next_tour_id: int,
     engine: str = "sample_gather",
@@ -72,7 +72,7 @@ def batch_delete(
         st = states[src]
         if not st.hosts_edge(u, v):
             raise InconsistentUpdate(f"edge ({u},{v}) not present")
-        ete = st.mst.get((u, v))
+        ete = st.mst_edge((u, v))
         snap = ete.snapshot() if ete is not None else None
         size = st.tour_size[ete.tour] if ete is not None else 0
         reqs.append((src, ("del", u, v, snap, size), WORDS_ET_EDGE + 1))
@@ -109,50 +109,22 @@ def batch_delete(
         total += brackets[tid].n_components
     summary["components"] = total
 
-    def comp_of(st: MachineState, x: int) -> Optional[int]:
-        tid = st.tour_of.get(x)
+    def comp_of(st: MachineStateBase, x: int) -> Optional[int]:
+        tid = st.tour_id(x)
         if tid not in brackets:
             return None
-        w = st.witness.get(x)
+        w = st.witness_edge(x)
         if w is None:
             raise ProtocolError(
                 f"machine {st.mid}: no witness for {x} in split tour"
             )
         return comp_base[tid] + brackets[tid].component_of_vertex(w, x)
 
-    # Fast path: batch the bracket search over every queried vertex of a
-    # machine (repro.perf.components); undecidable rows fall back to the
-    # scalar comp_of, so values and error behaviour match the reference.
-    use_fast = fast_path_enabled()
-    if use_fast:
-        from repro.perf.components import (
-            SCALAR_FALLBACK,
-            machine_component_map,
-            tour_interval_arrays,
-        )
-
-        interval_arrays = tour_interval_arrays(brackets)
-
-    # Steps 2–3: label candidate edges, machine-local cycle deletion.
-    local: List[List[Tuple[Tuple[int, int], Tuple, Tuple]]] = []
-    n_candidates = 0
-    for st in states:
-        cmap = (
-            machine_component_map(st, brackets, comp_base, interval_arrays)
-            if use_fast
-            else None
-        )
+    def scan(st: MachineStateBase) -> List[CCEdge]:
+        """Label every graph edge of ``st``, in key order; keep the crossers."""
         cands: List[CCEdge] = []
         for (x, y), w in sorted(st.graph_edges.items()):
-            if cmap is None:
-                cx, cy = comp_of(st, x), comp_of(st, y)
-            else:
-                cx = cmap[x]
-                if cx is SCALAR_FALLBACK:
-                    cx = comp_of(st, x)
-                cy = cmap[y]
-                if cy is SCALAR_FALLBACK:
-                    cy = comp_of(st, y)
+            cx, cy = comp_of(st, x), comp_of(st, y)
             if cx is None and cy is None:
                 continue
             if cx is None or cy is None:
@@ -161,10 +133,23 @@ def batch_delete(
                 )
             if cx != cy:
                 cands.append(CCEdge.make(cx, cy, (w, x, y), data=(x, y, w)))
-        # Local cycle deletion (≤ #components - 1 survivors).
-        from repro.cclique.engines import _cc_local_msf
+        return cands
 
-        kept = _cc_local_msf(cands)
+    # Steps 2–3: label candidate edges, machine-local cycle deletion.  On
+    # the fast path the candidates come from array passes over the
+    # resident columns (repro.perf.components), with the same values in
+    # the same order and the same errors.
+    if fast_path_enabled(net):
+        from repro.perf.components import deletion_candidates
+
+        per_machine = deletion_candidates(states, brackets, comp_base, comp_of, scan)
+    else:
+        per_machine = [scan(st) for st in states]
+    local: List[List[Tuple[Tuple[int, int], Tuple, Tuple]]] = []
+    n_candidates = 0
+    for cands in per_machine:
+        # Local cycle deletion (≤ #components - 1 survivors).
+        kept = _cc_local_msf(cands, net)
         n_candidates += len(kept)
         local.append([((c.cu, c.cv), c.key, c.data) for c in kept])
     summary["candidates"] = n_candidates

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.state import MachineState
+from repro.core.state import MachineStateBase
 from repro.errors import ProtocolError
 from repro.euler.tour import ETEdge, check_valid_tour
 from repro.graphs.graph import WeightedGraph, normalize
@@ -20,7 +20,7 @@ from repro.sim.partition import VertexPartition
 
 
 def check_global_consistency(
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     graph: WeightedGraph,
     vp: VertexPartition,
 ) -> None:
@@ -45,7 +45,8 @@ def check_global_consistency(
     # 2. MST copies agree across machines and form the unique MSF.
     copies: Dict[Tuple[int, int], List[ETEdge]] = {}
     for st in states:
-        for key, ete in st.mst.items():
+        for ete in st.iter_mst():
+            key = (ete.u, ete.v)
             if key not in st.graph_edges:
                 raise ProtocolError(f"machine {st.mid}: MST edge {key} not a graph edge")
             copies.setdefault(key, []).append(ete)
@@ -53,7 +54,7 @@ def check_global_consistency(
         snaps = {e.snapshot() for e in etes}
         if len(snaps) != 1:
             raise ProtocolError(f"MST copies diverge for {key}: {snaps}")
-        machines_holding = {st.mid for st in states if key in st.mst}
+        machines_holding = {st.mid for st in states if st.mst_edge(key) is not None}
         if machines_holding != set(vp.edge_machines(*key)):
             raise ProtocolError(f"MST edge {key} missing on an endpoint machine")
     forest = [etes[0] for etes in copies.values()]
@@ -91,7 +92,7 @@ def check_global_consistency(
             tour_truth[x] = e.tour
     for st in states:
         for x in st.tracked:
-            tid = st.tour_of.get(x)
+            tid = st.tour_id(x)
             if x in tour_truth:
                 if tid != tour_truth[x]:
                     raise ProtocolError(
@@ -111,7 +112,7 @@ def check_global_consistency(
     true_edges = {(e.u, e.v): e for e in forest}
     for st in states:
         for x in st.tracked:
-            w = st.witness.get(x)
+            w = st.witness_edge(x)
             if w is None:
                 if x in tour_truth:
                     raise ProtocolError(

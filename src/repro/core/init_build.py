@@ -11,6 +11,9 @@ Two modes:
   and install them without charging the ledger.  Benches that study
   *update* cost use this so initialisation does not pollute their
   ledgers; correctness tests use both and compare.
+
+Both install through the state seam (:mod:`repro.core.state`), so they
+fill either storage; the network's engine picks it (:func:`make_states`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.comm.aggregate import batched_queries
 from repro.core.scripts import run_structural_batch
-from repro.core.state import MachineState
+from repro.core.state import MachineState, MachineStateBase
 from repro.euler.tour import ETEdge, EulerForest
 from repro.graphs.dsu import DisjointSet
 from repro.graphs.graph import Edge, WeightedGraph
@@ -34,22 +37,30 @@ def make_states(
     graph: WeightedGraph,
     vp: VertexPartition,
     net: Network,
-) -> Tuple[List[MachineState], int]:
+) -> Tuple[List[MachineStateBase], int]:
     """Install the partitioned graph on the machines (no communication:
     the model hands each machine its vertices' edges at time zero).
 
     Every vertex starts as its own singleton tour with tour id = vertex
-    id; the replicated fresh-tour counter starts just above.
+    id; the replicated fresh-tour counter starts just above.  The edges
+    and tracked vertices go in first and each machine's gauges are
+    sampled once at the end: usage only grows during the install, so the
+    peak is what per-edge upkeep would have sampled.  On a fast-path
+    network the states are columnar.
     """
-    states = [
+    if fast_path_enabled(net):
+        from repro.perf.columnar import make_columnar_states
+
+        return make_columnar_states(graph, vp, net)  # type: ignore[return-value]
+    states: List[MachineStateBase] = [
         MachineState(m, vp.vertices_of[m], machine=net.machines[m]) for m in range(net.k)
     ]
     for e in graph.edges():
         for m in vp.edge_machines(e.u, e.v):
-            states[m].store_graph_edge(e.u, e.v, e.weight)
+            states[m].store_graph_edge(e.u, e.v, e.weight, refresh=False)
     for st in states:
         for x in st.tracked:
-            st.tour_of[x] = x
+            st.set_tour_id(x, x)
             st.tour_size[x] = 0
         st.refresh_gauges()
     next_tour_id = max(graph.vertices(), default=-1) + 1
@@ -59,12 +70,12 @@ def make_states(
 def distributed_init(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     vertices: Sequence[int],
     next_tour_id: int,
 ) -> Tuple[Set[Edge], int]:
     """Borůvka + batched Euler construction; returns (MSF edges, counter)."""
-    if fast_path_enabled():
+    if fast_path_enabled(net):
         from repro.perf.init_columnar import distributed_init_columnar
 
         return distributed_init_columnar(
@@ -124,7 +135,7 @@ def distributed_init(
 def free_init(
     graph: WeightedGraph,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     next_tour_id: int,
 ) -> Tuple[Set[Edge], int]:
     """Oracle bootstrap: install MSF labels centrally, charging nothing."""
@@ -146,28 +157,27 @@ def free_init(
                 best_incident[x] = e
 
     for st in states:
-        for (u, v), w in st.graph_edges.items():
-            ete = ef.edges.get((u, v))
-            if ete is not None:
-                st.add_mst_edge(
-                    ETEdge(ete.u, ete.v, ete.weight, ete.t_uv, ete.t_vu, remap[ete.tour])
-                )
+        st.add_mst_edges([
+            ETEdge(ete.u, ete.v, ete.weight, ete.t_uv, ete.t_vu, remap[ete.tour])
+            for ete in (ef.edges.get(key) for key in st.graph_edges)
+            if ete is not None
+        ])
         st.tour_size = {}
+        tours: Dict[int, int] = {}
         for x in st.tracked:
-            tid = remap[ef.tour_of[x]]
-            st.tour_of[x] = tid
-            st.tour_size[tid] = ef.tour_size[ef.tour_of[x]]
+            tid = remap[ef.tour_id(x)]
+            tours[x] = tid
+            st.tour_size[tid] = ef.tour_size[ef.tour_id(x)]
+        # The min-key incident oracle edge is x's witness on every machine:
+        # on x's home it is the local pick (a home machine holds all of x's
+        # MST edges); elsewhere the home would have broadcast it during a
+        # real init.
+        witnesses: Dict[int, Optional[Tuple]] = {}
         for x in st.tracked:
-            if x in st.vertices:
-                st.witness[x] = st.pick_witness(x)
-            else:
-                # Any incident MST edge this machine happens to hold; if
-                # none, copy from the oracle (the home machine would have
-                # broadcast it during a real init).
-                e = best_incident.get(x)
-                if e is not None:
-                    st.witness[x] = ETEdge(e.u, e.v, e.weight, e.t_uv, e.t_vu, remap[e.tour])
-                else:
-                    st.witness[x] = None
+            e = best_incident.get(x)
+            witnesses[x] = (
+                (e.u, e.v, e.weight, e.t_uv, e.t_vu, remap[e.tour]) if e is not None else None
+            )
+        st.set_tours_and_witnesses(tours, witnesses)
         st.refresh_gauges()
     return set(msf), offset + (max(ef.tour_size, default=-1) + 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.aggregate import batched_queries, global_max, global_sum
-from repro.core.state import MachineState
+from repro.core.state import MachineStateBase
 from repro.errors import ProtocolError
 from repro.graphs.graph import normalize
 from repro.sim.message import WORDS_EDGE, WORDS_ID, Message
@@ -32,7 +32,7 @@ from repro.sim.partition import VertexPartition
 def connectivity_query(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     u: int,
     v: int,
 ) -> bool:
@@ -43,7 +43,7 @@ def connectivity_query(
 def batch_connectivity(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     pairs: Sequence[Tuple[int, int]],
 ) -> Dict[Tuple[int, int], bool]:
     """Resolve q connectivity queries in O(q/k + 1) rounds.
@@ -59,7 +59,7 @@ def batch_connectivity(
         vals: List[Optional[Tuple[int, int]]] = [None] * net.k
         for x in (u, v):
             home = vp.home(x)
-            tid = states[home].tour_of.get(x)
+            tid = states[home].tour_id(x)
             if tid is None:
                 raise ProtocolError(f"machine {home}: unknown tour for {x}")
             prev = vals[home]
@@ -82,7 +82,7 @@ def batch_connectivity(
 def path_max_query(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     u: int,
     v: int,
 ) -> Optional[Tuple[float, int, int]]:
@@ -97,7 +97,7 @@ def path_max_query(
     if u == v:
         return None
     hu, hv = vp.home(u), vp.home(v)
-    tu, tv = states[hu].tour_of.get(u), states[hv].tour_of.get(v)
+    tu, tv = states[hu].tour_id(u), states[hv].tour_id(v)
     if tu != tv or tu is None:
         # Tour ids are exchanged in one superstep.
         net.superstep([Message(hu, hv, ("tid", tu), WORDS_ID)] if hu != hv else [])
@@ -119,8 +119,8 @@ def path_max_query(
     locals_: List[Optional[Tuple]] = []
     for st in states:
         best = None
-        for ete in st.mst.values():
-            if ete.tour == tu and on_path(ete.labels()):
+        for ete in st.edges_in_tour(tu):
+            if on_path(ete.labels()):
                 cand = (ete.key, ete.u, ete.v)
                 if best is None or cand > best:
                     best = cand
@@ -133,21 +133,21 @@ def path_max_query(
 
 
 def forest_weight_query(
-    net: Network, vp: VertexPartition, states: Sequence[MachineState]
+    net: Network, vp: VertexPartition, states: Sequence[MachineStateBase]
 ) -> float:
     """Total MSF weight: one converge-cast of machine-local sums."""
     sums = []
     for st in states:
         s = 0.0
-        for (a, b), ete in st.mst.items():
-            if vp.home(a) == st.mid:  # count each edge exactly once
+        for ete in st.iter_mst():
+            if vp.home(ete.u) == st.mid:  # count each edge exactly once
                 s += ete.weight
         sums.append(s)
     return float(global_sum(net, sums, words=2))
 
 
 def component_count_query(
-    net: Network, vp: VertexPartition, states: Sequence[MachineState]
+    net: Network, vp: VertexPartition, states: Sequence[MachineStateBase]
 ) -> int:
     """Number of trees: n minus the globally summed MST edge count."""
     counts = []
@@ -155,7 +155,7 @@ def component_count_query(
     for st in states:
         n_vertices += len(st.vertices)
         counts.append(
-            sum(1 for (a, b) in st.mst if vp.home(a) == st.mid)
+            sum(1 for ete in st.iter_mst() if vp.home(ete.u) == st.mid)
         )
     total_edges = global_sum(net, counts, words=1)
     return n_vertices - int(total_edges or 0)
@@ -164,7 +164,7 @@ def component_count_query(
 def subtree_size_query(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     x: int,
     root_tour: bool = False,
 ) -> int:
@@ -179,7 +179,7 @@ def subtree_size_query(
     st = states[home]
     interval = st.parent_interval(x)
     if interval is None:
-        tid = st.tour_of.get(x)
+        tid = st.tour_id(x)
         size = st.tour_size.get(tid, 0)
         s = size // 2 + 1
     else:
@@ -192,7 +192,7 @@ def subtree_size_query(
 def lca_query(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     u: int,
     v: int,
 ) -> Optional[int]:
@@ -212,7 +212,7 @@ def lca_query(
         return u
     u2, v2 = normalize(u, v)
     hu, hv = vp.home(u2), vp.home(v2)
-    tu, tv = states[hu].tour_of.get(u2), states[hv].tour_of.get(v2)
+    tu, tv = states[hu].tour_id(u2), states[hv].tour_id(v2)
     if tu is None or tu != tv:
         return None
     iu = states[hu].parent_interval(u2)
@@ -228,9 +228,7 @@ def lca_query(
     locals_: List[Optional[Tuple[int, int]]] = []
     for st in states:
         best: Optional[Tuple[int, int]] = None
-        for ete in st.mst.values():
-            if ete.tour != tu:
-                continue
+        for ete in st.edges_in_tour(tu):
             e_in, e_out = ete.labels()
             if e_in <= lo and hi <= e_out:
                 width = e_out - e_in
@@ -247,8 +245,8 @@ def lca_query(
     roots: List[Optional[int]] = []
     for st in states:
         r = None
-        for ete in st.mst.values():
-            if ete.tour == tu and ete.e_min == 0:
+        for ete in st.edges_in_tour(tu):
+            if ete.e_min == 0:
                 r = ete.tail_at(0)
         roots.append(r)
     return global_min(net, roots, words=WORDS_ID)

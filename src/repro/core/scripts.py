@@ -15,7 +15,12 @@ ordered set of MST edge links (both cycle-free).  The protocol:
    ("each machine can keep track of these values, and update them as
    necessary throughout the process", Lemma 5.9).
 3. Each machine applies the script to its local labels, witnesses and
-   tour bookkeeping — pure local computation.
+   tour bookkeeping — pure local computation.  This module's loops are
+   the reference engine over dict storage
+   (:class:`~repro.core.state.MachineState`); an ``inproc-columnar``
+   instance applies the same script once over its fleet columns
+   (:mod:`repro.perf.columnar`).  The parameter collection and the
+   witness repair below read the state through its seam and serve both.
 4. Endpoints of cut edges re-broadcast fresh witnesses (O(k) broadcasts →
    O(1) rounds), exactly the "additional work ... completed if edges are
    deleted" of the lemma.
@@ -37,10 +42,11 @@ from repro.euler.labels import (
     SplitSpec,
     join_m1_label,
     join_m2_label,
+    reroot_label,
     split_label,
 )
 from repro.euler.tour import ETEdge
-from repro.core.state import MachineState
+from repro.core.state import MachineState, MachineStateBase
 from repro.graphs.graph import normalize
 from repro.perf.config import fast_path_enabled
 from repro.sim.message import WORDS_ET_EDGE, WORDS_ID
@@ -306,7 +312,7 @@ def apply_link_step(state: MachineState, step: LinkStep) -> None:
 def _collect_cut_params(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     cuts: Sequence[Tuple[int, int]],
 ) -> List[_CutParam]:
     ordered = sorted(normalize(u, v) for (u, v) in cuts)
@@ -314,7 +320,7 @@ def _collect_cut_params(
     for (u, v) in ordered:
         src = vp.home(u)
         st = states[src]
-        ete = st.mst.get((u, v))
+        ete = st.mst_edge((u, v))
         if ete is None:
             raise ProtocolError(f"cut ({u},{v}) is not an MST edge on machine {src}")
         size = st.tour_size[ete.tour]
@@ -329,7 +335,7 @@ def _collect_cut_params(
 def _collect_link_params(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     links: Sequence[Tuple[int, int, float]],
 ) -> List[_LinkParam]:
     ordered = sorted((normalize(u, v) + (w,)) for (u, v, w) in links)
@@ -338,7 +344,7 @@ def _collect_link_params(
         for x in (u, v):
             src = vp.home(x)
             st = states[src]
-            tid = st.tour_of.get(x)
+            tid = st.tour_id(x)
             if tid is None:
                 raise ProtocolError(f"machine {src}: unknown tour for owned vertex {x}")
             size = st.tour_size.get(tid)
@@ -365,7 +371,7 @@ def _collect_link_params(
 def _repair_witnesses(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     vertices: Sequence[int],
 ) -> None:
     """Endpoints of cut edges re-broadcast fresh witnesses (Lemma 5.9 tail)."""
@@ -373,19 +379,19 @@ def _repair_witnesses(
     for x in sorted(set(vertices)):
         src = vp.home(x)
         st = states[src]
-        w = st.witness.get(x)
-        if w is None:
+        snap = st.witness_snapshot(x)
+        if snap is None:
             w = st.pick_witness(x)
-            st.witness[x] = w
-        tid = st.tour_of.get(x)
-        snap = w.snapshot() if w is not None else None
+            snap = w.snapshot() if w is not None else None
+            st.set_witness(x, snap)
+        tid = st.tour_id(x)
         reqs.append((src, ("repair", x, snap, tid), WORDS_ET_EDGE + 1))
     got = scheduled_broadcasts(net, reqs)
     for _src, (_tag, x, snap, tid) in got:
         for st in states:
             if x in st.tracked:
-                st.witness[x] = ETEdge.from_snapshot(list(snap)) if snap is not None else None
-                st.tour_of[x] = tid
+                st.set_witness(x, tuple(snap) if snap is not None else None)
+                st.set_tour_id(x, tid)
 
 
 def run_structural_batch(
@@ -402,15 +408,15 @@ def run_structural_batch(
     |links|) broadcasts in O(1) dependency sets → O((|cuts|+|links|)/k + 1)
     rounds, measured on ``net.ledger``.
 
-    With the fast path on, the columnar engine
-    (:func:`repro.perf.columnar.run_structural_batch_columnar`) applies
-    every non-empty batch; the per-edge loops below are the reference
-    engine.  Both send the same wire, so both charge the same ledger.
-    An empty batch reaches neither engine.
+    On a fast-path network the states are columnar and the columnar
+    engine (:func:`repro.perf.columnar.run_structural_batch_columnar`)
+    applies every non-empty batch; the per-edge loops below are the
+    reference engine.  Both send the same wire, so both charge the same
+    ledger.  An empty batch reaches neither engine.
     """
     if not cuts and not links:
         return next_tour_id
-    if fast_path_enabled():
+    if fast_path_enabled(net):
         from repro.perf.columnar import run_structural_batch_columnar
 
         return run_structural_batch_columnar(
@@ -434,3 +440,18 @@ def run_structural_batch(
             for step in script:
                 apply_link_step(st, step)
     return next_tour_id
+
+
+def reroot_machines(
+    states: Sequence[MachineState], tid: int, d: int, size: int
+) -> None:
+    """Lemma 5.5's local shift of every label of tour ``tid`` (reference)."""
+    for st in states:
+        for key in st.mst_keys_in_tour(tid):
+            ete = st.mst[key]
+            ete.t_uv = reroot_label(ete.t_uv, d, size)
+            ete.t_vu = reroot_label(ete.t_vu, d, size)
+        for w in st.witness.values():
+            if w is not None and w.tour == tid:
+                w.t_uv = reroot_label(w.t_uv, d, size)
+                w.t_vu = reroot_label(w.t_vu, d, size)

@@ -18,10 +18,9 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from repro.comm.aggregate import global_max, global_min
-from repro.core.scripts import _repair_witnesses, run_structural_batch
-from repro.core.state import MachineState
+from repro.core.scripts import _repair_witnesses, reroot_machines, run_structural_batch
+from repro.core.state import MachineStateBase
 from repro.errors import InconsistentUpdate
-from repro.euler.labels import reroot_label
 from repro.euler.predicates import side_of_cut
 from repro.euler.tour import ETEdge
 from repro.graphs.graph import normalize
@@ -34,38 +33,27 @@ from repro.sim.partition import VertexPartition
 def run_reroot(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     x: int,
 ) -> None:
     """Reroot x's tour to x (Lemma 5.5): one broadcast, local shifts."""
     home = states[vp.home(x)]
-    tid = home.tour_of[x]
+    tid = home.tour_id(x)
     size = home.tour_size.get(tid, 0)
     if size == 0:
         return
     d = home.outgoing_value(x)
     net.broadcast(vp.home(x), ("reroot", tid, d), WORDS_ID * 2)
-    if fast_path_enabled():
-        from repro.perf.columnar import reroot_machine_labels
-
-        for st in states:
-            reroot_machine_labels(st, tid, d, size)
+    if fast_path_enabled(net):
+        states[0].fleet.reroot(tid, d, size)  # type: ignore[attr-defined]
     else:
-        for st in states:
-            for ete in st.mst.values():
-                if ete.tour == tid:
-                    ete.t_uv = reroot_label(ete.t_uv, d, size)
-                    ete.t_vu = reroot_label(ete.t_vu, d, size)
-            for w in st.witness.values():
-                if w is not None and w.tour == tid:
-                    w.t_uv = reroot_label(w.t_uv, d, size)
-                    w.t_vu = reroot_label(w.t_vu, d, size)
+        reroot_machines(states, tid, d, size)  # type: ignore[arg-type]
 
 
 def single_add(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     u: int,
     v: int,
     w: float,
@@ -80,7 +68,7 @@ def single_add(
     for m in vp.edge_machines(u, v):
         states[m].store_graph_edge(u, v, w)
 
-    same_tour = home_u.tour_of[u] == states[vp.home(v)].tour_of[v]
+    same_tour = home_u.tour_id(u) == states[vp.home(v)].tour_id(v)
     if not same_tour:
         next_tour_id = run_structural_batch(
             net, vp, states, cuts=[], links=[(u, v, w)], next_tour_id=next_tour_id
@@ -93,15 +81,15 @@ def single_add(
     home_v = states[vp.home(v)]
     interval = home_v.parent_interval(v)
     assert interval is not None, "v is in u's tour and u is now the root"
-    tid = home_v.tour_of[v]
+    tid = home_v.tour_id(v)
     net.broadcast(vp.home(v), ("parent", tid, interval), WORDS_ID * 3)
     p_in, p_out = interval
 
     locals_: list = []
     for st in states:
         best = None
-        for ete in st.mst.values():
-            if ete.tour == tid and ete.e_min <= p_in and ete.e_max >= p_out:
+        for ete in st.edges_in_tour(tid):
+            if ete.e_min <= p_in and ete.e_max >= p_out:
                 cand = (ete.key, ete.u, ete.v)
                 if best is None or cand > best:
                     best = cand
@@ -126,7 +114,7 @@ def single_add(
 def single_delete(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     u: int,
     v: int,
     next_tour_id: int,
@@ -136,7 +124,7 @@ def single_delete(
     home_u = states[vp.home(u)]
     if not home_u.hosts_edge(u, v):
         raise InconsistentUpdate(f"edge ({u},{v}) not present")
-    ete = home_u.mst.get((u, v))
+    ete = home_u.mst_edge((u, v))
     snap = ete.snapshot() if ete is not None else None
     net.broadcast(vp.home(u), ("delete", u, v, snap), WORDS_ET_EDGE + 1)
     for m in vp.edge_machines(u, v):
@@ -151,8 +139,9 @@ def single_delete(
     locals_: list = []
     for st in states:
         best = None
+        witness = {x: st.witness_edge(x) for x in st.tracked}
         for (x, y), wt in st.graph_edges.items():
-            wx, wy = st.witness.get(x), st.witness.get(y)
+            wx, wy = witness.get(x), witness.get(y)
             if wx is None or wy is None:
                 continue
             if wx.tour != cut.tour or wy.tour != cut.tour:

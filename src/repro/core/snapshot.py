@@ -20,12 +20,11 @@ Two restore modes share the per-machine record helpers:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.core.api import DynamicMST
-from repro.core.state import MachineState
+from repro.core.state import MachineState, MachineStateBase
 from repro.errors import ReproError
-from repro.euler.tour import ETEdge
 from repro.graphs.graph import WeightedGraph
 from repro.sim.network import KMachineNetwork, MPCNetwork
 from repro.sim.partition import VertexPartition
@@ -33,44 +32,30 @@ from repro.sim.partition import VertexPartition
 FORMAT_VERSION = 1
 
 
-def machine_record(st: MachineState) -> Dict[str, Any]:
+def machine_record(st: MachineStateBase) -> Dict[str, Any]:
     """One machine's full Euler state as a JSON-compatible record."""
-    return {
-        "mid": st.mid,
-        "vertices": sorted(st.vertices),
-        "tracked": sorted(st.tracked),
-        "graph_edges": [[u, v, w] for (u, v), w in sorted(st.graph_edges.items())],
-        "mst": [list(e.snapshot()) for e in sorted(st.mst.values(), key=lambda e: (e.u, e.v))],
-        "witness": {
-            str(x): (list(w.snapshot()) if w is not None else None)
-            for x, w in sorted(st.witness.items())
-        },
-        "tour_of": {str(x): t for x, t in sorted(st.tour_of.items())},
-        "tour_size": {str(t): s for t, s in sorted(st.tour_size.items())},
-    }
+    return st.record()
 
 
-def restore_machine(mrec: Dict[str, Any], net: Any) -> MachineState:
-    """Rebuild one machine's state from a :func:`machine_record` record.
+def restore_states(records: List[Dict[str, Any]], net: Any) -> List[MachineStateBase]:
+    """Rebuild every machine's state from :func:`machine_record` records.
 
-    Re-registering the state against ``net.machines[mid]`` re-accounts
-    its space gauges from zero — which is what a restarted incarnation
-    after :meth:`~repro.sim.machine.Machine.crash_reset` needs.
+    The storage is the network's engine's (:mod:`repro.core.state`), so a
+    structure is restored into its own kind.  Re-registering the states
+    against ``net.machines`` re-accounts their space gauges from zero —
+    which is what a restarted incarnation after
+    :meth:`~repro.sim.machine.Machine.crash_reset` needs.
     """
-    st = MachineState(mrec["mid"], mrec["vertices"], machine=net.machines[mrec["mid"]])
-    for x in mrec["tracked"]:
-        st.track(x)
-    for (u, v, w) in mrec["graph_edges"]:
-        st.graph_edges[(u, v)] = w
-    for e in mrec["mst"]:
-        st.mst[(e[0], e[1])] = ETEdge.from_snapshot(e)
-    for x, w in mrec["witness"].items():
-        st.witness[int(x)] = ETEdge.from_snapshot(w) if w is not None else None
-    st.tour_of = {int(x): t for x, t in mrec["tour_of"].items()}
-    st.tour_size = {int(t): s for t, s in mrec["tour_size"].items()}
-    st.rebuild_indexes()
-    st.refresh_gauges()
-    return st
+    if net.fast:
+        from repro.perf.columnar import restore_columnar_states
+
+        return list(restore_columnar_states(records, net))
+    states: List[MachineStateBase] = []
+    for mrec in records:
+        st = MachineState(mrec["mid"], mrec["vertices"], machine=net.machines[mrec["mid"]])
+        st.load_record(mrec)
+        states.append(st)
+    return states
 
 
 def to_snapshot(dm: DynamicMST) -> Dict[str, Any]:
@@ -118,7 +103,7 @@ def from_snapshot(snap: Dict[str, Any]) -> DynamicMST:
         net = KMachineNetwork(k, words_per_round=model["words_per_round"])
         dm = DynamicMST(graph, k, vp, net, engine=snap["engine"])
     dm._next_tour_id = snap["next_tour_id"]
-    dm.states = [restore_machine(mrec, net) for mrec in snap["machines"]]
+    dm.states = restore_states(snap["machines"], net)
     return dm
 
 
@@ -145,7 +130,7 @@ def restore_into(dm: DynamicMST, snap: Dict[str, Any]) -> None:
     dm.shadow = graph
     dm.vp = VertexPartition(dm.k, {int(v): m for v, m in snap["machine_of"].items()})
     dm._next_tour_id = snap["next_tour_id"]
-    dm.states = [restore_machine(mrec, dm.net) for mrec in snap["machines"]]
+    dm.states = restore_states(snap["machines"], dm.net)
 
 
 def dump(dm: DynamicMST, path: str) -> None:

@@ -242,6 +242,10 @@ class EulerForest:
     def vertices_of_tour(self, tid: int) -> Set[int]:
         return set(self._tour_vertices.get(tid, set()))
 
+    def tour_id(self, x: int) -> int:
+        """The tour id of vertex ``x``."""
+        return self.tour_of[x]
+
     def same_tour(self, u: int, v: int) -> bool:
         return self.tour_of[u] == self.tour_of[v]
 

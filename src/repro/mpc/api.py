@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Optional
 
-from repro.core.api import DynamicMST
+from repro.core.api import DynamicMST, _fast
 from repro.core.init_build import free_init
 from repro.errors import InconsistentUpdate
 from repro.graphs.generators import RngLike, as_rng
@@ -63,7 +63,7 @@ class MPCDynamicMST(DynamicMST):
         rng = as_rng(rng)
         if space is None:
             space = max(-(-4 * max(graph.m, 1) // k), 4 * k, 16)
-        net = MPCNetwork(k, space=space, enforce_budget=False)
+        net = MPCNetwork(k, space=space, enforce_budget=False, fast=_fast(backend))
         ep = lexicographic_edge_partition(graph, k)
         vp = VertexPartition(k, dict(ep.leader))
         dm = cls(graph, k, vp, net, engine=engine, rng=rng)
@@ -76,7 +76,7 @@ class MPCDynamicMST(DynamicMST):
             run = partial(free_init, graph, vp, dm.states)
         else:
             raise ValueError(f"unknown MPC init mode {init!r}")
-        dm._initialise(run, backend, trace)
+        dm._initialise(run, trace)
         return dm
 
     @property

@@ -63,7 +63,7 @@ def mpc_init(
     batch_limit: Optional[int] = None,
 ) -> Tuple[Set[Edge], int]:
     """Star-merge Borůvka; returns (MSF edges, advanced tour counter)."""
-    if fast_path_enabled():
+    if fast_path_enabled(net):
         from repro.perf.init_columnar import mpc_init_columnar
 
         return mpc_init_columnar(

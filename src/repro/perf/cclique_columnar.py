@@ -68,11 +68,14 @@ def _edge_columns(
     return cu, cv, rank
 
 
-def cc_local_msf_columnar(edges: Sequence["CCEdge"]) -> List["CCEdge"]:
+def cc_local_msf_columnar(
+    edges: Sequence["CCEdge"], net: Optional["Network"] = None
+) -> List["CCEdge"]:
     """Vectorized :func:`repro.cclique.engines._cc_local_msf`.
 
     Same output list (same objects, same order) computed as rank-priority
-    Borůvka instead of a sorted scalar Kruskal scan.
+    Borůvka instead of a sorted scalar Kruskal scan.  ``net`` only keeps
+    the scalar function's signature: the kernel sends nothing.
     """
     n = len(edges)
     if n == 0:

@@ -1,50 +1,61 @@
-"""Columnar application of structural-update scripts (Lemma 5.9, fast).
+"""Resident columnar Euler state and the Lemma 5.9 engine over it (fast).
 
-The reference engine in :mod:`repro.core.scripts` applies a script of
-:class:`~repro.core.scripts.CutStep` / ``LinkStep`` to each machine by
-looping over every affected MST edge and every witness, calling the
-scalar label transforms of :mod:`repro.euler.labels` one edge at a time.
-That per-edge Python work dominates the simulator's wall clock (see
-``benchmarks/bench_throughput.py``).
+An ``inproc-columnar`` instance keeps every machine's Euler state in
+NumPy columns for its whole life, stacked across the fleet in one
+:class:`FleetColumns` store, and keeps no :class:`~repro.euler.tour.ETEdge`
+object beside them:
 
-This module packs one machine's label state into parallel NumPy arrays
-**once per structural batch**, applies every cut and link step with the
-vectorized kernels of :mod:`repro.euler.vectorized`, and scatters the
-result back.  The two mid-batch protocol exchanges — the witness repair
-after cuts and the link parameter collection (Lemma 5.9's step 1 for
-links) — read and write *through* the planes, so a single pack/scatter
-cycle covers both homogeneous phases.  The step-by-step structure is
-preserved exactly: classification of tracked vertices happens in the
-same (pre-relabel) coordinates, witness invalidation and re-picking
-follow the same rules with the same tie-breaks, and the wire protocol
-(request order, payloads, word counts) is byte-identical — so both the
-resulting machine state and the charge transcript match the scalar
-engine's, field for field.  The equivalence tests in ``tests/perf``
-verify both.
+* **edge rows**, one per stored MST-edge copy: machine ``emid``,
+  endpoints ``eu``/``ev`` (normalized), weight ``ew``, labels
+  ``et1``/``et2`` (the u→v and v→u traversal times), tour ``etour`` and
+  liveness ``ealive``;
+* **vertex rows**, one per (machine, tracked vertex): machine ``vmid``,
+  vertex ``vx``, ``vown`` (the machine hosts the vertex), tour ``vtour``
+  (``-1`` = unknown), and the witness copy ``wu``/``wv``/``ww``/
+  ``wt1``/``wt2``/``wtour`` with liveness ``walive`` and ``wkey`` (a
+  witness entry exists — what the space gauge counts);
+* **graph-edge rows**, the §6.2 scan table: machine, endpoints, weight
+  and the endpoints' vertex rows on that machine.
 
-Layout (per machine, per batch):
+Per-machine dicts map a key to its row (indexes, not objects), and
+:class:`ColumnarMachineState` answers the :mod:`repro.core.state` seam
+from them.  Rows are appended in place; dead edge rows are dropped by
+an occasional compaction.
 
-* **edge columns** over the machine's MST edges: endpoints ``eu``/``ev``
-  (normalized, as stored), weight ``ew``, labels ``et1``/``et2``, tour
-  ``etour``, liveness ``ealive``; link steps append rows into
-  preallocated capacity;
-* **vertex columns** over the machine's tracked vertices: vertex id
-  ``vx``, tour ``vtour`` (``-1`` = unknown), and the
-  witness copy ``wu``/``wv``/``ww``/``wt1``/``wt2``/``wtour`` with
-  liveness ``walive``.
-
-Scatter writes back only rows whose columns changed (pack keeps pristine
-copies), so machines far from the action pay almost nothing.
+A cut or link step of a Lemma 5.9 script runs once over the whole fleet:
+one masked split or join over the stacked label columns, whatever k is.
+The per-machine parts — killing the cut edge's copies, appending a
+link's copies on its hosting machines, endpoint witness re-picks and
+``tour_size`` bookkeeping — work on row indexes, so a batch costs array
+passes plus Python work proportional to the batch, not to the machines'
+state.  The classification of tracked vertices happens in the same
+(pre-relabel) coordinates, and witness invalidation and re-picking follow
+the same rules and tie-breaks as :mod:`repro.core.scripts`; the wire
+(request order, payloads, word counts) is the same code, so the ledger
+matches byte for byte.  The cross-engine suites in ``tests/perf``
+compare every machine's :meth:`~repro.core.state.MachineStateBase.record`
+under ``REPRO_STRICT=1``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.core.state import MachineStateBase, Snapshot
 from repro.errors import ProtocolError
-from repro.euler.labels import JoinSpec, SplitSpec, reroot_label
+from repro.euler.labels import JoinSpec, SplitSpec
 from repro.euler.tour import ETEdge
 from repro.euler.vectorized import (
     join_m1_labels,
@@ -53,186 +64,256 @@ from repro.euler.vectorized import (
     split_labels,
 )
 from repro.graphs.graph import normalize
+from repro.sim.machine import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports perf)
     from repro.core.scripts import CutStep, LinkStep
-    from repro.core.state import MachineState
+    from repro.graphs.graph import WeightedGraph
     from repro.sim.network import Network
     from repro.sim.partition import VertexPartition
 
+_I = np.int64
+_EDGE_COLS = (
+    ("emid", _I), ("eu", _I), ("ev", _I), ("ew", np.float64),
+    ("et1", _I), ("et2", _I), ("etour", _I), ("ealive", bool),
+)
+_VERTEX_COLS = (
+    ("vmid", _I), ("vx", _I), ("vown", bool), ("vtour", _I),
+    ("wu", _I), ("wv", _I), ("ww", np.float64), ("wt1", _I), ("wt2", _I),
+    ("wtour", _I), ("walive", bool), ("wkey", bool),
+)
+_GRAPH_COLS = (
+    ("gmid", _I), ("gu", _I), ("gv", _I), ("gw", np.float64),
+    ("gur", _I), ("gvr", _I), ("galive", bool),
+)
+#: ``vtour`` of a removed vertex's row: matches no tour and not "unknown".
+_GONE = -2
 
-class MachineLabelPlane:
-    """One machine's Euler label state, packed for one structural batch.
 
-    Only the *affected* slice is packed: rows whose tour is in
-    ``a_orig`` (the original tours any script step can touch — fresh
-    mid-batch tours are always derived from these) plus the update
-    endpoints ``eps`` (which may be isolated, i.e. tourless).  Rows of
-    unaffected tours are provably untouched by every step — the scalar
-    engine filters all its transforms by tour id — so skipping them
-    changes nothing and makes pack/scatter O(affected), not O(machine).
-    """
+class FleetColumns:
+    """Every machine's Euler state, stacked in columns (see module doc)."""
 
-    def __init__(
-        self,
-        state: "MachineState",
-        a_orig: Set[int],
-        eps: Set[int],
-        reserve: int = 0,
-    ) -> None:
-        self.state = state
-        self._a_orig = a_orig
-        self._frozen = False
-        mst = state.mst
-        keys: List[Tuple[int, int]] = []
-        for tid in sorted(a_orig):
-            keys.extend(state.mst_keys_in_tour(tid))
-        keys.sort()
-        n0 = len(keys)
-        # Link steps append at most one row each; capacity grows by
-        # doubling, so views of [:n_rows] stay cheap.
-        self._capacity = n0
-        self.keys = keys
-        self.objs: List[ETEdge] = [mst[k] for k in keys]
-        self.erow: Dict[Tuple[int, int], int] = dict(zip(self.keys, range(n0)))
-        objs = self.objs
-        # One flat int list per column: np.array on a list of Python ints
-        # is several times faster than converting a list of tuples.
-        self.eu = np.array([e.u for e in objs], dtype=np.int64)
-        self.ev = np.array([e.v for e in objs], dtype=np.int64)
-        self.et1 = np.array([e.t_uv for e in objs], dtype=np.int64)
-        self.et2 = np.array([e.t_vu for e in objs], dtype=np.int64)
-        self.etour = np.array([e.tour for e in objs], dtype=np.int64)
-        self.ew = np.array([e.weight for e in objs], dtype=np.float64)
-        self.ealive = np.ones(n0, dtype=bool)
-        self.n_rows = n0
-        self.dead: List[Tuple[int, int]] = []
-        self.appended: List[int] = []
-        # Pristine copies: scatter writes back only rows that changed.
-        self._et1_0 = self.et1.copy()
-        self._et2_0 = self.et2.copy()
-        self._etour_0 = self.etour.copy()
-
-        # tour_of's keys are exactly the tracked set (track() seeds both);
-        # insertion order is deterministic, and no result below depends on
-        # row order, so the selection order stands in for a sort.  The
-        # filter runs vectorized: tourless rows map to -1, which never
-        # matches a_orig (tour ids are >= 0), so they survive only
-        # through the endpoint test — same rule as the scalar filter.
-        tof = state.tour_of
-        ntr = len(tof)
-        xs_all = np.fromiter(tof.keys(), np.int64, ntr)
-        ts_all = np.fromiter(
-            (-1 if t is None else t for t in tof.values()), np.int64, ntr
-        )
-        mask = np.isin(ts_all, np.fromiter(a_orig, np.int64, len(a_orig)))
-        if eps:
-            mask |= np.isin(xs_all, np.fromiter(eps, np.int64, len(eps)))
-        idx = np.flatnonzero(mask)
-        nv = idx.size
-        self.vx = xs_all[idx]
-        self.vtour = ts_all[idx]
-        self.vx_list: List[int] = self.vx.tolist()
-        self.vrow: Dict[int, int] = dict(zip(self.vx_list, range(nv)))
-        witness = state.witness
-        # The init protocols can know a vertex's tour before any witness
-        # entry exists for it; a missing entry behaves like None.
-        wlist = [witness.get(x) for x in self.vx_list]
-        self.wobjs = wlist
-        # Rows whose witness *object* was swapped (repick/repair/link fill)
-        # scatter as fresh copies; surviving originals mutate in place,
-        # exactly like the scalar transforms.
-        self.wreplaced = np.zeros(nv, dtype=bool)
-        self.walive = np.array([w is not None for w in wlist], dtype=bool)
-        self.wu = np.array([0 if w is None else w.u for w in wlist], dtype=np.int64)
-        self.wv = np.array([0 if w is None else w.v for w in wlist], dtype=np.int64)
-        self.wt1 = np.array(
-            [0 if w is None else w.t_uv for w in wlist], dtype=np.int64
-        )
-        self.wt2 = np.array(
-            [0 if w is None else w.t_vu for w in wlist], dtype=np.int64
-        )
-        self.wtour = np.array(
-            [0 if w is None else w.tour for w in wlist], dtype=np.int64
-        )
-        self.ww = np.array(
-            [0.0 if w is None else w.weight for w in wlist], dtype=np.float64
-        )
-        self._vtour_0 = self.vtour.copy()
-        # Endpoints/weight of an un-replaced witness never change, so the
-        # change mask only needs liveness and the transformed columns.
-        self._w_0 = (
-            self.walive.copy(), self.wt1.copy(), self.wt2.copy(), self.wtour.copy()
-        )
-        # Superset of the tour ids appearing anywhere in this plane's
-        # columns.  A step whose tours are all absent provably moves no
-        # local row, so its masked transforms can be skipped wholesale —
-        # during initialisation most (machine, step) pairs are exactly
-        # that.  The set only ever grows (merged-away ids linger), which
-        # costs missed skips but can never skip real work.
-        tours = set(np.unique(self.etour[:n0]).tolist())
-        tours.update(np.unique(self.vtour).tolist())
-        tours.discard(-1)
-        if nv and bool(self.walive.any()):
-            tours.update(np.unique(self.wtour[self.walive]).tolist())
-        self._tours = tours
-        # Pre-size the edge columns for every row this batch can append
-        # (one per hosted link): once a fleet applier adopts the columns
-        # as views into stacked parents, reallocation would silently
-        # detach them, so growth happens up front and is then frozen.
-        if reserve:
-            self._grow(reserve)
+    def __init__(self, k: int) -> None:
+        self.k = k
+        for cols in (_EDGE_COLS, _VERTEX_COLS, _GRAPH_COLS):
+            for name, dtype in cols:
+                setattr(self, name, np.zeros(8, dtype=dtype))
+        self.ne = self.nv = self.ng = 0
+        self.erow: List[Dict[Tuple[int, int], int]] = [{} for _ in range(k)]
+        self.vrow: List[Dict[int, int]] = [{} for _ in range(k)]
+        #: Witness entries per machine (the ``witness`` gauge's count).
+        self.wkeys = [0] * k
+        self._n_dead = self._n_gdead = 0
+        # Gauge epoch: per machine (MST count, witness count) at its start,
+        # and the copies killed / appended since (see end_epoch).
+        self._epoch: List[Tuple[int, int]] = []
+        self._killed = [0] * k
+        self._added = [0] * k
 
     # ------------------------------------------------------------------
-    # edge-row helpers
+    # row storage
     # ------------------------------------------------------------------
-    def _grow(self, extra: int) -> None:
-        need = self.n_rows + extra
-        if need <= self._capacity:
+    def _reserve(self, cols, n: int, extra: int) -> None:
+        need = n + extra
+        cap = getattr(self, cols[0][0]).shape[0]
+        if need <= cap:
             return
-        if self._frozen:
-            raise ProtocolError(
-                f"machine {self.state.mid}: plane columns are fleet-adopted "
-                f"but need {need} rows (capacity {self._capacity})"
-            )
-        new_cap = max(need, 2 * self._capacity, 8)
-        for name in ("eu", "ev", "et1", "et2", "etour"):
-            old = getattr(self, name)
-            arr = np.zeros(new_cap, dtype=np.int64)
-            arr[: self.n_rows] = old[: self.n_rows]
+        new_cap = max(need, cap + cap // 4)
+        for name, dtype in cols:
+            arr = np.zeros(new_cap, dtype=dtype)
+            arr[:n] = getattr(self, name)[:n]
             setattr(self, name, arr)
-        ew = np.zeros(new_cap, dtype=np.float64)
-        ew[: self.n_rows] = self.ew[: self.n_rows]
-        self.ew = ew
-        alive = np.zeros(new_cap, dtype=bool)
-        alive[: self.n_rows] = self.ealive[: self.n_rows]
-        self.ealive = alive
-        self._capacity = new_cap
 
-    def _append_row(
-        self, u: int, v: int, weight: float, t_uv: int, t_vu: int, tour: int
+    def add_edge_row(
+        self, m: int, u: int, v: int, w: float, t1: int, t2: int, tour: int
     ) -> int:
-        self._grow(1)
-        r = self.n_rows
-        self.eu[r] = u
-        self.ev[r] = v
-        self.ew[r] = weight
-        self.et1[r] = t_uv
-        self.et2[r] = t_vu
-        self.etour[r] = tour
+        erow = self.erow[m]
+        if (u, v) in erow:
+            raise ProtocolError(f"machine {m}: MST edge {(u, v)} already present")
+        self._reserve(_EDGE_COLS, self.ne, 1)
+        r = self.ne
+        self.emid[r], self.eu[r], self.ev[r], self.ew[r] = m, u, v, w
+        self.et1[r], self.et2[r], self.etour[r] = t1, t2, tour
         self.ealive[r] = True
-        self.n_rows = r + 1
-        self.keys.append((u, v))
-        self.erow[(u, v)] = r
-        self.appended.append(r)
+        self.ne = r + 1
+        erow[(u, v)] = r
+        self._added[m] += 1
         return r
 
-    def _pick_witness_row(self, x: int) -> Optional[int]:
-        """Row of x's min-key live incident MST edge (pick_witness's rule)."""
-        n = self.n_rows
-        inc = np.flatnonzero(
-            ((self.eu[:n] == x) | (self.ev[:n] == x)) & self.ealive[:n]
+    def kill_edge_row(self, m: int, key: Tuple[int, int]) -> Optional[int]:
+        r = self.erow[m].pop(key, None)
+        if r is not None:
+            self.ealive[r] = False
+            self._n_dead += 1
+            self._killed[m] += 1
+        return r
+
+    def add_vertex_row(self, m: int, x: int, own: bool, tour: int, wkey: bool) -> int:
+        self._reserve(_VERTEX_COLS, self.nv, 1)
+        i = self.nv
+        self.vmid[i], self.vx[i], self.vown[i], self.vtour[i] = m, x, own, tour
+        self.walive[i] = False
+        self.wkey[i] = wkey
+        self.wkeys[m] += int(wkey)
+        self.nv = i + 1
+        self.vrow[m][x] = i
+        return i
+
+    def add_vertex_rows(
+        self, m: int, xs: List[int], own: np.ndarray, tours: np.ndarray,
+        wkey: np.ndarray,
+    ) -> None:
+        n = len(xs)
+        self._reserve(_VERTEX_COLS, self.nv, n)
+        a, b = self.nv, self.nv + n
+        self.vmid[a:b] = m
+        self.vx[a:b] = xs
+        self.vown[a:b] = own
+        self.vtour[a:b] = tours
+        self.walive[a:b] = False
+        self.wkey[a:b] = wkey
+        self.wkeys[m] += int(np.count_nonzero(wkey))
+        self.nv = b
+        self.vrow[m].update(zip(xs, range(a, b)))
+
+    def add_graph_rows(self, m: int, edges: Dict[Tuple[int, int], float]) -> None:
+        n = len(edges)
+        self._reserve(_GRAPH_COLS, self.ng, n)
+        a, b = self.ng, self.ng + n
+        vrow = self.vrow[m]
+        self.gmid[a:b] = m
+        self.gu[a:b] = [u for (u, _v) in edges]
+        self.gv[a:b] = [v for (_u, v) in edges]
+        self.gw[a:b] = list(edges.values())
+        self.gur[a:b] = [vrow[u] for (u, _v) in edges]
+        self.gvr[a:b] = [vrow[v] for (_u, v) in edges]
+        self.galive[a:b] = True
+        self.ng = b
+
+    def add_edge_rows(self, m: int, etes: Sequence[ETEdge]) -> None:
+        erow = self.erow[m]
+        keys = [normalize(e.u, e.v) for e in etes]
+        if len(set(keys)) != len(keys) or any(k in erow for k in keys):
+            raise ProtocolError(f"machine {m}: MST edge inserted twice")
+        n = len(etes)
+        self._reserve(_EDGE_COLS, self.ne, n)
+        a, b = self.ne, self.ne + n
+        self.emid[a:b] = m
+        self.eu[a:b] = [k[0] for k in keys]
+        self.ev[a:b] = [k[1] for k in keys]
+        self.ew[a:b] = [e.weight for e in etes]
+        self.et1[a:b] = [e.t_uv for e in etes]
+        self.et2[a:b] = [e.t_vu for e in etes]
+        self.etour[a:b] = [e.tour for e in etes]
+        self.ealive[a:b] = True
+        self.ne = b
+        erow.update(zip(keys, range(a, b)))
+        self._added[m] += n
+
+    def remove_vertex_row(self, m: int, x: int) -> None:
+        i = self.vrow[m].pop(x, None)
+        if i is None:
+            return
+        self.wkeys[m] -= int(self.wkey[i])
+        self.vmid[i], self.vtour[i] = -1, _GONE
+        self.vown[i] = self.walive[i] = self.wkey[i] = False
+
+    def add_graph_row(self, m: int, u: int, v: int, w: float) -> None:
+        self._reserve(_GRAPH_COLS, self.ng, 1)
+        g = self.ng
+        vrow = self.vrow[m]
+        self.gmid[g], self.gu[g], self.gv[g], self.gw[g] = m, u, v, w
+        self.gur[g], self.gvr[g] = vrow[u], vrow[v]
+        self.galive[g] = True
+        self.ng = g + 1
+
+    def kill_graph_row(self, m: int, key: Tuple[int, int]) -> None:
+        # Deletions are few per batch, so a masked search beats keeping a
+        # second key index beside the machine's graph-edge dict.
+        ng = self.ng
+        hit = np.flatnonzero(
+            self.galive[:ng] & (self.gmid[:ng] == m)
+            & (self.gu[:ng] == key[0]) & (self.gv[:ng] == key[1])
         )
+        self.galive[hit] = False
+        self._n_gdead += hit.shape[0]
+        if self._n_gdead > max(64, ng // 2):
+            self.ng = self._compact(_GRAPH_COLS, self.galive, ng)
+            self._n_gdead = 0
+
+    def _compact_edges(self) -> None:
+        self.ne = self._compact(_EDGE_COLS, self.ealive, self.ne)
+        for erow in self.erow:
+            erow.clear()
+        for r, m, u, v in zip(
+            range(self.ne),
+            self.emid[: self.ne].tolist(),
+            self.eu[: self.ne].tolist(),
+            self.ev[: self.ne].tolist(),
+        ):
+            self.erow[m][(u, v)] = r
+        self._n_dead = 0
+
+    def _compact(self, cols, alive: np.ndarray, n: int) -> int:
+        """Drop a table's dead rows in place, keeping row order; returns
+        the new row count."""
+        live = np.flatnonzero(alive[:n])
+        for name, _dtype in cols:
+            col = getattr(self, name)
+            col[: live.shape[0]] = col[live]
+        return int(live.shape[0])
+
+    def set_witness_row(self, i: int, snap: Optional[Sequence]) -> None:
+        """Write one witness entry (``None`` kills it; the entry stays)."""
+        if not self.wkey[i]:
+            self.wkey[i] = True
+            self.wkeys[int(self.vmid[i])] += 1
+        if snap is None:
+            self.walive[i] = False
+            return
+        u, v, w, t1, t2, tour = snap
+        self.wu[i], self.wv[i], self.ww[i] = u, v, w
+        self.wt1[i], self.wt2[i], self.wtour[i] = t1, t2, tour
+        self.walive[i] = True
+
+    def witness_of_row(self, i: int) -> Optional[Snapshot]:
+        if not self.walive[i]:
+            return None
+        return (
+            int(self.wu[i]), int(self.wv[i]), float(self.ww[i]),
+            int(self.wt1[i]), int(self.wt2[i]), int(self.wtour[i]),
+        )
+
+    def edge_of_row(self, r: int) -> ETEdge:
+        return ETEdge(
+            int(self.eu[r]), int(self.ev[r]), float(self.ew[r]),
+            int(self.et1[r]), int(self.et2[r]), int(self.etour[r]),
+        )
+
+    def _edges_of_rows(self, rows: np.ndarray) -> List[ETEdge]:
+        return [
+            ETEdge(u, v, w, t1, t2, t)
+            for u, v, w, t1, t2, t in zip(
+                self.eu[rows].tolist(), self.ev[rows].tolist(),
+                self.ew[rows].tolist(), self.et1[rows].tolist(),
+                self.et2[rows].tolist(), self.etour[rows].tolist(),
+            )
+        ]
+
+    def machine_edge_rows(self, m: int) -> np.ndarray:
+        n = self.ne
+        return np.flatnonzero(self.ealive[:n] & (self.emid[:n] == m))
+
+    def incident_rows(self, m: int, x: int) -> np.ndarray:
+        n = self.ne
+        return np.flatnonzero(
+            self.ealive[:n] & (self.emid[:n] == m)
+            & ((self.eu[:n] == x) | (self.ev[:n] == x))
+        )
+
+    def pick_witness_row(self, m: int, x: int) -> Optional[int]:
+        """Row of x's min-key live incident MST edge on machine m."""
+        inc = self.incident_rows(m, x)
         if inc.size == 0:
             return None
         if inc.size == 1:
@@ -241,80 +322,41 @@ class MachineLabelPlane:
         order = np.lexsort((self.ev[inc], self.eu[inc], self.ew[inc]))
         return int(inc[order[0]])
 
-    def _set_witness_from_row(self, i: int, r: int) -> None:
-        self.wu[i] = self.eu[r]
-        self.wv[i] = self.ev[r]
-        self.ww[i] = self.ew[r]
-        self.wt1[i] = self.et1[r]
-        self.wt2[i] = self.et2[r]
-        self.wtour[i] = self.etour[r]
-        self.walive[i] = True
-        self.wreplaced[i] = True
+    def witness_from_row(self, i: int, r: int) -> None:
+        self.set_witness_row(i, (
+            self.eu[r], self.ev[r], self.ew[r], self.et1[r], self.et2[r], self.etour[r],
+        ))
 
-    # ------------------------------------------------------------------
-    # plane accessors for the mid-batch protocol exchanges
-    # ------------------------------------------------------------------
-    def tour_id_of(self, x: int) -> Optional[int]:
-        """Current tour id of ``x`` (post-transform), ``None`` if unknown."""
-        i = self.vrow.get(x)
-        if i is None:
-            return self.state.tour_of.get(x)
-        t = int(self.vtour[i])
-        return None if t == -1 else t
-
-    def witness_snapshot(self, x: int) -> Optional[Tuple]:
-        """Wire form of x's current witness (plain Python scalars)."""
-        i = self.vrow[x]
-        if not self.walive[i]:
+    def outgoing_value(self, m: int, x: int) -> Optional[int]:
+        """Min label departing ``x`` on machine ``m``."""
+        inc = self.incident_rows(m, x)
+        if inc.size == 0:
             return None
-        return (
-            int(self.wu[i]), int(self.wv[i]), float(self.ww[i]),
-            int(self.wt1[i]), int(self.wt2[i]), int(self.wtour[i]),
-        )
+        out = np.where(self.eu[inc] == x, self.et1[inc], self.et2[inc])
+        return int(out.min())
 
-    def repick_home_witness(self, x: int) -> None:
-        """Mirror of the repair preamble: re-pick iff the witness died."""
-        i = self.vrow[x]
-        if self.walive[i]:
-            return
-        r = self._pick_witness_row(x)
-        if r is not None:
-            self._set_witness_from_row(i, r)
+    # ------------------------------------------------------------------
+    # gauge epochs: sample the space gauges where the per-edge storage did
+    # ------------------------------------------------------------------
+    def begin_epoch(self) -> None:
+        self._epoch = [(len(self.erow[m]), self.wkeys[m]) for m in range(self.k)]
+        self._killed = [0] * self.k
+        self._added = [0] * self.k
 
-    def install_witness(
-        self, x: int, snap: Optional[Sequence], tid: Optional[int]
-    ) -> None:
-        """Apply one repair broadcast (no-op unless ``x`` is tracked here)."""
-        i = self.vrow.get(x)
-        if i is None:
-            return
-        if snap is None:
-            self.walive[i] = False
-        else:
-            u, v, w, t1, t2, tour = snap
-            self.wu[i], self.wv[i], self.ww[i] = u, v, w
-            self.wt1[i], self.wt2[i], self.wtour[i] = t1, t2, tour
-            self.walive[i] = True
-            self.wreplaced[i] = True
-            self._tours.add(tour)
-        self.vtour[i] = tid if tid is not None else -1
-        if tid is not None:
-            self._tours.add(tid)
+    def end_epoch(self, states: Sequence["ColumnarMachineState"]) -> None:
+        """Refresh every machine's gauges as per-edge storage would have.
 
-    def outgoing_value(self, x: int) -> Optional[int]:
-        """Min label departing ``x`` (MachineState.outgoing_value's rule)."""
-        n = self.n_rows
-        alive = self.ealive[:n]
-        best: Optional[int] = None
-        dep1 = alive & (self.eu[:n] == x)
-        if bool(dep1.any()):
-            best = int(self.et1[:n][dep1].min())
-        dep2 = alive & (self.ev[:n] == x)
-        if bool(dep2.any()):
-            m2 = int(self.et2[:n][dep2].min())
-            if best is None or m2 < best:
-                best = m2
-        return best
+        Storage that pops each killed copy and then inserts each appended
+        one samples the machine's peak after every single change; the
+        samples that can set the peak are the first pop (or the first
+        insert), the last insert, and the final refresh, replayed here in
+        that order with the same gauge values.
+        """
+        for m, st in enumerate(states):
+            m0, w0 = self._epoch[m]
+            st.replay_gauges(m0, self._killed[m], self._added[m], w0)
+        if self._n_dead > max(64, self.ne // 2):
+            self._compact_edges()
 
     # ------------------------------------------------------------------
     # vectorized label transforms
@@ -324,10 +366,8 @@ class MachineLabelPlane:
         t1: np.ndarray, t2: np.ndarray, tours: np.ndarray, mask: np.ndarray,
         spec: SplitSpec,
     ) -> None:
-        sub1 = t1[mask]
-        sub2 = t2[mask]
-        new_tours1, new1 = split_labels(sub1, spec)
-        new_tours2, new2 = split_labels(sub2, spec)
+        new_tours1, new1 = split_labels(t1[mask], spec)
+        new_tours2, new2 = split_labels(t2[mask], spec)
         if bool((new_tours1 != new_tours2).any()):
             raise ProtocolError("edge straddles a split; labels corrupt")
         t1[mask] = new1
@@ -350,318 +390,429 @@ class MachineLabelPlane:
             tours[m2] = spec.tour1
 
     # ------------------------------------------------------------------
-    # one cut step (mirrors repro.core.scripts.apply_cut_step)
+    # one cut step over the fleet (mirrors repro.core.scripts.apply_cut_step)
     # ------------------------------------------------------------------
-    def cut_step(self, step: "CutStep") -> None:
+    def cut_step(
+        self, step: "CutStep", vp: "VertexPartition", states: Sequence[MachineStateBase]
+    ) -> None:
         spec = step.spec
+        old = spec.old_tour
         cu, cv = normalize(*step.edge)
-        if spec.old_tour not in self._tours:
-            # No row of the split tour lives here — not an edge, not a
-            # live witness, not a tracked vertex (each would have put
-            # ``old_tour`` into ``_tours``) — so only the replicated
-            # size bookkeeping applies on this machine.
-            self.state.tour_size[spec.old_tour] = spec.root_side_size
-            self.state.tour_size[spec.inside_tour] = spec.inside_size
-            return
-        self._tours.add(spec.inside_tour)
-        n = self.n_rows
-        et1, et2 = self.et1[:n], self.et2[:n]
-        etour, ealive = self.etour[:n], self.ealive[:n]
+        nv, ne = self.nv, self.ne
+        vx, vtour = self.vx[:nv], self.vtour[:nv]
+        wu, wv = self.wu[:nv], self.wv[:nv]
+        wt1, wt2, wtour = self.wt1[:nv], self.wt2[:nv], self.wtour[:nv]
+        walive = self.walive[:nv]
 
         # Witnesses that *are* the cut edge (endpoint comparison, like
-        # ``normalize(w.u, w.v) == cut_key`` in the scalar engine).
+        # ``normalize(w.u, w.v) == cut_key`` in the reference engine).
         w_is_cut = (
-            self.walive
-            & (np.minimum(self.wu, self.wv) == cu)
-            & (np.maximum(self.wu, self.wv) == cv)
+            walive
+            & (np.minimum(wu, wv) == cu)
+            & (np.maximum(wu, wv) == cv)
         )
 
         # 1. Classify tracked vertices of the split tour in old coordinates.
-        sel = self.vtour == spec.old_tour
-        new_vtour: Optional[np.ndarray] = None
-        known = sel  # overwritten below; pre-kill liveness matters
-        fallback_vals: Dict[int, int] = {}
-        if bool(sel.any()):
+        sel = np.flatnonzero(vtour == old)
+        known = sel
+        new_known: Optional[np.ndarray] = None
+        fallback: Dict[int, int] = {}
+        if sel.size:
             head = step.snapshot.head_at(spec.e_min)
-            w_min = np.minimum(self.wt1, self.wt2)
-            w_max = np.maximum(self.wt1, self.wt2)
+            alive = walive[sel]
+            a1, a2 = wt1[sel], wt2[sel]
             inside = np.where(
-                w_is_cut,
-                self.vx == head,
-                (spec.e_min < w_min) & (w_max < spec.e_max),
+                w_is_cut[sel],
+                vx[sel] == head,
+                (spec.e_min < np.minimum(a1, a2)) & (np.maximum(a1, a2) < spec.e_max),
             )
-            known = sel & self.walive
-            new_vtour = np.where(inside, spec.inside_tour, spec.old_tour)
-            for i in np.flatnonzero(sel & ~self.walive).tolist():
-                x = self.vx_list[i]
-                if x not in self.state.vertices:
-                    fallback_vals[i] = -1  # unknown until the repair broadcast
+            known = sel[alive]
+            new_known = np.where(inside[alive], spec.inside_tour, old)
+            for i in sel[~alive].tolist():
+                x, m = int(vx[i]), int(self.vmid[i])
+                if not self.vown[i]:
+                    fallback[i] = -1  # unknown until the repair broadcast
                     continue
-                r = self._pick_witness_row(x)
+                r = self.pick_witness_row(m, x)
                 if r is None:
                     raise ProtocolError(
-                        f"machine {self.state.mid}: owned vertex {x} in tour "
-                        f"{spec.old_tour} has no incident MST edge"
+                        f"machine {m}: owned vertex {x} in tour "
+                        f"{old} has no incident MST edge"
                     )
-                if (min(int(self.eu[r]), int(self.ev[r])),
-                        max(int(self.eu[r]), int(self.ev[r]))) == (cu, cv):
-                    is_inside = step.snapshot.head_at(spec.e_min) == x
+                if (int(self.eu[r]), int(self.ev[r])) == (cu, cv):
+                    is_inside = head == x
                 else:
-                    r_min = min(int(self.et1[r]), int(self.et2[r]))
-                    r_max = max(int(self.et1[r]), int(self.et2[r]))
-                    is_inside = spec.e_min < r_min and r_max < spec.e_max
-                fallback_vals[i] = spec.inside_tour if is_inside else spec.old_tour
+                    r1, r2 = int(self.et1[r]), int(self.et2[r])
+                    is_inside = spec.e_min < min(r1, r2) and max(r1, r2) < spec.e_max
+                fallback[i] = spec.inside_tour if is_inside else old
 
-        # 2. Remove the cut edge; invalidate witnesses that pointed at it.
-        row = self.erow.get((cu, cv))
-        if row is not None and self.ealive[row]:
-            self.ealive[row] = False
-            self.dead.append((cu, cv))
-        self.walive &= ~w_is_cut
+        # 2. Remove the cut edge's copies; invalidate witnesses of it.
+        for m in range(self.k):
+            self.kill_edge_row(m, (cu, cv))
+        walive &= ~w_is_cut
 
         # 3. Relabel surviving MST edges and witnesses of the split tour.
-        edge_mask = ealive & (etour == spec.old_tour)
+        etour = self.etour[:ne]
+        edge_mask = self.ealive[:ne] & (etour == old)
         if bool(edge_mask.any()):
-            self._split_masked(et1, et2, etour, edge_mask, spec)
-        wit_mask = self.walive & (self.wtour == spec.old_tour)
+            self._split_masked(self.et1[:ne], self.et2[:ne], etour, edge_mask, spec)
+        wit_mask = walive & (wtour == old)
         if bool(wit_mask.any()):
-            self._split_masked(self.wt1, self.wt2, self.wtour, wit_mask, spec)
+            self._split_masked(wt1, wt2, wtour, wit_mask, spec)
 
         # 4. Tour bookkeeping.
-        self.state.tour_size[spec.old_tour] = spec.root_side_size
-        self.state.tour_size[spec.inside_tour] = spec.inside_size
-        if new_vtour is not None:
-            self.vtour[known] = new_vtour[known]
-            for i, tid in fallback_vals.items():
-                self.vtour[i] = tid
+        for st in states:
+            st.tour_size[old] = spec.root_side_size
+            st.tour_size[spec.inside_tour] = spec.inside_size
+        if new_known is not None:
+            vtour[known] = new_known
+            for i, tid in fallback.items():
+                vtour[i] = tid
 
-        # 5. Owned endpoints whose witness died can re-pick locally for free.
+        # 5. Owned endpoints whose witness died re-pick locally for free.
         for x in (cu, cv):
-            i = self.vrow.get(x)
-            if i is None or x not in self.state.vertices:
+            m = vp.home(x)
+            i = self.vrow[m].get(x)
+            if i is None or walive[i] or vtour[i] == -1:
                 continue
-            if self.walive[i] or self.vtour[i] == -1:
-                continue
-            r = self._pick_witness_row(x)
-            if r is not None:
-                self._set_witness_from_row(i, r)
+            r = self.pick_witness_row(m, x)
+            if r is None:
+                self.set_witness_row(i, None)
+            else:
+                self.witness_from_row(i, r)
 
     # ------------------------------------------------------------------
-    # one link step (mirrors repro.core.scripts.apply_link_step)
+    # one link step over the fleet (mirrors repro.core.scripts.apply_link_step)
     # ------------------------------------------------------------------
-    def link_step(self, step: "LinkStep") -> None:
-        spec = step.spec
-        n = self.n_rows
-
-        # 1. Relabel existing MST edges and witnesses.  Skipped when this
-        # plane holds no row of either tour (see ``_tours``): the M2
-        # relabel and the M1 insertion shift are both empty then, as is
-        # the vertex-side tour rename below.
-        if spec.tour1 in self._tours or spec.tour2 in self._tours:
-            self._join_masked(
-                self.et1[:n], self.et2[:n], self.etour[:n], self.ealive[:n], spec
-            )
-            self._join_masked(self.wt1, self.wt2, self.wtour, self.walive, spec)
-            self.vtour[self.vtour == spec.tour2] = spec.tour1
-            self._tours.add(spec.tour1)
-        self.link_local(step)
-
-    def link_local(self, step: "LinkStep") -> None:
-        """Steps 2–4 of a link: the append / bookkeeping / witness-fill
-        parts that are inherently per-machine.  The label joins (step 1)
-        are applied by the caller — per plane in :meth:`link_step`, or
-        once over the stacked fleet columns in :class:`_FleetLinkApplier`.
-        """
+    def link_step(
+        self, step: "LinkStep", vp: "VertexPartition", states: Sequence[MachineStateBase]
+    ) -> None:
         spec = step.spec
         u, v = step.edge
         lab_in, lab_out = spec.new_edge_labels
+        nv, ne = self.nv, self.ne
 
-        # 2. Materialize the new edge if this machine hosts an endpoint.
-        state = self.state
-        if u in state.vertices or v in state.vertices:
-            key = normalize(u, v)
-            prior = self.erow.get(key)
-            if prior is not None and self.ealive[prior]:
-                raise ProtocolError(
-                    f"machine {state.mid}: MST edge {key} already present"
-                )
-            self._append_row(key[0], key[1], step.weight, lab_in, lab_out, spec.tour1)
-            self._tours.add(spec.tour1)
+        # 1. Relabel existing MST edges, witnesses and tour ids.
+        self._join_masked(
+            self.et1[:ne], self.et2[:ne], self.etour[:ne], self.ealive[:ne], spec
+        )
+        self._join_masked(
+            self.wt1[:nv], self.wt2[:nv], self.wtour[:nv], self.walive[:nv], spec
+        )
+        vtour = self.vtour[:nv]
+        vtour[vtour == spec.tour2] = spec.tour1
+
+        # 2. Materialize the new edge on the machines hosting an endpoint.
+        a, b = normalize(u, v)
+        for m in sorted({vp.home(u), vp.home(v)}):
+            self.add_edge_row(m, a, b, step.weight, lab_in, lab_out, spec.tour1)
 
         # 3. Tour bookkeeping: M2 dissolves into M1.
-        state.tour_size[spec.tour1] = spec.new_size
-        state.tour_size.pop(spec.tour2, None)
+        for st in states:
+            st.tour_size[spec.tour1] = spec.new_size
+            st.tour_size.pop(spec.tour2, None)
 
         # 4. Endpoint witnesses: a previously-isolated endpoint now has an edge.
+        snap = (a, b, step.weight, lab_in, lab_out, spec.tour1)
         for x in (u, v):
-            i = self.vrow.get(x)
-            if i is not None and not self.walive[i]:
-                self.wu[i], self.wv[i] = normalize(u, v)
-                self.ww[i] = step.weight
-                self.wt1[i] = lab_in
-                self.wt2[i] = lab_out
-                self.wtour[i] = spec.tour1
-                self.walive[i] = True
-                self.wreplaced[i] = True
-                self._tours.add(spec.tour1)
+            for vrow in self.vrow:
+                i = vrow.get(x)
+                if i is not None and not self.walive[i]:
+                    self.set_witness_row(i, snap)
 
     # ------------------------------------------------------------------
-    # scatter back into the MachineState dicts (changed rows only)
+    # reroot (Lemma 5.5) of one tour, fleet-wide
     # ------------------------------------------------------------------
-    def scatter(self) -> None:
-        state = self.state
-        n = self.n_rows
-        n0 = n - len(self.appended)
+    def reroot(self, tid: int, d: int, size: int) -> None:
+        ne, nv = self.ne, self.nv
+        em = np.flatnonzero(self.ealive[:ne] & (self.etour[:ne] == tid))
+        self.et1[em] = reroot_labels(self.et1[em], d, size)
+        self.et2[em] = reroot_labels(self.et2[em], d, size)
+        wm = np.flatnonzero(self.walive[:nv] & (self.wtour[:nv] == tid))
+        self.wt1[wm] = reroot_labels(self.wt1[wm], d, size)
+        self.wt2[wm] = reroot_labels(self.wt2[wm], d, size)
 
-        # 1. Dead edges leave the MST (index and gauge upkeep included).
-        for (u, v) in self.dead:
-            state.pop_mst_edge(u, v)
+    # ------------------------------------------------------------------
+    # fleet-wide reads (serve view)
+    # ------------------------------------------------------------------
+    def forest(self) -> Tuple[Dict[Tuple[int, int], float], Dict[int, int]]:
+        """Forest edges ``{(u, v): w}`` and every vertex's component label.
 
-        # 2. Surviving pre-existing rows: write back only changed labels.
-        changed = np.flatnonzero(
-            self.ealive[:n0]
-            & (
-                (self.et1[:n0] != self._et1_0[:n0])
-                | (self.et2[:n0] != self._et2_0[:n0])
-                | (self.etour[:n0] != self._etour_0[:n0])
-            )
-        ).tolist()
-        if changed:
-            t1l = self.et1[:n0].tolist()
-            t2l = self.et2[:n0].tolist()
-            tol = self.etour[:n0].tolist()
-            objs = self.objs
-            for r in changed:
-                e = objs[r]
-                e.t_uv = t1l[r]
-                e.t_vu = t2l[r]
-                e.tour = tol[r]
+        A vertex's tour id names its tree, so its label — the tree's
+        minimum vertex id — is the minimum over the hosted vertices
+        sharing that tour id.
+        """
+        live = np.flatnonzero(self.ealive[: self.ne])
+        edges = dict(zip(
+            zip(self.eu[live].tolist(), self.ev[live].tolist()), self.ew[live].tolist()
+        ))
+        home = np.flatnonzero(self.vown[: self.nv])
+        xs, ts = self.vx[home], self.vtour[home]
+        order = np.lexsort((xs, ts))
+        ts_sorted = ts[order]
+        first = np.ones(order.shape[0], dtype=bool)
+        first[1:] = ts_sorted[1:] != ts_sorted[:-1]
+        group = np.cumsum(first) - 1
+        labels = np.empty_like(xs)
+        labels[order] = xs[order][first][group]
+        return edges, dict(zip(xs.tolist(), labels.tolist()))
 
-        # 3. Appended rows materialize as fresh ETEdges.
-        for r in self.appended:
-            state.add_mst_edge(
-                ETEdge(
-                    int(self.eu[r]), int(self.ev[r]), float(self.ew[r]),
-                    int(self.et1[r]), int(self.et2[r]), int(self.etour[r]),
-                )
-            )
 
-        # 4. Affected tour groups are regrouped wholesale from the final
-        #    column; unaffected tours keep their index entries untouched.
-        by_tour: Dict[int, Set[Tuple[int, int]]] = {}
-        live = np.flatnonzero(self.ealive[:n])
-        if live.size:
-            tours_live = self.etour[live]
-            order = np.argsort(tours_live, kind="stable")
-            sorted_idx = live[order].tolist()
-            sorted_tours = tours_live[order].tolist()
-            keys = self.keys
-            cur_tid: Optional[int] = None
-            cur_set: Set[Tuple[int, int]] = set()
-            for r, tid in zip(sorted_idx, sorted_tours):
-                if tid != cur_tid:
-                    cur_set = set()
-                    by_tour[tid] = cur_set
-                    cur_tid = tid
-                cur_set.add(keys[r])
-        state.replace_tour_groups(self._a_orig, by_tour)
+class ColumnarMachineState(MachineStateBase):
+    """One machine's view of the fleet columns (the columnar storage)."""
 
-        # 5. Vertex side: only rows whose columns moved touch the dicts.
-        #    Surviving original witnesses mutate in place — the scalar
-        #    transforms do the same — and only swapped rows (repick,
-        #    repair install, link fill) get fresh ETEdge copies.
-        walive0, wt10, wt20, wtour0 = self._w_0
-        wit_changed = np.flatnonzero(
-            (self.walive != walive0)
-            | self.wreplaced
-            | (
-                self.walive
-                & (
-                    (self.wt1 != wt10) | (self.wt2 != wt20)
-                    | (self.wtour != wtour0)
-                )
-            )
-        ).tolist()
-        if wit_changed:
-            wul, wvl, wwl = self.wu.tolist(), self.wv.tolist(), self.ww.tolist()
-            wt1l, wt2l = self.wt1.tolist(), self.wt2.tolist()
-            wtourl = self.wtour.tolist()
-            walivel = self.walive.tolist()
-            replacedl = self.wreplaced.tolist()
-            witness = state.witness
-            wobjs = self.wobjs
-            for i in wit_changed:
-                if not walivel[i]:
-                    witness[self.vx_list[i]] = None
-                elif replacedl[i]:
-                    witness[self.vx_list[i]] = ETEdge(
-                        wul[i], wvl[i], wwl[i], wt1l[i], wt2l[i], wtourl[i]
-                    )
-                else:
-                    w0 = wobjs[i]
-                    w0.t_uv = wt1l[i]
-                    w0.t_vu = wt2l[i]
-                    w0.tour = wtourl[i]
-        tour_changed = np.flatnonzero(self.vtour != self._vtour_0).tolist()
-        if tour_changed:
-            vtourl = self.vtour.tolist()
-            tour_of = state.tour_of
-            for i in tour_changed:
-                t = vtourl[i]
-                tour_of[self.vx_list[i]] = t if t != -1 else None
+    __slots__ = ("fleet",)
+
+    def __init__(
+        self,
+        mid: int,
+        vertices: Iterable[int],
+        machine: Optional[Machine],
+        fleet: FleetColumns,
+    ) -> None:
+        super().__init__(mid, vertices, machine)
+        self.fleet = fleet
+
+    @property
+    def tracked(self):  # type: ignore[override]
+        """Tracked vertices (a live view of the vertex-row index)."""
+        return self.fleet.vrow[self.mid].keys()
+
+    # ------------------------------------------------------------------
+    # tracked vertices, tour ids, witnesses
+    # ------------------------------------------------------------------
+    def track(self, x: int, refresh: bool = True) -> None:
+        fleet = self.fleet
+        if x not in fleet.vrow[self.mid]:
+            fleet.add_vertex_row(self.mid, x, x in self.vertices, -1, True)
+            if refresh:
+                self._update_gauges()
+
+    def untrack(self, x: int) -> None:
+        self.fleet.remove_vertex_row(self.mid, x)
+
+    def _row(self, x: int) -> Optional[int]:
+        return self.fleet.vrow[self.mid].get(x)
+
+    def tour_id(self, x: int) -> Optional[int]:
+        i = self._row(x)
+        if i is None:
+            return None
+        t = int(self.fleet.vtour[i])
+        return None if t < 0 else t
+
+    def set_tour_id(self, x: int, tid: Optional[int]) -> None:
+        i = self.fleet.vrow[self.mid][x]
+        self.fleet.vtour[i] = -1 if tid is None else tid
+
+    def witness_snapshot(self, x: int) -> Optional[Snapshot]:
+        i = self._row(x)
+        return None if i is None else self.fleet.witness_of_row(i)
+
+    def set_witness(self, x: int, snap: Optional[Snapshot]) -> None:
+        self.fleet.set_witness_row(self.fleet.vrow[self.mid][x], snap)
+
+    def witness_items(self) -> List[Tuple[int, Optional[Snapshot]]]:
+        fleet = self.fleet
+        return [
+            (x, fleet.witness_of_row(i))
+            for x, i in sorted(fleet.vrow[self.mid].items())
+            if fleet.wkey[i]
+        ]
+
+    # ------------------------------------------------------------------
+    # MST edges
+    # ------------------------------------------------------------------
+    def mst_edge(self, key: Tuple[int, int]) -> Optional[ETEdge]:
+        r = self.fleet.erow[self.mid].get(key)
+        return None if r is None else self.fleet.edge_of_row(r)
+
+    def iter_mst(self) -> Iterator[ETEdge]:
+        return iter(self.fleet._edges_of_rows(self.fleet.machine_edge_rows(self.mid)))
+
+    def mst_count(self) -> int:
+        return len(self.fleet.erow[self.mid])
+
+    def add_mst_edge(self, ete: ETEdge) -> None:
+        u, v = normalize(ete.u, ete.v)
+        self.fleet.add_edge_row(self.mid, u, v, ete.weight, ete.t_uv, ete.t_vu, ete.tour)
+        self._update_gauges()
+
+    def add_mst_edges(self, etes: List[ETEdge]) -> None:
+        # The first insert samples the gauges as a single insert does;
+        # after it only the MST count moves, so one refresh at the end
+        # reaches the same peak as one sample per insert.
+        if not etes:
+            return
+        self.add_mst_edge(etes[0])
+        self.fleet.add_edge_rows(self.mid, etes[1:])
+        self._update_gauges()
+
+    def set_tours_and_witnesses(
+        self, tours: Dict[int, int], witnesses: Dict[int, Optional[Snapshot]]
+    ) -> None:
+        fleet = self.fleet
+        vrow = fleet.vrow[self.mid]
+        rows = np.array([vrow[x] for x in tours], dtype=_I)
+        fleet.vtour[rows] = list(tours.values())
+        items = list(witnesses.items())
+        rows = np.array([vrow[x] for x, _s in items], dtype=_I)
+        fresh = rows[~fleet.wkey[rows]]
+        fleet.wkeys[self.mid] += int(fresh.shape[0])
+        fleet.wkey[rows] = True
+        alive = [s is not None for _x, s in items]
+        fleet.walive[rows] = alive
+        live = rows[np.asarray(alive, dtype=bool)]
+        snaps = [s for _x, s in items if s is not None]
+        if snaps:
+            for j, name in enumerate(("wu", "wv", "ww", "wt1", "wt2", "wtour")):
+                getattr(fleet, name)[live] = [snap[j] for snap in snaps]
+
+    def pop_mst_edge(self, u: int, v: int) -> Optional[ETEdge]:
+        key = normalize(u, v)
+        r = self.fleet.kill_edge_row(self.mid, key)
+        self._update_gauges()
+        return None if r is None else self.fleet.edge_of_row(r)
+
+    def incident_mst(self, x: int) -> List[ETEdge]:
+        return self.fleet._edges_of_rows(self.fleet.incident_rows(self.mid, x))
+
+    def _tour_rows(self, tid: int) -> np.ndarray:
+        fleet = self.fleet
+        n = fleet.ne
+        return np.flatnonzero(
+            fleet.ealive[:n] & (fleet.emid[:n] == self.mid) & (fleet.etour[:n] == tid)
+        )
+
+    def mst_keys_in_tour(self, tid: int) -> List[Tuple[int, int]]:
+        rows = self._tour_rows(tid)
+        return list(zip(self.fleet.eu[rows].tolist(), self.fleet.ev[rows].tolist()))
+
+    def tour_columns(self, tid: int) -> Tuple[np.ndarray, ...]:
+        fleet = self.fleet
+        rows = self._tour_rows(tid)
+        return (fleet.eu[rows], fleet.ev[rows], fleet.ew[rows],
+                fleet.et1[rows], fleet.et2[rows])
+
+    def outgoing_value(self, x: int) -> Optional[int]:
+        return self.fleet.outgoing_value(self.mid, x)
+
+    def live_tours(self) -> Set[int]:
+        fleet = self.fleet
+        nv, ne = fleet.nv, fleet.ne
+        mine = fleet.vmid[:nv] == self.mid
+        vt = fleet.vtour[:nv][mine]
+        live = set(np.unique(vt[vt >= 0]).tolist())
+        live.update(np.unique(fleet.wtour[:nv][mine & fleet.walive[:nv]]).tolist())
+        live.update(
+            np.unique(fleet.etour[:ne][fleet.ealive[:ne] & (fleet.emid[:ne] == self.mid)])
+            .tolist()
+        )
+        return live
+
+    # ------------------------------------------------------------------
+    # graph edges: the resident §6.2 table follows the dict
+    # ------------------------------------------------------------------
+    def _after_store(self, key: Tuple[int, int], weight: float) -> None:
+        self.fleet.add_graph_row(self.mid, key[0], key[1], weight)
+
+    def _after_drop(self, key: Tuple[int, int]) -> None:
+        self.fleet.kill_graph_row(self.mid, key)
+
+    # ------------------------------------------------------------------
+    # space accounting
+    # ------------------------------------------------------------------
+    def _gauge_counts(self) -> Tuple[int, int, int, int]:
+        fleet = self.fleet
+        return (
+            len(self.graph_edges), len(fleet.erow[self.mid]),
+            fleet.wkeys[self.mid], len(fleet.vrow[self.mid]),
+        )
+
+    def replay_gauges(self, m0: int, killed: int, added: int, w0: int) -> None:
+        """Sample the gauges as popping ``killed`` copies, inserting
+        ``added`` ones and refreshing would have (see
+        :meth:`FleetColumns.end_epoch`)."""
+        g, m, w, t = self._gauge_counts()
+        sizes = len(self.tour_size)
+        if killed or added:
+            self._set_gauges(g, m0 - 1 if killed else m0 + 1, w0, t, sizes)
+            self._set_gauges(g, m, w0, t, sizes)
+        self._set_gauges(g, m, w, t, sizes)
 
 
 # ----------------------------------------------------------------------
-# fleet-fused link application
+# building the store
 # ----------------------------------------------------------------------
-class _FleetLinkApplier:
-    """Apply a link script to every plane with the label joins fused.
+def make_columnar_states(
+    graph: "WeightedGraph",
+    vp: "VertexPartition",
+    net: "Network",
+) -> Tuple[List[ColumnarMachineState], int]:
+    """Columnar twin of :func:`repro.core.init_build.make_states`.
 
-    A join spec is machine-independent — the same label arithmetic runs
-    on every machine's rows — so instead of per-plane masked joins
-    (k calls per step, each over a small array) the planes' columns are
-    stacked into shared parents and each plane's attributes are replaced
-    by views into them.  One step then costs one edge join, one witness
-    join, and one vertex-tour rename over the stacked arrays; the
-    per-machine scalar parts (edge append, size bookkeeping, witness
-    fill) still run per plane through :meth:`MachineLabelPlane.link_local`
-    and write through the views.  During initialisation this takes the
-    join count per batch from O(k · links) to O(links).
+    Same graph-edge dicts in the same insertion order, every tracked
+    vertex a singleton tour named by its id, gauges refreshed once per
+    machine at the end.
     """
+    fleet = FleetColumns(net.k)
+    states = [
+        ColumnarMachineState(m, vp.vertices_of[m], net.machines[m], fleet)
+        for m in range(net.k)
+    ]
+    # Owned vertices first, then remote endpoints as first met.
+    remote: List[Dict[int, None]] = [{} for _ in states]
+    for e in graph.edges():
+        key = normalize(e.u, e.v)
+        for m in vp.edge_machines(e.u, e.v):
+            st = states[m]
+            if key in st.graph_edges:
+                raise ProtocolError(f"machine {m}: edge {key} already stored")
+            st.graph_edges[key] = e.weight
+            for x, other in ((key[0], key[1]), (key[1], key[0])):
+                if x in st.vertices and other not in st.vertices:
+                    remote[m][other] = None
+    for st, far in zip(states, remote):
+        xs = sorted(st.vertices)
+        n_own = len(xs)
+        xs.extend(far)
+        own = np.zeros(len(xs), dtype=bool)
+        own[:n_own] = True
+        fleet.add_vertex_rows(st.mid, xs, own, np.asarray(xs, dtype=_I), ~own)
+        fleet.add_graph_rows(st.mid, st.graph_edges)
+        st.tour_size = dict.fromkeys(xs, 0)
+        st.refresh_gauges()
+    next_tour_id = max(graph.vertices(), default=-1) + 1
+    return states, next_tour_id
 
-    def __init__(self, planes: Sequence[MachineLabelPlane]) -> None:
-        self.planes = planes
-        for pl in planes:
-            pl._frozen = True
-        self.e1, self.e2, self.etour, self.ealive = self._adopt(
-            ("et1", "et2", "etour", "ealive")
-        )
-        self.w1, self.w2, self.wtour, self.walive = self._adopt(
-            ("wt1", "wt2", "wtour", "walive")
-        )
-        (self.vtour,) = self._adopt(("vtour",))
 
-    def _adopt(self, names: Sequence[str]) -> List[np.ndarray]:
-        parents: List[np.ndarray] = []
-        for name in names:
-            arrs = [getattr(pl, name) for pl in self.planes]
-            parent = np.concatenate(arrs)
-            off = 0
-            for pl, a in zip(self.planes, arrs):
-                setattr(pl, name, parent[off : off + a.shape[0]])
-                off += a.shape[0]
-            parents.append(parent)
-        return parents
-
-    def run(self, script: Sequence["LinkStep"]) -> None:
-        join = MachineLabelPlane._join_masked
-        for step in script:
-            spec = step.spec
-            join(self.e1, self.e2, self.etour, self.ealive, spec)
-            join(self.w1, self.w2, self.wtour, self.walive, spec)
-            self.vtour[self.vtour == spec.tour2] = spec.tour1
-            for pl in self.planes:
-                pl.link_local(step)
+def restore_columnar_states(
+    records: Sequence[dict], net: "Network"
+) -> List[ColumnarMachineState]:
+    """Rebuild a columnar fleet from :meth:`MachineStateBase.record` records."""
+    fleet = FleetColumns(net.k)
+    states = [
+        ColumnarMachineState(mrec["mid"], mrec["vertices"], net.machines[mrec["mid"]], fleet)
+        for mrec in records
+    ]
+    for st, mrec in zip(states, records):
+        m = st.mid
+        witness = mrec["witness"]
+        tour_of = mrec["tour_of"]
+        for x in mrec["tracked"]:
+            t = tour_of.get(str(x))
+            i = fleet.add_vertex_row(m, x, x in st.vertices, -1 if t is None else t,
+                                     str(x) in witness)
+            snap = witness.get(str(x))
+            if snap is not None:
+                fleet.set_witness_row(i, snap)
+        for (u, v, w) in mrec["graph_edges"]:
+            st.store_graph_edge(u, v, w, refresh=False)
+        for e in mrec["mst"]:
+            fleet.add_edge_row(m, *e)
+        st.tour_size = {int(t): s for t, s in mrec["tour_size"].items()}
+        st.refresh_gauges()
+    return states
 
 
 # ----------------------------------------------------------------------
@@ -670,248 +821,57 @@ class _FleetLinkApplier:
 def run_structural_batch_columnar(
     net: "Network",
     vp: "VertexPartition",
-    states: Sequence["MachineState"],
+    states: Sequence["MachineStateBase"],
     cuts: Sequence[Tuple[int, int]],
     links: Sequence[Tuple[int, int, float]],
     next_tour_id: int,
 ) -> int:
-    """Lemma 5.9 with columnar local application.
+    """Lemma 5.9 over the resident fleet columns.
 
     Wire-identical to :func:`repro.core.scripts.run_structural_batch`:
-    the same broadcasts with the same payloads in the same order, so the
-    ledger transcript matches byte for byte.  Locally, one
-    :class:`MachineLabelPlane` per machine spans both the cut and the
-    link phase; the witness repair and link-parameter collection between
-    them read and write through the planes.  The dispatcher hands it
-    non-empty batches only.
+    the parameter collection and the witness repair are the same code,
+    reading the columns through the state seam, so the same broadcasts
+    go out with the same payloads in the same order.  The dispatcher
+    hands it non-empty batches only.
     """
     from repro.core.scripts import (
         _collect_cut_params,
+        _repair_witnesses,
         build_cut_script,
-        build_link_script,
     )
 
+    fleet: FleetColumns = states[0].fleet  # type: ignore[attr-defined]
     recorder = net.ledger.recorder
     if recorder is not None:
         recorder.on_engine("structural_batch", "columnar")
-    base = next_tour_id
-    cut_script = None
+    fleet.begin_epoch()
     if cuts:
         params = _collect_cut_params(net, vp, states, cuts)
-        cut_script, next_tour_id = build_cut_script(params, base)
-    # Affected original tours: every old_tour a cut step splits (cascaded
-    # steps may name fresh ids >= base — those derive from these) plus
-    # the current tours of the link endpoints.  Update endpoints are
-    # packed even when isolated/tourless.
-    a_orig: Set[int] = set()
-    if cut_script:
+        cut_script, next_tour_id = build_cut_script(params, next_tour_id)
         for step in cut_script:
-            if step.spec.old_tour < base:
-                a_orig.add(step.spec.old_tour)
-    eps: Set[int] = set()
-    for (u, v) in cuts:
-        eps.update((u, v))
-    for (u, v, _w) in links:
-        eps.update((u, v))
-        for x in (u, v):
-            t = states[vp.home(x)].tour_of.get(x)
-            if t is not None and t < base:
-                a_orig.add(t)
-    planes = [
-        MachineLabelPlane(
-            st,
-            a_orig,
-            eps,
-            reserve=sum(
-                1 for (u, v, _w) in links if u in st.vertices or v in st.vertices
-            ),
-        )
-        for st in states
-    ]
-    if cut_script:
-        for pl in planes:
-            for step in cut_script:
-                pl.cut_step(step)
-        endpoints = [x for (u, v) in cuts for x in (u, v)]
-        _repair_witnesses_columnar(net, vp, planes, endpoints)
+            fleet.cut_step(step, vp, states)
+        _repair_witnesses(net, vp, states, [x for (u, v) in cuts for x in (u, v)])
     if links:
-        lparams = _collect_link_params_columnar(net, vp, states, planes, links)
-        link_script = build_link_script(lparams)
-        _FleetLinkApplier(planes).run(link_script)
-    for pl in planes:
-        pl.scatter()
-        pl.state.refresh_gauges()
+        link_into_fleet(net, vp, states, links)
+    fleet.end_epoch(states)  # type: ignore[arg-type]
     return next_tour_id
 
 
-class LinkBatchSession:
-    """Planes held open across consecutive link-only structural batches.
-
-    The initialisation protocols (Theorems 5.8 and 8.1) run hundreds of
-    small link batches back to back, and *nothing between two batches
-    reads the Euler state* — the Borůvka drivers only consult their own
-    component structure and the machines' static graph-edge dictionaries.
-    Packing and scattering every machine's labels around each batch is
-    therefore pure overhead; this session packs once (over every current
-    tour), applies each batch's link script through the plane/fleet
-    machinery, and scatters once in :meth:`close`.
-
-    Wire-identity is untouched: each :meth:`run_links` call collects and
-    broadcasts the same link parameters as an equivalent
-    :func:`repro.core.scripts.run_structural_batch` call — the planes it
-    reads tour ids from hold exactly the state a scatter would have
-    installed.  What *does* change is space-gauge sampling: the scalar
-    engine refreshes gauges after every batch, the session only on
-    close, so ``Machine.peak_words`` during initialisation is sampled at
-    the endpoints rather than per batch (the charge ledger never sees
-    gauges, so rounds/messages/words/digest are byte-identical).
-
-    Precondition: every tracked vertex has a tour (true after
-    :func:`repro.core.init_build.make_states`), so the pack over all
-    current tours covers every row a link can touch.
-    """
-
-    def __init__(
-        self,
-        net: "Network",
-        vp: "VertexPartition",
-        states: Sequence["MachineState"],
-    ) -> None:
-        self.net = net
-        self.vp = vp
-        self.states = states
-        a_orig: Set[int] = set()
-        for st in states:
-            a_orig.update(t for t in st.tour_of.values() if t is not None)
-        self.planes = [MachineLabelPlane(st, a_orig, set()) for st in states]
-
-    def run_links(
-        self, links: Sequence[Tuple[int, int, float]], next_tour_id: int
-    ) -> int:
-        """One Lemma 5.9 link batch; same wire as ``run_structural_batch``."""
-        from repro.core.scripts import build_link_script
-
-        if not links:
-            return next_tour_id
-        recorder = self.net.ledger.recorder
-        if recorder is not None:
-            recorder.on_engine("structural_batch", "columnar")
-        for pl in self.planes:
-            st = pl.state
-            need = sum(
-                1 for (u, v, _w) in links if u in st.vertices or v in st.vertices
-            )
-            if need:
-                pl._frozen = False
-                pl._grow(need)
-        lparams = _collect_link_params_columnar(
-            self.net, self.vp, self.states, self.planes, links
-        )
-        _FleetLinkApplier(self.planes).run(build_link_script(lparams))
-        return next_tour_id
-
-    def close(self) -> None:
-        """Scatter every plane back into its machine state, once."""
-        for pl in self.planes:
-            pl.scatter()
-            pl.state.refresh_gauges()
-
-
-def _repair_witnesses_columnar(
+def link_into_fleet(
     net: "Network",
     vp: "VertexPartition",
-    planes: Sequence[MachineLabelPlane],
-    vertices: Sequence[int],
-) -> None:
-    """Plane-reading twin of :func:`repro.core.scripts._repair_witnesses`."""
-    from repro.comm.rerouting import scheduled_broadcasts
-    from repro.sim.message import WORDS_ET_EDGE
-
-    reqs = []
-    for x in sorted(set(vertices)):
-        src = vp.home(x)
-        pl = planes[src]
-        pl.repick_home_witness(x)
-        snap = pl.witness_snapshot(x)
-        tid = pl.tour_id_of(x)
-        reqs.append((src, ("repair", x, snap, tid), WORDS_ET_EDGE + 1))
-    got = scheduled_broadcasts(net, reqs)
-    for _src, (_tag, x, snap, tid) in got:
-        for pl in planes:
-            pl.install_witness(x, snap, tid)
-
-
-def _collect_link_params_columnar(
-    net: "Network",
-    vp: "VertexPartition",
-    states: Sequence["MachineState"],
-    planes: Sequence[MachineLabelPlane],
+    states: Sequence["MachineStateBase"],
     links: Sequence[Tuple[int, int, float]],
-) -> List:
-    """Plane-reading twin of :func:`repro.core.scripts._collect_link_params`."""
-    from repro.comm.rerouting import scheduled_broadcasts
-    from repro.core.scripts import _LinkParam
-    from repro.sim.message import WORDS_ID
-
-    ordered = sorted((normalize(u, v) + (w,)) for (u, v, w) in links)
-    reqs = []
-    for (u, v, w) in ordered:
-        for x in (u, v):
-            src = vp.home(x)
-            pl = planes[src]
-            tid = pl.tour_id_of(x)
-            if tid is None:
-                raise ProtocolError(f"machine {src}: unknown tour for owned vertex {x}")
-            size = states[src].tour_size.get(tid)
-            if size is None:
-                raise ProtocolError(f"machine {src}: unknown size for tour {tid}")
-            out = pl.outgoing_value(x)
-            reqs.append(
-                (src, ("linkp", u, v, w, x, out if out is not None else 0, tid, size),
-                 WORDS_ID * 5)
-            )
-    got = scheduled_broadcasts(net, reqs)
-    halves: Dict[Tuple[int, int, float], Dict[int, Tuple[int, int, int]]] = {}
-    for _src, (_tag, u, v, w, x, out, tid, size) in got:
-        halves.setdefault((u, v, w), {})[x] = (out, tid, size)
-    params = []
-    for (u, v, w) in ordered:
-        h = halves[(u, v, w)]
-        a, t1, s1 = h[u]
-        b, t2, s2 = h[v]
-        params.append(_LinkParam(u, v, w, a, t1, s1, b, t2, s2))
-    return params
-
-
-# ----------------------------------------------------------------------
-# reroot (Lemma 5.5) over a whole machine, for the single-update path
-# ----------------------------------------------------------------------
-def reroot_machine_labels(
-    state: "MachineState", tid: int, d: int, size: int
 ) -> None:
-    """Apply the reroot transform to every label of tour ``tid``.
+    """One Lemma 5.9 link phase applied straight to the fleet columns.
 
-    Value-identical to the scalar loops in
-    :func:`repro.core.single_update.run_reroot`: the kernel
-    :func:`repro.euler.vectorized.reroot_labels` is property-tested
-    element-for-element against :func:`repro.euler.labels.reroot_label`.
+    The initialisation protocols (Theorems 5.8 and 8.1) call this once
+    per link chunk inside one gauge epoch; a structural batch calls it
+    after its cuts.
     """
-    keys = state.mst_keys_in_tour(tid)
-    if len(keys) >= 2:
-        t1 = np.fromiter((state.mst[k].t_uv for k in keys), np.int64, len(keys))
-        t2 = np.fromiter((state.mst[k].t_vu for k in keys), np.int64, len(keys))
-        new1 = reroot_labels(t1, d, size).tolist()
-        new2 = reroot_labels(t2, d, size).tolist()
-        for i, k in enumerate(keys):
-            ete = state.mst[k]
-            ete.t_uv = new1[i]
-            ete.t_vu = new2[i]
-    else:
-        for k in keys:
-            ete = state.mst[k]
-            ete.t_uv = reroot_label(ete.t_uv, d, size)
-            ete.t_vu = reroot_label(ete.t_vu, d, size)
-    for w in state.witness.values():
-        if w is not None and w.tour == tid:
-            w.t_uv = reroot_label(w.t_uv, d, size)
-            w.t_vu = reroot_label(w.t_vu, d, size)
+    from repro.core.scripts import _collect_link_params, build_link_script
+
+    fleet: FleetColumns = states[0].fleet  # type: ignore[attr-defined]
+    script = build_link_script(_collect_link_params(net, vp, states, links))
+    for step in script:
+        fleet.link_step(step, vp, states)

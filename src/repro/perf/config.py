@@ -1,54 +1,28 @@
-"""The engine switch: the columnar fast path, on or off.
+"""The engine switch: the columnar fast path, on or off, per network.
 
 An :class:`~repro.sim.executor.ExecutionBackend` is a name for one
 setting of this switch, and a backend name is the only way to pick one
-(``backend=``, ``--backend`` or ``REPRO_BACKEND``).  A call site reads
-the switch in two layers, highest priority first:
-
-1. an active :func:`override_fast_path` scope — the scope a
-   :class:`~repro.core.api.DynamicMST` built with ``backend=`` opens
-   around each of its operations (every harness and CLI pins the engine
-   that way);
-2. the environment, read by :func:`repro.sim.executor.backend_from_env`:
-   ``REPRO_BACKEND``, with unset meaning **on** (the columnar path is
-   the production path; the scalar path is the reference the
-   equivalence suite compares against).
+(``backend=``, ``--backend`` or ``REPRO_BACKEND``).  The setting is
+fixed when a network is built — :class:`~repro.sim.network.Network`
+resolves ``REPRO_BACKEND`` once unless a backend is named — and a
+:class:`~repro.core.api.DynamicMST` picks its storage from the same
+flag (:mod:`repro.core.state`), so an instance never switches engine
+mid-run.  Every call site asks the network it is charging.
 
 Both paths are always available — nothing is compiled out — so a single
-process can run them back to back and compare ledgers byte for byte.
+process can run them side by side and compare ledgers byte for byte.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Any
 
 #: Below this many rows, array packing costs more than scalar loops save;
 #: the columnar engine still runs (correctness is size-independent) but
 #: oracle-side helpers use it as their vectorize/loop crossover.
 VECTOR_MIN_ROWS = 64
 
-_override_stack: List[bool] = []
 
-
-def fast_path_enabled() -> bool:
-    """Is the columnar fast path active at this call site?"""
-    if _override_stack:
-        return _override_stack[-1]
-    from repro.sim.executor import backend_from_env
-
-    return backend_from_env().fast
-
-
-@contextmanager
-def override_fast_path(enabled: Optional[bool]) -> Iterator[None]:
-    """Force the fast path on/off inside the block (``None`` is a no-op)."""
-    if enabled is None:
-        yield
-        return
-    # simlint: disable=SIM002 harness-level engine toggle, not simulated machine state; both settings charge identical ledgers
-    _override_stack.append(enabled)
-    try:
-        yield
-    finally:
-        _override_stack.pop()
+def fast_path_enabled(net: Any) -> bool:
+    """Does ``net`` run the columnar fast path?"""
+    return bool(net.fast)

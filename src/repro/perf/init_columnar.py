@@ -12,7 +12,7 @@ This module replaces the *local computation* of that scan while keeping
 the wire byte-identical:
 
 * each machine's graph edges are packed **once per init** into parallel
-  NumPy columns (:class:`GraphEdgeTable`);
+  NumPy columns (:class:`GraphEdgeTable`, ranked once);
 * each phase resolves every vertex's component representative in a few
   vectorized pointer-jumping passes (:meth:`ArrayDSU.root_indices`)
   instead of n dict-walking ``find`` calls;
@@ -25,8 +25,9 @@ Everything that *touches the wire* is unchanged: the per-query
 contribution tables handed to :func:`repro.comm.aggregate.batched_queries`
 hold the same Python-scalar payloads for the same (query, machine) slots,
 the answers are folded in the same sorted order, the union sequence is
-identical (see :class:`ArrayDSU`), and the chosen edges are linked
-through the same :func:`repro.core.scripts.run_structural_batch` chunks.
+identical (see :class:`ArrayDSU`), and the chosen edges are linked in
+the same Lemma 5.9 chunks, straight into the resident fleet columns
+(:func:`repro.perf.columnar.link_into_fleet`) inside one gauge epoch.
 The ledger transcript therefore matches the reference engine's charge
 for charge — ``tests/perf`` verifies digests, transcripts and machine
 state under ``REPRO_STRICT=1``, and ``repro trace-diff`` localises any
@@ -119,7 +120,7 @@ class ArrayDSU:
 
 
 class GraphEdgeTable:
-    """One machine's graph edges as parallel columns (packed once per init).
+    """One machine's graph edges as parallel columns, ranked once per init.
 
     ``u``/``v`` are the stored (normalized, u < v) endpoint ids, ``w``
     the weights; ``ui``/``vi`` are the endpoints' dense indices into the
@@ -131,7 +132,9 @@ class GraphEdgeTable:
     the dictionary's insertion order — the same order the scalar scan
     iterates — which matters only for tie-breaking, and ties are
     impossible: ``(w, u, v)`` repeats nowhere within one machine's edge
-    dict.
+    dict.  A columnar instance's table is a slice of the resident
+    graph-edge columns (:meth:`of_machine`), which hold each machine's
+    edges in that same order.
     """
 
     __slots__ = ("u", "v", "w", "ui", "vi", "by_rank")
@@ -140,12 +143,27 @@ class GraphEdgeTable:
         self, graph_edges: Mapping[Tuple[int, int], float], ids: np.ndarray
     ) -> None:
         n = len(graph_edges)
-        self.u = np.fromiter((k[0] for k in graph_edges), np.int64, n)
-        self.v = np.fromiter((k[1] for k in graph_edges), np.int64, n)
-        self.w = np.fromiter(graph_edges.values(), np.float64, n)
-        self.ui = np.searchsorted(ids, self.u)
-        self.vi = np.searchsorted(ids, self.v)
-        self.by_rank = np.lexsort((self.v, self.u, self.w))
+        self._rank(
+            np.fromiter((k[0] for k in graph_edges), np.int64, n),
+            np.fromiter((k[1] for k in graph_edges), np.int64, n),
+            np.fromiter(graph_edges.values(), np.float64, n),
+            ids,
+        )
+
+    @classmethod
+    def of_machine(cls, fleet, m: int, ids: np.ndarray) -> "GraphEdgeTable":
+        """Machine ``m``'s rows of the resident fleet graph-edge columns."""
+        ng = fleet.ng
+        rows = np.flatnonzero(fleet.galive[:ng] & (fleet.gmid[:ng] == m))
+        table = cls.__new__(cls)
+        table._rank(fleet.gu[rows], fleet.gv[rows], fleet.gw[rows], ids)
+        return table
+
+    def _rank(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, ids: np.ndarray) -> None:
+        self.u, self.v, self.w = u, v, w
+        self.ui = np.searchsorted(ids, u)
+        self.vi = np.searchsorted(ids, v)
+        self.by_rank = np.lexsort((v, u, w))
 
 
 def min_outgoing_rows(
@@ -187,6 +205,37 @@ def min_outgoing_rows(
     return comp_s[first], rows_s[first]
 
 
+class _FleetLinker:
+    """The init's Lemma 5.9 link chunks, applied to the fleet columns.
+
+    Each call is one link batch with the reference's wire (its engine
+    event included); the whole init is one gauge epoch, closed by
+    :meth:`close`.  Link batches never consume fresh tour ids, so the
+    counter is untouched.
+    """
+
+    def __init__(
+        self,
+        net: "Network",
+        vp: "VertexPartition",
+        states: Sequence["MachineState"],
+    ) -> None:
+        self.net, self.vp, self.states = net, vp, states
+        self.fleet = states[0].fleet  # type: ignore[attr-defined]
+        self.fleet.begin_epoch()
+
+    def __call__(self, links: Sequence[Tuple[int, int, float]]) -> None:
+        from repro.perf.columnar import link_into_fleet
+
+        recorder = self.net.ledger.recorder
+        if recorder is not None:
+            recorder.on_engine("structural_batch", "columnar")
+        link_into_fleet(self.net, self.vp, self.states, links)
+
+    def close(self) -> None:
+        self.fleet.end_epoch(self.states)
+
+
 def distributed_init_columnar(
     net: "Network",
     vp: "VertexPartition",
@@ -202,7 +251,6 @@ def distributed_init_columnar(
     """
     from repro.comm.aggregate import batched_queries
     from repro.graphs.graph import Edge
-    from repro.perf.columnar import LinkBatchSession
     from repro.sim.message import WORDS_EDGE
 
     k = net.k
@@ -211,8 +259,8 @@ def distributed_init_columnar(
         recorder.on_engine("init_build", "columnar")
     ids = np.asarray(sorted(vertices), dtype=np.int64)
     dsu = ArrayDSU(ids)
-    tables = [GraphEdgeTable(st.graph_edges, ids) for st in states]
-    session = LinkBatchSession(net, vp, states)
+    link = _FleetLinker(net, vp, states)
+    tables = [GraphEdgeTable.of_machine(link.fleet, st.mid, ids) for st in states]
     msf: Set[Edge] = set()
     with net.ledger.phase("init"):
         while True:
@@ -254,10 +302,8 @@ def distributed_init_columnar(
             chosen.sort(key=lambda e: e.key())
             for base in range(0, len(chosen), k):
                 chunk = chosen[base : base + k]
-                next_tour_id = session.run_links(
-                    [(e.u, e.v, e.weight) for e in chunk], next_tour_id
-                )
-    session.close()
+                link([(e.u, e.v, e.weight) for e in chunk])
+    link.close()
     return msf, next_tour_id
 
 
@@ -282,7 +328,6 @@ def mpc_init_columnar(
     from repro.graphs.graph import Edge
     from repro.mpc.cole_vishkin import cole_vishkin_3coloring
     from repro.mpc.init_mpc import _charge_cv_exchanges
-    from repro.perf.columnar import LinkBatchSession
     from repro.sim.message import WORDS_EDGE
 
     k = net.k
@@ -293,8 +338,8 @@ def mpc_init_columnar(
         recorder.on_engine("mpc_init", "columnar")
     ids = np.asarray(sorted(vertices), dtype=np.int64)
     dsu = ArrayDSU(ids)
-    tables = [GraphEdgeTable(st.graph_edges, ids) for st in states]
-    session = LinkBatchSession(net, vp, states)
+    link = _FleetLinker(net, vp, states)
+    tables = [GraphEdgeTable.of_machine(link.fleet, st.mid, ids) for st in states]
     msf: Set[Edge] = set()
     with net.ledger.phase("mpc_init"):
         while True:
@@ -359,7 +404,6 @@ def mpc_init_columnar(
                     msf.add(Edge.of(eu, ev, w))
             links.sort()
             for base in range(0, len(links), max(batch_limit, 1)):
-                chunk = links[base : base + batch_limit]
-                next_tour_id = session.run_links(chunk, next_tour_id)
-    session.close()
+                link(links[base : base + batch_limit])
+    link.close()
     return msf, next_tour_id

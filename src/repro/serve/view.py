@@ -10,7 +10,10 @@ paths, so they cost zero rounds and cannot perturb the ledger digest the
 determinism gate compares.
 
 Successive views diff cheaply (:meth:`ForestView.diff`), which is what
-the ``msf_change`` subscription channel broadcasts.
+the ``msf_change`` subscription channel broadcasts.  A capture reads the
+forest edges and component labels the core already holds
+(:meth:`repro.core.api.DynamicMST.forest`): a vertex's tour id names its
+tree, so no union-find runs per cut.
 """
 
 from __future__ import annotations
@@ -19,32 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 Pair = Tuple[int, int]
-
-
-def _component_labels(
-    vertices: List[int], edges: Mapping[Pair, float]
-) -> Dict[int, int]:
-    """Union-find over the forest; each vertex labelled by its
-    component's minimum vertex id (a canonical, order-independent label)."""
-    parent: Dict[int, int] = {v: v for v in vertices}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # Union by label so every root is its component's minimum.
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    return {v: find(v) for v in vertices}
 
 
 @dataclass(frozen=True)
@@ -61,10 +38,12 @@ class ForestView:
 
     @classmethod
     def capture(cls, dm, version: int, tick: int) -> "ForestView":
-        """Snapshot ``dm``'s forest (host-side reads only; zero rounds)."""
-        edges = {(e.u, e.v): e.weight for e in dm.msf_edges()}
-        vertices = sorted(dm.shadow.vertices())
-        component = _component_labels(vertices, edges)
+        """Snapshot ``dm``'s forest (host-side reads only; zero rounds).
+
+        Components are labelled by their minimum vertex id (a canonical,
+        order-independent label).
+        """
+        edges, component = dm.forest()
         return cls(
             version=version,
             tick=tick,
@@ -97,16 +76,10 @@ class ForestView:
         old weight's pair, added with the new weight).
         """
         added = sorted(
-            (u, v, newer.edges[(u, v)])
-            for (u, v) in newer.edge_set
-            if (u, v) not in self.edges or self.edges[(u, v)] != newer.edges[(u, v)]
+            (u, v, w) for (u, v), w in newer.edges.items() - self.edges.items()
         )
-        removed = sorted(
-            pair
-            for pair in self.edge_set
-            if pair not in newer.edges or newer.edges[pair] != self.edges[pair]
-        )
-        return [(u, v, w) for (u, v, w) in added], list(removed)
+        removed = sorted(pair for pair, _w in self.edges.items() - newer.edges.items())
+        return added, removed
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -15,12 +15,15 @@ suite in ``tests/perf``:
 A backend name is the only engine selector: ``backend=`` in code,
 ``--backend`` on the CLI and ``REPRO_BACKEND`` in the environment, each
 accepting exactly those two names.  A backend is one setting of the
-fast-path switch (:mod:`repro.perf.config`): selecting one means running
-under ``override_fast_path(backend.fast)``.
+fast-path switch (:mod:`repro.perf.config`), fixed when a network is
+built: :class:`~repro.sim.network.Network` takes ``fast=`` or resolves
+``REPRO_BACKEND`` once through :func:`backend_from_env`, and a
+:class:`~repro.core.api.DynamicMST` builds its network — and with it its
+machines' storage — from the backend it is given.
 
-:func:`resolve_backend` resolves a run's pin — an explicit ``backend=``
-name, then ``REPRO_BACKEND``.  With neither set the ambient fast-path
-switch decides, whose environment layer is :func:`backend_from_env`.
+:func:`resolve_backend` resolves a run's explicit pin — a ``backend=``
+name, then ``REPRO_BACKEND`` — for callers that record which backend
+was named (``None`` when neither is set).
 """
 
 from __future__ import annotations
@@ -80,13 +83,12 @@ def backend_from_env() -> ExecutionBackend:
 
 
 def resolve_backend(backend: Optional[str] = None) -> Optional[ExecutionBackend]:
-    """Resolve the backend for a run; ``None`` means "defer to ambient".
+    """Resolve the backend a run names; ``None`` when nothing names one.
 
     The explicit ``backend`` argument wins over the ``REPRO_BACKEND``
     environment variable.  When neither pins a backend the result is
-    ``None`` and the caller keeps the dynamic behaviour: every operation
-    consults the ambient fast-path switch
-    (:func:`repro.perf.config.fast_path_enabled`) at call time.
+    ``None``; a network built then resolves the environment's default
+    (:func:`backend_from_env`) once, at construction.
     """
     if backend is not None:
         return get_backend(backend)

@@ -22,6 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tupl
 import numpy as np
 
 from repro.errors import BandwidthExceeded, StrictModeViolation
+from repro.sim.executor import backend_from_env
 from repro.sim.machine import Machine
 from repro.sim.message import Message
 from repro.sim.metrics import Ledger
@@ -100,10 +101,15 @@ class Network:
 
     def __init__(self, k: int, ledger: Optional[Ledger] = None,
                  machine_budget: Optional[int] = None,
-                 strict: Optional[bool] = None) -> None:
+                 strict: Optional[bool] = None,
+                 fast: Optional[bool] = None) -> None:
         if k < 1:
             raise ValueError("need at least one machine")
         self.k = k
+        #: The engine, fixed for the network's life: True runs the
+        #: columnar fast path (see :mod:`repro.perf.config`).  None
+        #: resolves ``REPRO_BACKEND`` once, here.
+        self.fast: bool = backend_from_env().fast if fast is None else fast
         self.ledger = ledger if ledger is not None else Ledger()
         self.machines: List[Machine] = [Machine(i, budget=machine_budget) for i in range(k)]
         #: Cumulative words delivered *into* each machine — the quantity
@@ -288,9 +294,7 @@ class Network:
 
     def broadcast(self, src: int, payload: Any, words: int) -> None:
         """One machine sends the same ``words`` over all its links."""
-        from repro.perf.config import fast_path_enabled
-
-        if fast_path_enabled():
+        if self.fast:
             self.superstep_plane(MessagePlane.fanout([(src, payload, words)], self.k))
         else:
             self.superstep(
@@ -382,8 +386,9 @@ class KMachineNetwork(Network):
         ledger: Optional[Ledger] = None,
         machine_budget: Optional[int] = None,
         strict: Optional[bool] = None,
+        fast: Optional[bool] = None,
     ) -> None:
-        super().__init__(k, ledger, machine_budget, strict=strict)
+        super().__init__(k, ledger, machine_budget, strict=strict, fast=fast)
         if words_per_round < 1:
             raise ValueError("words_per_round must be >= 1")
         self.words_per_round = words_per_round
@@ -407,9 +412,11 @@ class MPCNetwork(Network):
         ledger: Optional[Ledger] = None,
         enforce_budget: bool = True,
         strict: Optional[bool] = None,
+        fast: Optional[bool] = None,
     ) -> None:
         super().__init__(
-            k, ledger, machine_budget=space if enforce_budget else None, strict=strict
+            k, ledger, machine_budget=space if enforce_budget else None,
+            strict=strict, fast=fast,
         )
         if space < 1:
             raise ValueError("space must be >= 1")

@@ -11,8 +11,9 @@ from repro.graphs import random_weighted_graph
 
 @pytest.fixture
 def dm(rng):
+    # The corruptions below edit the reference engine's dict storage.
     g = random_weighted_graph(20, 50, rng)
-    return DynamicMST.build(g, 4, rng=rng, init="free")
+    return DynamicMST.build(g, 4, rng=rng, init="free", backend="reference")
 
 
 def _first_state_with_mst(dm):

@@ -19,6 +19,7 @@ class TestGraphEdges:
         st.store_graph_edge(1, 9, 0.5)
         assert st.hosts_edge(9, 1)
         assert 9 in st.tracked and st.witness.get(9, "missing") is None
+        assert st.tour_id(9) is None and st.witness_snapshot(9) is None
 
     def test_duplicate_rejected(self):
         st = _state()
@@ -88,3 +89,59 @@ class TestSpaceGauges:
         st.drop_graph_edge(0, 1)
         st.pop_mst_edge(0, 1)
         assert st.machine.peak_words >= st.machine.space_words
+
+
+def _gauges(dm):
+    return [(dict(sorted(m._gauges.items())), m.peak_words) for m in dm.net.machines]
+
+
+#: Per-machine gauges and peak words of one fixed graph (n=60, m=150,
+#: k=4, seed 7), recorded before the columnar state became resident and
+#: before make_states sampled its gauges once per machine.  Both moves
+#: must leave every sample that can set a peak where it was.
+_FREE = [
+    ({"graph_edges": 162, "mst_edges": 176, "tours": 49, "witness": 376}, 855),
+    ({"graph_edges": 219, "mst_edges": 232, "tours": 52, "witness": 400}, 1001),
+    ({"graph_edges": 171, "mst_edges": 192, "tours": 49, "witness": 376}, 880),
+    ({"graph_edges": 261, "mst_edges": 280, "tours": 55, "witness": 424}, 1124),
+]
+_AFTER_CHURN = [
+    ({"graph_edges": 162, "mst_edges": 168, "tours": 52, "witness": 400}, 855),
+    ({"graph_edges": 204, "mst_edges": 216, "tours": 52, "witness": 400}, 1001),
+    ({"graph_edges": 171, "mst_edges": 208, "tours": 49, "witness": 376}, 880),
+    ({"graph_edges": 258, "mst_edges": 288, "tours": 56, "witness": 432}, 1124),
+]
+_DISTRIBUTED_PEAKS = {
+    "inproc-columnar": [763, 903, 788, 1020],
+    "reference": [771, 905, 798, 1022],
+}
+
+
+class TestSpaceGaugesPinned:
+    @pytest.mark.parametrize("backend", ["inproc-columnar", "reference"])
+    def test_free_init_then_churn(self, backend):
+        import numpy as np
+
+        from repro.core import DynamicMST
+        from repro.graphs import churn_stream, random_weighted_graph
+
+        g = random_weighted_graph(60, 150, np.random.default_rng(7))
+        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(7), init="free",
+                              backend=backend)
+        assert _gauges(dm) == _FREE
+        for batch in churn_stream(g.copy(), 6, 3, rng=np.random.default_rng(1)):
+            dm.apply_batch(batch)
+        assert _gauges(dm) == _AFTER_CHURN
+
+    @pytest.mark.parametrize("backend", ["inproc-columnar", "reference"])
+    def test_distributed_init(self, backend):
+        import numpy as np
+
+        from repro.core import DynamicMST
+        from repro.graphs import random_weighted_graph
+
+        g = random_weighted_graph(60, 150, np.random.default_rng(7))
+        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(7),
+                              init="distributed", backend=backend)
+        assert [gauges for gauges, _peak in _gauges(dm)] == [g_ for g_, _p in _FREE]
+        assert [peak for _g, peak in _gauges(dm)] == _DISTRIBUTED_PEAKS[backend]

@@ -8,7 +8,9 @@ trajectory through both engines under ``REPRO_STRICT=1`` and compare:
 * the full charge transcript (hence the SHA-256 digest);
 * the MSF key multiset and total weight;
 * every machine's internal Euler state — MST labels, witnesses, tour
-  ids, tour sizes — dict for dict;
+  ids, tour sizes, graph edges — as each storage's ``record()`` reports
+  it (dicts on the reference engine, resident fleet columns on the
+  columnar one);
 * the checker's verdict.
 """
 
@@ -19,7 +21,6 @@ from repro.core import DynamicMST
 from repro.graphs import churn_stream, random_weighted_graph
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
-from repro.perf.config import override_fast_path
 
 
 @pytest.fixture(autouse=True)
@@ -29,16 +30,7 @@ def _strict(monkeypatch):
 
 def _machine_fingerprint(st):
     """Everything a machine knows, as comparable plain data."""
-    return {
-        "mst": {k: (e.t_uv, e.t_vu, e.tour, e.weight) for k, e in st.mst.items()},
-        "witness": {
-            x: None if w is None else (w.u, w.v, w.t_uv, w.t_vu, w.tour, w.weight)
-            for x, w in st.witness.items()
-        },
-        "tour_of": dict(st.tour_of),
-        "tour_size": dict(st.tour_size),
-        "graph_edges": dict(st.graph_edges),
-    }
+    return st.record()
 
 
 def _run(builder, graph, stream, k, seed, backend, init="free"):
@@ -105,15 +97,19 @@ class TestKMachine:
                    init="distributed")
         _assert_equivalent(ref, fst)
 
-    def test_fast_pin_beats_ambient_override(self):
+    def test_fast_pin_beats_ambient_override(self, monkeypatch):
+        # A backend named at build outranks REPRO_BACKEND, for the whole
+        # life of the instance: storage, init and every batch.
         g = random_weighted_graph(20, 40, np.random.default_rng(0))
-        with override_fast_path(False):
-            dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
-                                  init="free", backend="inproc-columnar")
-            for batch in churn_stream(g.copy(), 4, 3,
-                                      rng=np.random.default_rng(0)):
-                dm.apply_batch(batch)
-            dm.check()
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
+                              init="free", backend="inproc-columnar")
+        for batch in churn_stream(g.copy(), 4, 3,
+                                  rng=np.random.default_rng(0)):
+            dm.apply_batch(batch)
+        dm.check()
+        assert dm.fast is True
+        assert all(hasattr(st, "fleet") for st in dm.states)
 
 
 class TestMPC:

@@ -26,7 +26,7 @@ from repro.graphs.dsu import DisjointSet
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
 from repro.perf.cclique_columnar import cc_local_msf_columnar
-from repro.perf.config import VECTOR_MIN_ROWS, override_fast_path
+from repro.perf.config import VECTOR_MIN_ROWS
 from repro.perf.init_columnar import ArrayDSU, GraphEdgeTable, min_outgoing_rows
 from repro.sim import KMachineNetwork
 
@@ -39,16 +39,9 @@ def _strict(monkeypatch):
 
 
 def _machine_fingerprint(st):
-    return {
-        "mst": {k: (e.t_uv, e.t_vu, e.tour, e.weight) for k, e in st.mst.items()},
-        "witness": {
-            x: None if w is None else (w.u, w.v, w.t_uv, w.t_vu, w.tour, w.weight)
-            for x, w in st.witness.items()
-        },
-        "tour_of": dict(st.tour_of),
-        "tour_size": dict(st.tour_size),
-        "graph_edges": dict(st.graph_edges),
-    }
+    # MST labels, witnesses, tour ids, tour sizes and graph edges, read
+    # through the state seam so both storages answer the same call.
+    return st.record()
 
 
 def _init_run(builder, graph, k, seed, backend, **build_kw):
@@ -141,10 +134,9 @@ def _cc_instance(seed, k, min_local=0):
 
 
 def _cc_run(engine, nv, local, k, seed, fast):
-    net = KMachineNetwork(k)
-    with override_fast_path(fast):
-        got = cc_msf(net, nv, [list(lst) for lst in local], engine=engine,
-                     rng=np.random.default_rng(seed))
+    net = KMachineNetwork(k, fast=fast)
+    got = cc_msf(net, nv, [list(lst) for lst in local], engine=engine,
+                 rng=np.random.default_rng(seed))
     return {
         "msf": [(e.key, e.cu, e.cv) for e in got],
         "transcript": list(net.ledger.transcript),
@@ -323,13 +315,12 @@ class TestDuplicateRankStability:
         local = [edges[m::k] for m in range(k)]
         runs = {}
         for fast in (False, True):
-            with override_fast_path(fast):
-                net = KMachineNetwork(k)
-                got = cc_msf(net, 24, [list(part) for part in local],
-                             engine=engine, rng=np.random.default_rng(7))
-                runs[fast] = (
-                    [(e.key, e.cu, e.cv) for e in got],
-                    list(net.ledger.transcript),
-                    net.ledger.digest(),
-                )
+            net = KMachineNetwork(k, fast=fast)
+            got = cc_msf(net, 24, [list(part) for part in local],
+                         engine=engine, rng=np.random.default_rng(7))
+            runs[fast] = (
+                [(e.key, e.cu, e.cv) for e in got],
+                list(net.ledger.transcript),
+                net.ledger.digest(),
+            )
         assert runs[True] == runs[False]

@@ -14,8 +14,9 @@ from repro.core.state import MachineState
 from repro.euler.brackets import BracketComponents
 from repro.euler.tour import ETEdge
 from repro.perf.components import (
-    SCALAR_FALLBACK,
-    machine_component_map,
+    FALLBACK,
+    UNAFFECTED,
+    component_codes,
     tour_interval_arrays,
 )
 from repro.perf.steiner import m_prime_members, steiner_degrees
@@ -61,40 +62,46 @@ class TestComponentMap:
         want = [bc.component_of_label(int(w)) for w in surviving]
         assert got.tolist() == want
 
+    @staticmethod
+    def _codes(rows, brackets, comp_base):
+        """component_codes over rows of (tour, witness labels or None)."""
+        tours = np.array([t for t, _w in rows], dtype=np.int64)
+        wt1 = np.array([w[0] if w else 0 for _t, w in rows], dtype=np.int64)
+        wt2 = np.array([w[1] if w else 0 for _t, w in rows], dtype=np.int64)
+        walive = np.array([w is not None for _t, w in rows], dtype=bool)
+        return component_codes(
+            tours, wt1, wt2, walive, brackets, comp_base,
+            tour_interval_arrays(brackets),
+        ).tolist()
+
     def test_fallback_and_none_classification(self):
         # Tour 1 is affected (one deleted interval), tour 2 is not.
         bc = BracketComponents([(1, 4)], 6)
-        brackets = {1: bc}
-        arrays = tour_interval_arrays(brackets)
-        st = MachineState(0, [10, 11, 12, 13])
-        st.graph_edges = {
-            (10, 11): 1.0, (11, 12): 1.0, (12, 13): 1.0,
-        }
-        st.tour_of = {10: 1, 11: 1, 12: 2, 13: 1}
-        st.witness = {
-            10: ETEdge(10, 99, 1.0, 2, 3, 1),   # surviving labels → decided
-            11: None,                            # missing → fallback
-            12: ETEdge(12, 99, 1.0, 0, 5, 2),   # unaffected tour → None
-            13: ETEdge(13, 99, 1.0, 1, 4, 1),   # deleted pair → fallback
-        }
-        out = machine_component_map(st, brackets, {1: 0}, arrays)
-        assert out[10] == bc.component_of_label(2)  # comp_base is 0
-        assert out[11] is SCALAR_FALLBACK
-        assert out[12] is None
-        assert out[13] is SCALAR_FALLBACK
+        got = self._codes(
+            [
+                (1, (2, 3)),   # surviving labels → decided
+                (1, None),     # missing → fallback
+                (2, (0, 5)),   # unaffected tour → None
+                (1, (1, 4)),   # deleted pair → fallback
+            ],
+            {1: bc}, {1: 0},
+        )
+        assert got[0] == bc.component_of_label(2)  # comp_base is 0
+        assert got[1] == FALLBACK
+        assert got[2] == UNAFFECTED
+        assert got[3] == FALLBACK
 
     def test_out_of_range_label_falls_back(self):
         bc = BracketComponents([(1, 2)], 4)
-        st = MachineState(0, [5, 6])
-        st.graph_edges = {(5, 6): 1.0}
-        st.tour_of = {5: 1, 6: 1}
-        st.witness = {
-            5: ETEdge(5, 6, 1.0, 0, 9, 1),    # 0 survives → decided
-            6: ETEdge(5, 6, 1.0, -3, 7, 1),   # corrupt → scalar raises it
-        }
-        out = machine_component_map(st, {1: bc}, {1: 0}, tour_interval_arrays({1: bc}))
-        assert out[5] == bc.component_of_label(0)
-        assert out[6] is SCALAR_FALLBACK
+        got = self._codes(
+            [
+                (1, (0, 9)),    # 0 survives → decided
+                (1, (-3, 7)),   # corrupt → scalar raises it
+            ],
+            {1: bc}, {1: 5},
+        )
+        assert got[0] == 5 + bc.component_of_label(0)
+        assert got[1] == FALLBACK
 
 
 def _tour_state(rng, n_edges, tid, size):

@@ -25,6 +25,7 @@ from repro.sim.executor import (
     get_backend,
     resolve_backend,
 )
+from repro.sim import KMachineNetwork
 from repro.trace.recorder import TraceRecorder
 
 
@@ -92,18 +93,23 @@ class TestPrecedence:
 
     def test_env_default_backend_follows_fast_path(self, monkeypatch):
         assert backend_from_env().name == "inproc-columnar"
-        assert config.fast_path_enabled() is True
+        assert config.fast_path_enabled(KMachineNetwork(2)) is True
         monkeypatch.setenv("REPRO_BACKEND", "reference")
         assert backend_from_env().name == "reference"
-        assert config.fast_path_enabled() is False
+        assert config.fast_path_enabled(KMachineNetwork(2)) is False
 
-    def test_build_pins_the_instance(self):
+    def test_build_pins_the_instance(self, monkeypatch):
+        # The engine is fixed at build: ``backend=None`` resolves
+        # REPRO_BACKEND once, and the instance keeps it afterwards.
         g = random_weighted_graph(16, 30, np.random.default_rng(0))
         for backend, fast in (("inproc-columnar", True), ("reference", False),
-                              (None, None)):
+                              (None, True)):
             dm = DynamicMST.build(g, 4, rng=np.random.default_rng(0),
                                   backend=backend)
             assert dm.fast is fast
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        assert dm.fast is True
+        assert DynamicMST.build(g, 4, rng=np.random.default_rng(0)).fast is False
 
     @pytest.mark.parametrize("facade", [DynamicMST, MPCDynamicMST])
     def test_build_takes_a_backend_name_only(self, facade):
@@ -116,9 +122,9 @@ class TestPrecedence:
 class TestEnvironmentLayer:
     def test_override_outranks_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "reference")
-        with config.override_fast_path(get_backend("inproc-columnar").fast):
-            assert config.fast_path_enabled() is True
-        assert config.fast_path_enabled() is False
+        net = KMachineNetwork(2, fast=get_backend("inproc-columnar").fast)
+        assert config.fast_path_enabled(net) is True
+        assert config.fast_path_enabled(KMachineNetwork(2)) is False
 
 
 def _structural_engines(backend):
