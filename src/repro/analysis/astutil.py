@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: wrapper).  The call-graph pass seeds its "communicates" effect from
 #: this set; SIM004 uses it both directly and transitively.
 COMM_TAILS = frozenset({
-    "superstep", "superstep_plane", "broadcast", "batched_queries",
-    "scheduled_broadcasts", "lenzen_route", "lenzen_sort",
+    "superstep", "superstep_plane", "fanout", "point_to_point", "broadcast",
+    "batched_queries", "scheduled_broadcasts", "lenzen_route", "lenzen_sort",
     "tree_broadcast", "tree_converge_cast", "run_structural_batch",
 })
 

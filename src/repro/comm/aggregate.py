@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.rerouting import scheduled_broadcasts
-from repro.sim.message import WORDS_ID, Message
+from repro.sim.message import WORDS_ID
 from repro.sim.network import Network
 
 #: per-machine local values: values[mid] is machine mid's contribution
@@ -33,11 +33,11 @@ def converge_cast(
     """Aggregate per-machine values at ``root``; only the root learns it."""
     if len(values) != net.k:
         raise ValueError("need exactly one (possibly None) value per machine")
-    net.superstep(
-        Message(mid, root, val, words)
+    net.point_to_point([
+        (mid, root, val, words)
         for mid, val in enumerate(values)
         if val is not None and mid != root
-    )
+    ])
     contributions = [v for v in values if v is not None]
     return combine(contributions) if contributions else None
 
@@ -94,12 +94,12 @@ def batched_queries(
     collator = {qid: idx % k for idx, qid in enumerate(qids)}
     # Superstep: each machine sends each non-None contribution to the
     # collation machine of that query.
-    net.superstep(
-        Message(mid, collator[qid], (qid, val), words)
+    net.point_to_point([
+        (mid, collator[qid], (qid, val), words)
         for qid in qids
         for mid, val in enumerate(per_query_values[qid])
         if val is not None and mid != collator[qid]
-    )
+    ])
     results: Dict[Any, Any] = {}
     bcast_reqs: List[Tuple[int, Any, int]] = []
     for qid in qids:

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf.config import fast_path_enabled
 from repro.sim.message import WORDS_ID, Message
 from repro.sim.network import Network
-from repro.sim.plane import MessagePlane
 
 
 def _bipartite_edge_coloring(pairs: List[Tuple[int, int]]) -> List[int]:
@@ -101,7 +99,6 @@ def lenzen_route(
     msgs.sort(key=lambda m: (m.src, m.dst, repr(m.payload)))
     colours = _bipartite_edge_coloring([(m.src, m.dst) for m in msgs])
 
-    fast = fast_path_enabled(net)
     phase1: List[Tuple[int, int, Any, int]] = []
     at_intermediate: List[Tuple[int, Message]] = []  # (intermediate, original)
     for m, c in zip(msgs, colours):
@@ -110,10 +107,7 @@ def lenzen_route(
         if inter != m.src:
             # Envelope carries (dst, payload); same width + 1 id word.
             phase1.append((m.src, inter, ("fwd", m.dst, m.payload), m.words + 1))
-    if fast:
-        net.superstep_plane(MessagePlane.point_to_point(phase1))
-    else:
-        net.superstep(Message(s, d, p, w) for (s, d, p, w) in phase1)
+    net.point_to_point(phase1)
 
     phase2: List[Tuple[int, int, Any, int]] = []
     inboxes: Dict[int, List[Tuple[int, Any]]] = {}
@@ -121,10 +115,7 @@ def lenzen_route(
         if inter != m.dst:
             phase2.append((inter, m.dst, ("src", m.src, m.payload), m.words + 1))
         inboxes.setdefault(m.dst, []).append((m.src, m.payload))
-    if fast:
-        net.superstep_plane(MessagePlane.point_to_point(phase2))
-    else:
-        net.superstep(Message(s, d, p, w) for (s, d, p, w) in phase2)
+    net.point_to_point(phase2)
     for dst in inboxes:
         inboxes[dst].sort(key=lambda sp: (sp[0], repr(sp[1])))
     return inboxes
@@ -184,7 +175,7 @@ def lenzen_sort(
     # (k² effective samples for O(1) cost), then all k splitters are
     # shared in one broadcast superstep.
     received: List[List[Tuple[Any, int, int]]] = [[] for _ in range(k)]
-    transpose: List[Message] = []
+    transpose: List[Tuple[int, int, Any, int]] = []
     for mid in range(k):
         items = local[mid]
         for j in range(k):
@@ -194,10 +185,10 @@ def lenzen_sort(
             if j == mid:
                 received[j].append(sample)
             else:
-                transpose.append(Message(mid, j, ("sample", sample), words))
-    net.superstep(transpose)
-    for m in transpose:
-        received[m.dst].append(m.payload[1])
+                transpose.append((mid, j, ("sample", sample), words))
+    net.point_to_point(transpose)
+    for _mid, j, (_tag, sample), _w in transpose:
+        received[j].append(sample)
     splitter_of: List[Optional[Tuple[Any, int, int]]] = []
     for j in range(k):
         if received[j]:
@@ -205,12 +196,11 @@ def lenzen_sort(
             splitter_of.append(got[len(got) // 2])
         else:
             splitter_of.append(None)
-    net.superstep(
-        Message(j, dst, ("splitter", splitter_of[j]), words)
-        for j in range(k)
-        for dst in range(k)
-        if dst != j and splitter_of[j] is not None
-    )
+    net.fanout([
+        (j, ("splitter", splitter), words)
+        for j, splitter in enumerate(splitter_of)
+        if splitter is not None
+    ])
     splitters = sorted(s for s in splitter_of if s is not None)[: k - 1]
 
     # Step 2: route every item to the machine owning its sample range
@@ -234,12 +224,7 @@ def lenzen_sort(
     # Step 3: owners broadcast their received counts; everyone derives the
     # exact global offset of each range.
     counts = [len(range_items[mid]) for mid in range(k)]
-    net.superstep(
-        Message(mid, dst, ("count", counts[mid]), WORDS_ID)
-        for mid in range(k)
-        for dst in range(k)
-        if dst != mid
-    )
+    net.fanout([(mid, ("count", c), WORDS_ID) for mid, c in enumerate(counts)])
     offsets = [0] * k
     for mid in range(1, k):
         offsets[mid] = offsets[mid - 1] + counts[mid - 1]

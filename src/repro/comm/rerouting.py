@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
-from repro.perf.config import fast_path_enabled
-from repro.sim.message import WORDS_ID, Message
+from repro.sim.message import WORDS_ID
 from repro.sim.network import Network
-from repro.sim.plane import MessagePlane
 
 #: A broadcast request: (source machine, payload, payload width in words).
 BroadcastReq = Tuple[int, Any, int]
@@ -43,23 +41,12 @@ def scheduled_broadcasts(
     if not reqs:
         return []
     k = net.k
-    fast = fast_path_enabled(net)
     if announce and k > 1:
         # Step 1: every machine broadcasts its request count (1 word).
         counts: dict[int, int] = {}
         for src, _p, _w in reqs:
             counts[src] = counts.get(src, 0) + 1
-        if fast:
-            net.superstep_plane(MessagePlane.fanout(
-                [(src, ("count", counts[src]), WORDS_ID) for src in counts], k
-            ))
-        else:
-            net.superstep(
-                Message(src, dst, ("count", counts.get(src, 0)), WORDS_ID)
-                for src in counts
-                for dst in range(k)
-                if dst != src
-            )
+        net.fanout([(src, ("count", c), WORDS_ID) for src, c in counts.items()])
     # Global order: by source machine, then local order.  Each iteration
     # hands g messages to each of the k relay machines, where g is how
     # many broadcasts a relay can emit per round in this model (1 in the
@@ -78,20 +65,9 @@ def scheduled_broadcasts(
             relay.append((target, payload, words))
             if src != target:
                 hops.append((src, target, payload, words))
-        if fast:
-            net.superstep_plane(MessagePlane.point_to_point(hops))
-        else:
-            net.superstep(Message(s, t, p, w) for (s, t, p, w) in hops)
+        net.point_to_point(hops)
         # Step 2b: every relay machine broadcasts its message(s).
-        if fast:
-            net.superstep_plane(MessagePlane.fanout(relay, k))
-        else:
-            net.superstep(
-                Message(j, dst, payload, words)
-                for (j, payload, words) in relay
-                for dst in range(k)
-                if dst != j
-            )
+        net.fanout(relay)
         out.extend((reqs[i][0], reqs[i][1]) for i in ordered[base : base + k * g])
     return out
 
@@ -109,19 +85,11 @@ def naive_broadcasts(
     reqs = list(requests)
     if not reqs:
         return []
-    k = net.k
-    per_machine: dict[int, List[Tuple[int, Any, int]]] = {}
-    for i, (src, payload, words) in enumerate(reqs):
-        per_machine.setdefault(src, []).append((i, payload, words))
+    per_machine: dict[int, List[BroadcastReq]] = {}
+    for req in reqs:
+        per_machine.setdefault(req[0], []).append(req)
     waves = max(len(v) for v in per_machine.values())
     for t in range(waves):
-        net.superstep(
-            Message(src, dst, payload, words)
-            for src, items in per_machine.items()
-            if t < len(items)
-            for (_i, payload, words) in [items[t]]
-            for dst in range(k)
-            if dst != src
-        )
+        net.fanout([items[t] for items in per_machine.values() if t < len(items)])
     ordered = sorted(range(len(reqs)), key=lambda i: (reqs[i][0], i))
     return [(reqs[i][0], reqs[i][1]) for i in ordered]

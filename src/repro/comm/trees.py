@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.sim.message import Message
-from repro.sim.network import Network
+from repro.sim.network import Network, Send
 
 
 def _levels(k: int, root: int, branching: int) -> List[List[int]]:
@@ -57,14 +56,14 @@ def tree_broadcast(
         lo, hi = 0, 1
         for _ in range(depth):
             lo, hi = lo * branching + 1, min(hi * branching + 1, k)
-        msgs = []
+        msgs: List[Send] = []
         for i, mid in enumerate(levels[depth]):
             virt = lo + i
             pvirt = _parent_virtual(virt, branching)
             parent = (pvirt + root) % k
             if parent != mid:
-                msgs.append(Message(parent, mid, payload, words))
-        net.superstep(msgs)
+                msgs.append((parent, mid, payload, words))
+        net.point_to_point(msgs)
         supersteps += 1
     return supersteps
 
@@ -91,20 +90,18 @@ def tree_converge_cast(
         lo, hi = 0, 1
         for _ in range(depth):
             lo, hi = lo * branching + 1, min(hi * branching + 1, k)
-        msgs = []
-        sends: List[tuple[int, int]] = []
+        msgs: List[Send] = []
         for i, mid in enumerate(levels[depth]):
             virt = lo + i
             parent = (_parent_virtual(virt, branching) + root) % k
             if partial[mid]:
                 agg = combine(partial[mid])
-                sends.append((mid, parent))
                 if parent != mid:
-                    msgs.append(Message(mid, parent, agg, words))
+                    msgs.append((mid, parent, agg, words))
                     partial[parent].append(agg)
                 else:
                     partial[parent].append(agg)
                 partial[mid] = []
-        net.superstep(msgs)
+        net.point_to_point(msgs)
     vals = partial[root]
     return combine(vals) if vals else None

@@ -21,11 +21,14 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.batch_addition import batch_add
 from repro.core.batch_deletion import batch_delete
 from repro.core.checker import check_global_consistency
 from repro.core.init_build import distributed_init, free_init, make_states
 from repro.core.single_update import single_add, single_delete
+from repro.core.state import Forest
 from repro.errors import InconsistentUpdate
 from repro.graphs.generators import RngLike, as_rng
 from repro.graphs.graph import Edge, WeightedGraph, normalize
@@ -394,9 +397,10 @@ class DynamicMST:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def forest(self) -> Tuple[Dict[Tuple[int, int], float], Dict[int, int]]:
-        """Forest edges ``{(u, v): weight}`` and every vertex's component
-        label (the minimum vertex id of its tree), read host-side.
+    def forest(self) -> Forest:
+        """Forest edge keys and weights sorted by key, and every vertex
+        (sorted) with its component label (the minimum vertex id of its
+        tree), read host-side.
 
         A vertex's tour id names its tree, so the labels come from the
         hosting machines' tour ids — no union-find over the edges.
@@ -407,17 +411,27 @@ class DynamicMST:
         for st in self.states:
             for ete in st.iter_mst():
                 edges[(ete.u, ete.v)] = ete.weight
+        keys = sorted(edges)
         first: Dict[Optional[int], int] = {}
-        tours: Dict[int, Optional[int]] = {}
-        for x in sorted(self.shadow.vertices()):
+        tours: List[Optional[int]] = []
+        xs = sorted(self.shadow.vertices())
+        for x in xs:
             tid = self.states[self.vp.home(x)].tour_id(x)
-            tours[x] = tid
+            tours.append(tid)
             first.setdefault(tid, x)
-        return edges, {x: first[tid] for x, tid in tours.items()}
+        return Forest(
+            np.array([u for u, _v in keys], dtype=np.int64),
+            np.array([v for _u, v in keys], dtype=np.int64),
+            np.array([edges[key] for key in keys], dtype=np.float64),
+            np.array(xs, dtype=np.int64),
+            np.array([first[tid] for tid in tours], dtype=np.int64),
+            sum(edges.values()),
+        )
 
     def msf_edges(self) -> Set[Edge]:
         """The current minimum spanning forest (union of machine views)."""
-        return {Edge(u, v, w) for (u, v), w in self.forest()[0].items()}
+        f = self.forest()
+        return {Edge(u, v, w) for u, v, w in zip(f.u.tolist(), f.v.tolist(), f.w.tolist())}
 
     def in_mst(self, u: int, v: int) -> bool:
         """Would be answered by either hosting machine locally."""

@@ -24,7 +24,7 @@ from repro.comm.aggregate import batched_queries, global_max, global_sum
 from repro.core.state import MachineStateBase
 from repro.errors import ProtocolError
 from repro.graphs.graph import normalize
-from repro.sim.message import WORDS_EDGE, WORDS_ID, Message
+from repro.sim.message import WORDS_EDGE, WORDS_ID
 from repro.sim.network import Network
 from repro.sim.partition import VertexPartition
 
@@ -100,7 +100,7 @@ def path_max_query(
     tu, tv = states[hu].tour_id(u), states[hv].tour_id(v)
     if tu != tv or tu is None:
         # Tour ids are exchanged in one superstep.
-        net.superstep([Message(hu, hv, ("tid", tu), WORDS_ID)] if hu != hv else [])
+        net.point_to_point([(hu, hv, ("tid", tu), WORDS_ID)] if hu != hv else [])
         if tu != tv:
             return None
     iu = states[hu].parent_interval(u)

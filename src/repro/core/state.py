@@ -36,7 +36,7 @@ enforces it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +48,25 @@ from repro.sim.message import WORDS_EDGE, WORDS_ET_EDGE, WORDS_ID
 
 #: Wire form of a witness: ``(u, v, weight, t_uv, t_vu, tour)``.
 Snapshot = Tuple[int, int, float, int, int, int]
+
+
+class Forest(NamedTuple):
+    """The forest read host-side (zero rounds), as sorted arrays.
+
+    ``u``, ``v`` and ``w`` are the forest edges' keys and weights, sorted
+    by ``(u, v)``; ``vertex`` holds every vertex, sorted, and ``label``
+    its component label — the minimum vertex id of its tree.  ``weight``
+    is the total, summed in the storage's edge order: float addition is
+    not associative, and a sum in key order could move the published
+    total in its last bits.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    vertex: np.ndarray
+    label: np.ndarray
+    weight: float
 
 
 class MachineStateBase:

@@ -30,8 +30,8 @@ from repro.graphs.dsu import DisjointSet
 from repro.graphs.graph import Edge
 from repro.mpc.cole_vishkin import cole_vishkin_3coloring
 from repro.perf.config import fast_path_enabled
-from repro.sim.message import WORDS_EDGE, WORDS_ID, Message
-from repro.sim.network import Network
+from repro.sim.message import WORDS_EDGE, WORDS_ID
+from repro.sim.network import Network, Send
 from repro.sim.partition import VertexPartition
 
 
@@ -43,15 +43,15 @@ def _charge_cv_exchanges(
 ) -> None:
     """Charge the colour exchanges: per iteration, every child's leader
     machine receives its parent component's colour (1 word)."""
-    msgs = []
+    sends: List[Send] = []
     for child, par in parent.items():
         if par is None:
             continue
         src, dst = vp.home(par), vp.home(child)
         if src != dst:
-            msgs.append(Message(src, dst, ("cv", par, child), WORDS_ID))
+            sends.append((src, dst, ("cv", par, child), WORDS_ID))
     for _ in range(max(iterations, 1)):
-        net.superstep(list(msgs))
+        net.point_to_point(sends)
 
 
 def mpc_init(

@@ -53,7 +53,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.state import MachineStateBase, Snapshot
+from repro.core.state import Forest, MachineStateBase, Snapshot
 from repro.errors import ProtocolError
 from repro.euler.labels import JoinSpec, SplitSpec
 from repro.euler.tour import ETEdge
@@ -535,17 +535,15 @@ class FleetColumns:
     # ------------------------------------------------------------------
     # fleet-wide reads (serve view)
     # ------------------------------------------------------------------
-    def forest(self) -> Tuple[Dict[Tuple[int, int], float], Dict[int, int]]:
-        """Forest edges ``{(u, v): w}`` and every vertex's component label.
+    def forest(self) -> Forest:
+        """The forest edges, sorted by key, and every vertex's label.
 
         A vertex's tour id names its tree, so its label — the tree's
         minimum vertex id — is the minimum over the hosted vertices
-        sharing that tour id.
+        sharing that tour id.  An edge hosted on two machines has two
+        rows; the first stored is kept, and the total weight sums the
+        kept rows in row order.
         """
-        live = np.flatnonzero(self.ealive[: self.ne])
-        edges = dict(zip(
-            zip(self.eu[live].tolist(), self.ev[live].tolist()), self.ew[live].tolist()
-        ))
         home = np.flatnonzero(self.vown[: self.nv])
         xs, ts = self.vx[home], self.vtour[home]
         order = np.lexsort((xs, ts))
@@ -555,7 +553,19 @@ class FleetColumns:
         group = np.cumsum(first) - 1
         labels = np.empty_like(xs)
         labels[order] = xs[order][first][group]
-        return edges, dict(zip(xs.tolist(), labels.tolist()))
+        by_x = np.argsort(xs, kind="stable")
+        vertex = xs[by_x]
+        live = np.flatnonzero(self.ealive[: self.ne])
+        eu, ev, ew = self.eu[live], self.ev[live], self.ew[live]
+        by_key = np.lexsort((ev, eu))  # stable: stored order within a key
+        su, sv = eu[by_key], ev[by_key]
+        keep = np.ones(by_key.shape[0], dtype=bool)
+        keep[1:] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        rows = by_key[keep]  # each edge's first-stored copy, in key order
+        stored = np.zeros(by_key.shape[0], dtype=bool)
+        stored[rows] = True
+        weight = sum(ew[stored].tolist())
+        return Forest(eu[rows], ev[rows], ew[rows], vertex, labels[by_x], weight)
 
 
 class ColumnarMachineState(MachineStateBase):

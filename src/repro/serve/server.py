@@ -440,10 +440,12 @@ class MSTDaemon:
                 self.admission.task_done()
 
     def _broadcast(self, change: MsfChange) -> None:
+        subscribers = [s for s in self.sessions if s.subscribed]
+        if not subscribers:
+            return
         data = encode_event(EventMessage("msf_change", change.as_fields()))
-        for session in list(self.sessions):
-            if session.subscribed:
-                session.push_event(data)
+        for session in subscribers:
+            session.push_event(data)
 
     # -- shutdown + the determinism gate ------------------------------
     async def shutdown(self, drain: bool = True) -> List[MsfChange]:

@@ -9,19 +9,46 @@ ROADMAP item-1 contract: reads never touch the charged distributed query
 paths, so they cost zero rounds and cannot perturb the ledger digest the
 determinism gate compares.
 
-Successive views diff cheaply (:meth:`ForestView.diff`), which is what
-the ``msf_change`` subscription channel broadcasts.  A capture reads the
-forest edges and component labels the core already holds
-(:meth:`repro.core.api.DynamicMST.forest`): a vertex's tour id names its
-tree, so no union-find runs per cut.
+A capture reads the forest the core already holds
+(:meth:`repro.core.api.DynamicMST.forest`): edge keys and weights sorted
+by key, and every vertex's component label — a vertex's tour id names
+its tree, so no union-find runs per cut.  The view keeps those arrays
+beside its dicts, so :meth:`ForestView.diff`, what the ``msf_change``
+subscription channel broadcasts, merges two sorted edge lists instead of
+walking two dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
+
+import numpy as np
+
+from repro.core.state import Forest
 
 Pair = Tuple[int, int]
+
+
+def _edge_delta(old: Forest, new: Forest) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of ``old`` and of ``new`` whose (key, weight) the other lacks,
+    each in key order.
+
+    A forest holds a key once, so in both lists sorted together by
+    (u, v, w) a row the other forest shares sits next to its twin.
+    """
+    u = np.concatenate((old.u, new.u))
+    v = np.concatenate((old.v, new.v))
+    w = np.concatenate((old.w, new.w))
+    order = np.lexsort((w, v, u))
+    u, v, w = u[order], v[order], w[order]
+    twin = (u[1:] == u[:-1]) & (v[1:] == v[:-1]) & (w[1:] == w[:-1])
+    alone = np.ones(order.shape[0], dtype=bool)
+    alone[1:] &= ~twin
+    alone[:-1] &= ~twin
+    rows = order[alone]
+    n_old = old.u.shape[0]
+    return rows[rows < n_old], rows[rows >= n_old] - n_old
 
 
 @dataclass(frozen=True)
@@ -34,7 +61,7 @@ class ForestView:
     edges: Mapping[Pair, float]
     component: Mapping[int, int]
     n_components: int
-    edge_set: FrozenSet[Pair] = field(default=frozenset())
+    forest: Forest = field(repr=False, compare=False)
 
     @classmethod
     def capture(cls, dm, version: int, tick: int) -> "ForestView":
@@ -43,15 +70,17 @@ class ForestView:
         Components are labelled by their minimum vertex id (a canonical,
         order-independent label).
         """
-        edges, component = dm.forest()
+        f = dm.forest()
         return cls(
             version=version,
             tick=tick,
-            weight=sum(edges.values()),
-            edges=edges,
-            component=component,
-            n_components=len(set(component.values())),
-            edge_set=frozenset(edges),
+            weight=f.weight,
+            edges=dict(zip(zip(f.u.tolist(), f.v.tolist()), f.w.tolist())),
+            component=dict(zip(f.vertex.tolist(), f.label.tolist())),
+            # A tree's label is its minimum vertex: one vertex per tree
+            # is its own label.
+            n_components=int(np.count_nonzero(f.label == f.vertex)),
+            forest=f,
         )
 
     def in_forest(self, u: int, v: int) -> bool:
@@ -75,10 +104,10 @@ class ForestView:
         A re-weighted forest edge appears in both lists (removed at the
         old weight's pair, added with the new weight).
         """
-        added = sorted(
-            (u, v, w) for (u, v), w in newer.edges.items() - self.edges.items()
-        )
-        removed = sorted(pair for pair, _w in self.edges.items() - newer.edges.items())
+        old, new = self.forest, newer.forest
+        gone, got = _edge_delta(old, new)
+        added = list(zip(new.u[got].tolist(), new.v[got].tolist(), new.w[got].tolist()))
+        removed = list(zip(old.u[gone].tolist(), old.v[gone].tolist()))
         return added, removed
 
     def stats(self) -> Dict[str, object]:

@@ -2,11 +2,20 @@
 
 A protocol is expressed as a sequence of *supersteps*.  In one superstep
 every machine may inject any number of messages; the network computes how
-many synchronous rounds that load needs under the model's capacity rule,
-charges the ledger, and delivers everything.  This mirrors how round
-complexity is argued in the paper: a communication pattern costs
-``ceil(worst link load / capacity)`` rounds because the schedule within a
-pattern is oblivious.
+many synchronous rounds that load needs under the model's capacity rule
+and charges the ledger.  This mirrors how round complexity is argued in
+the paper: a communication pattern costs ``ceil(worst link load /
+capacity)`` rounds because the schedule within a pattern is oblivious.
+
+The network charges every superstep but delivers inboxes only where a
+receiver reads them: :meth:`Network.superstep` returns inboxes (its one
+reader is :func:`repro.sim.program.run_programs`), while the protocols of
+:mod:`repro.comm` know what every machine receives from their own
+requests and call the charge-only :meth:`Network.fanout` and
+:meth:`Network.point_to_point`.  On the columnar engine those two charge
+from loads computed in one pass over the requests
+(:meth:`Network.superstep_plane`); on the reference engine they
+materialize the ``Message`` list and run :meth:`superstep`.
 
 Crucially the network is *dumb*: it never reroutes.  Load-balancing tricks
 (the Rerouting Lemma, Lenzen routing) live in :mod:`repro.comm` as explicit
@@ -17,22 +26,26 @@ not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import BandwidthExceeded, StrictModeViolation
 from repro.sim.executor import backend_from_env
 from repro.sim.machine import Machine
 from repro.sim.message import Message
 from repro.sim.metrics import Ledger
-from repro.sim.plane import MessagePlane
 from repro.sim.strict import (
     EntropyGuard,
     check_message_words,
     strict_from_env,
     violation_kind,
 )
+
+
+#: A fan-out request: (source machine, payload, payload width in words).
+FanoutReq = Tuple[int, Any, int]
+#: A point-to-point send: (source, destination, payload, width in words).
+Send = Tuple[int, int, Any, int]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -127,9 +140,12 @@ class Network:
         self.faults: Optional[FaultHook] = None
 
     # -- model-specific ------------------------------------------------
-    def rounds_for_load(
-        self, pair_words: Dict[Tuple[int, int], int]
+    def rounds_for(
+        self, worst_pair: int, send: Sequence[int], recv: Sequence[int]
     ) -> int:  # pragma: no cover - abstract
+        """Rounds a superstep needs under the model's capacity rule, from
+        its heaviest ordered-pair load and each machine's send and receive
+        totals (words)."""
         raise NotImplementedError
 
     def relay_multiplicity(self, words: int) -> int:
@@ -146,7 +162,9 @@ class Network:
 
         Returns per-destination inboxes as ``{dst: [(src, payload), ...]}``
         sorted by source machine for determinism.  An empty superstep is
-        free (no rounds charged).
+        free (no rounds charged).  This is the reference path: protocols
+        that do not read inboxes call :meth:`fanout` or
+        :meth:`point_to_point`, which charge the same.
         """
         msgs = list(messages)
         if not msgs:
@@ -161,35 +179,21 @@ class Network:
                 # reached the wire, nothing is charged or delivered.
                 return {}
         if self.strict:
-            self._strict_pre_superstep(msgs)
+            self._strict_pre_superstep((m.src, m.dst, m.payload, m.words) for m in msgs)
         pair_words: Dict[Tuple[int, int], int] = {}
-        n_msgs = 0
         n_words = 0
         for m in msgs:
             self._check_endpoint(m.src)
             self._check_endpoint(m.dst)
             pair_words[(m.src, m.dst)] = pair_words.get((m.src, m.dst), 0) + m.words
-            n_msgs += 1
             n_words += m.words
-            self.ingress_words[m.dst] += m.words
-            self.egress_words[m.src] += m.words
-        recorder = self.ledger.recorder
-        if recorder is not None:
-            send = [0] * self.k
-            recv = [0] * self.k
-            sizes: Dict[int, int] = {}
+        sizes: Optional[Dict[int, int]] = None
+        if self.ledger.recorder is not None:
+            sizes = {}
             for m in msgs:
-                send[m.src] += m.words
-                recv[m.dst] += m.words
                 sizes[m.words] = sizes.get(m.words, 0) + 1
-            recorder.on_superstep("scalar", n_msgs, n_words, send, recv, sizes)
-        rounds = self.rounds_for_load(pair_words)
-        if self.strict and n_words > 0 and rounds < 1:
-            self._strict_violation(
-                f"superstep moved {n_words} word(s) but "
-                f"{type(self).__name__}.rounds_for_load charged {rounds} rounds"
-            )
-        self.ledger.charge(rounds, n_msgs, n_words)
+        worst, send, recv = self._pair_loads(pair_words)
+        self._charge("scalar", len(msgs), n_words, worst, send, recv, sizes)
         deliver = msgs
         if outcome is not None:
             self._charge_retries(outcome.retries)
@@ -199,6 +203,154 @@ class Network:
             inboxes.setdefault(m.dst, []).append((m.src, m.payload))
         return inboxes
 
+    def fanout(self, requests: Sequence[FanoutReq]) -> None:
+        """Charge one superstep in which every ``(src, payload, words)``
+        request goes from its source to every other machine.
+
+        Charges exactly what :meth:`superstep` charges for the
+        ``Message`` list ``[(src, dst) for each request, for dst in
+        range(k) if dst != src]``, and delivers nothing: every copy of a
+        request is the same payload, so callers know what each machine
+        received.  The columnar engine charges it in closed form
+        (:meth:`superstep_plane`).
+        """
+        if not requests:
+            return
+        k = self.k
+        faults = self.faults
+        # One machine has no links: only a bad source puts a message on
+        # the wire, so the reference path decides.
+        if not self.fast or k == 1 or (faults is not None and faults.enabled):
+            self.superstep(
+                Message(src, dst, payload, words)
+                for (src, payload, words) in requests
+                for dst in range(k)
+                if dst != src
+            )
+        else:
+            self.superstep_plane(requests, ())
+
+    def point_to_point(self, sends: Sequence[Send]) -> None:
+        """Charge one superstep of ``(src, dst, payload, words)`` sends.
+
+        Charges exactly what :meth:`superstep` charges for the same
+        messages in the same order, and delivers nothing (the caller
+        holds the sends it made).  The columnar engine charges it in
+        closed form (:meth:`superstep_plane`).
+        """
+        if not sends:
+            return
+        faults = self.faults
+        if not self.fast or (faults is not None and faults.enabled):
+            self.superstep(Message(s, d, p, w) for (s, d, p, w) in sends)
+        else:
+            self.superstep_plane((), sends)
+
+    def superstep_plane(
+        self, requests: Sequence[FanoutReq], sends: Sequence[Send]
+    ) -> None:
+        """The columnar engine's superstep: charge fan-out ``requests``
+        and point-to-point ``sends`` from their loads, in one pass.
+
+        Charges exactly what :meth:`superstep` charges for every
+        request's copies to the other machines followed by the sends,
+        and builds no message.  The loads have a closed form: a source
+        whose requests sum to W_s words loads each of its k − 1 links
+        with W_s and sends (k − 1)·W_s, a machine receives the requests'
+        total W minus its own W_s, and the sends add their per-pair sums.
+        Strict mode checks each request once, since every copy carries
+        the same payload and width.  Needs k ≥ 2 when there are requests
+        (one machine has no links); :meth:`fanout` sends k = 1 to the
+        reference path.
+        """
+        k = self.k
+        per_src: Dict[int, int] = {}
+        for src, _payload, words in requests:
+            if words <= 0:
+                raise ValueError("message size must be positive")
+            per_src[src] = per_src.get(src, 0) + words
+        pair_words: Dict[Tuple[int, int], int] = {}
+        for s, d, _payload, w in sends:
+            if w <= 0:
+                raise ValueError("message size must be positive")
+            if s == d:
+                raise ValueError("self-messages are free; do not send them")
+            pair_words[(s, d)] = pair_words.get((s, d), 0) + w
+        if self.strict:
+            # A request's first copy goes to machine 0 (1 from machine 0).
+            self._strict_pre_superstep(chain(
+                ((src, 1 if src == 0 else 0, payload, words)
+                 for (src, payload, words) in requests),
+                sends,
+            ))
+        # Sources, then pairs, in first-send order: a bad id is the one
+        # the reference path names.
+        for src in per_src:
+            self._check_endpoint(src)
+        for s, d in pair_words:
+            self._check_endpoint(s)
+            self._check_endpoint(d)
+        fanned = sum(per_src.values())
+        send = [0] * k
+        recv = [fanned] * k
+        for src, w in per_src.items():
+            send[src] = (k - 1) * w
+            recv[src] -= w
+        worst = max(per_src.values(), default=0)
+        for (s, d), w in pair_words.items():
+            send[s] += w
+            recv[d] += w
+            worst = max(worst, w + per_src.get(s, 0))
+        sizes: Optional[Dict[int, int]] = None
+        if self.ledger.recorder is not None:
+            sizes = {}
+            for _src, _payload, words in requests:
+                sizes[words] = sizes.get(words, 0) + k - 1
+            for _s, _d, _payload, w in sends:
+                sizes[w] = sizes.get(w, 0) + 1
+        self._charge(
+            "columnar", len(requests) * (k - 1) + len(sends), sum(send),
+            worst, send, recv, sizes,
+        )
+
+    def _pair_loads(
+        self, pair_words: Dict[Tuple[int, int], int]
+    ) -> Tuple[int, List[int], List[int]]:
+        """The worst ordered-pair load and every machine's send and
+        receive totals, from per-pair loads."""
+        send = [0] * self.k
+        recv = [0] * self.k
+        for (s, d), w in pair_words.items():
+            send[s] += w
+            recv[d] += w
+        return max(pair_words.values(), default=0), send, recv
+
+    def _charge(
+        self,
+        engine: str,
+        n_msgs: int,
+        n_words: int,
+        worst_pair: int,
+        send: List[int],
+        recv: List[int],
+        sizes: Optional[Dict[int, int]],
+    ) -> None:
+        """Book one superstep: gauges, trace context, then the charge."""
+        ingress, egress = self.ingress_words, self.egress_words
+        for m in range(self.k):
+            ingress[m] += recv[m]
+            egress[m] += send[m]
+        recorder = self.ledger.recorder
+        if recorder is not None:
+            recorder.on_superstep(engine, n_msgs, n_words, send, recv, sizes or {})
+        rounds = self.rounds_for(worst_pair, send, recv)
+        if self.strict and n_words > 0 and rounds < 1:
+            self._strict_violation(
+                f"superstep moved {n_words} word(s) but "
+                f"{type(self).__name__}.rounds_for charged {rounds} rounds"
+            )
+        self.ledger.charge(rounds, n_msgs, n_words)
+
     def _charge_retries(self, retries: Sequence[RetryWave]) -> None:
         """Charge each retransmission wave under the ``fault-retry`` phase.
 
@@ -207,101 +359,13 @@ class Network:
         cannot hide inside the superstep it repairs.
         """
         for wave in retries:
-            rounds = max(1, self.rounds_for_load(wave.pair_words))
+            rounds = max(1, self.rounds_for(*self._pair_loads(wave.pair_words)))
             with self.ledger.phase("fault-retry"):
                 self.ledger.charge(rounds, wave.n_messages, wave.n_words)
 
-    def superstep_plane(self, plane: MessagePlane) -> Dict[int, List[Tuple[int, Any]]]:
-        """Columnar twin of :meth:`superstep`: same charges, array math.
-
-        Per-pair loads, ingress/egress gauges and message/word totals are
-        computed with ``np.bincount`` instead of a Python accumulation
-        loop, then fed through the **same** ``rounds_for_load`` — so the
-        ledger's charge transcript is byte-identical to delivering the
-        equivalent ``Message`` list.  Returns the same sorted inboxes.
-        """
-        n = len(plane)
-        if n == 0:
-            return {}
-        faults = self.faults
-        if faults is not None and faults.enabled:
-            # Fault injection is a testing layer: route the plane through
-            # the scalar path so drop/duplicate/crash decisions stay
-            # per-message.  Charges are identical by the plane/scalar
-            # equivalence contract; only the recorder's ``engine`` tag
-            # reads "scalar" while faults are being injected.
-            src_l = plane.src.tolist()
-            dst_l = plane.dst.tolist()
-            words_l = plane.words.tolist()
-            return self.superstep(
-                Message(src_l[i], dst_l[i], plane.payloads[i], words_l[i])
-                for i in range(n)
-            )
-        if self.strict:
-            self._strict_pre_plane(plane)
-        src, dst, words = plane.src, plane.dst, plane.words
-        bad = (src < 0) | (src >= self.k) | (dst < 0) | (dst >= self.k)
-        if bool(bad.any()):
-            i = int(np.argmax(bad))
-            offender = int(src[i]) if not 0 <= int(src[i]) < self.k else int(dst[i])
-            raise BandwidthExceeded(f"machine id {offender} outside [0, {self.k})")
-        load_matrix = self._plane_load_matrix(src, dst, words)
-        nz_src, nz_dst = np.nonzero(load_matrix)
-        pair_words: Dict[Tuple[int, int], int] = {
-            (int(s), int(d)): int(load_matrix[s, d])
-            for s, d in zip(nz_src.tolist(), nz_dst.tolist())
-        }
-        n_words = int(load_matrix.sum())
-        in_words = load_matrix.sum(axis=0)
-        out_words = load_matrix.sum(axis=1)
-        for m in np.flatnonzero(in_words).tolist():
-            self.ingress_words[m] += int(in_words[m])
-        for m in np.flatnonzero(out_words).tolist():
-            self.egress_words[m] += int(out_words[m])
-        recorder = self.ledger.recorder
-        if recorder is not None:
-            size_vals, size_counts = np.unique(words, return_counts=True)
-            recorder.on_superstep(
-                "columnar", n, n_words,
-                [int(w) for w in out_words], [int(w) for w in in_words],
-                dict(zip((int(w) for w in size_vals),
-                         (int(c) for c in size_counts))),
-            )
-        rounds = self.rounds_for_load(pair_words)
-        if self.strict and n_words > 0 and rounds < 1:
-            self._strict_violation(
-                f"superstep moved {n_words} word(s) but "
-                f"{type(self).__name__}.rounds_for_load charged {rounds} rounds"
-            )
-        self.ledger.charge(rounds, n, n_words)
-        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-        payloads = plane.payloads
-        src_list = src.tolist()
-        dst_list = dst.tolist()
-        for i in np.lexsort((src, dst)).tolist():
-            inboxes.setdefault(dst_list[i], []).append((src_list[i], payloads[i]))
-        return inboxes
-
-    def _plane_load_matrix(self, src: Any, dst: Any, words: Any) -> Any:
-        """Per-(src, dst) word loads as a dense ``(k, k)`` int64 matrix.
-
-        Every charge, gauge and pair load downstream is derived from this
-        one matrix.
-        """
-        pair = src * self.k + dst
-        loads = np.bincount(pair, weights=words, minlength=self.k * self.k)
-        return loads.astype(np.int64).reshape(self.k, self.k)
-
     def broadcast(self, src: int, payload: Any, words: int) -> None:
         """One machine sends the same ``words`` over all its links."""
-        if self.fast:
-            self.superstep_plane(MessagePlane.fanout([(src, payload, words)], self.k))
-        else:
-            self.superstep(
-                Message(src, dst, payload, words)
-                for dst in range(self.k)
-                if dst != src
-            )
+        self.fanout([(src, payload, words)])
 
     def charge_rounds(self, rounds: int) -> None:
         """Charge rounds with no messages (e.g. synchronization barriers)."""
@@ -324,7 +388,9 @@ class Network:
         self._count_violation(exc)
         raise exc
 
-    def _strict_pre_superstep(self, msgs: List[Message]) -> None:
+    def _strict_pre_superstep(self, sends: Iterable[Send]) -> None:
+        """The strict checks of one superstep: the entropy guard, then each
+        send's declared width against its payload, in send order."""
         guard = self._entropy_guard
         if guard is not None:
             try:
@@ -332,27 +398,9 @@ class Network:
             except StrictModeViolation as exc:
                 self._count_violation(exc)
                 raise
-        for m in msgs:
+        for src, dst, payload, words in sends:
             try:
-                check_message_words(m.src, m.dst, m.payload, m.words)
-            except StrictModeViolation as exc:
-                self._count_violation(exc)
-                raise
-
-    def _strict_pre_plane(self, plane: MessagePlane) -> None:
-        guard = self._entropy_guard
-        if guard is not None:
-            try:
-                guard.check("this superstep")
-            except StrictModeViolation as exc:
-                self._count_violation(exc)
-                raise
-        src = plane.src.tolist()
-        dst = plane.dst.tolist()
-        words = plane.words.tolist()
-        for i, payload in enumerate(plane.payloads):
-            try:
-                check_message_words(src[i], dst[i], payload, words[i])
+                check_message_words(src, dst, payload, words)
             except StrictModeViolation as exc:
                 self._count_violation(exc)
                 raise
@@ -393,9 +441,10 @@ class KMachineNetwork(Network):
             raise ValueError("words_per_round must be >= 1")
         self.words_per_round = words_per_round
 
-    def rounds_for_load(self, pair_words: Dict[Tuple[int, int], int]) -> int:
-        worst = max(pair_words.values(), default=0)
-        return _ceil_div(worst, self.words_per_round)
+    def rounds_for(
+        self, worst_pair: int, send: Sequence[int], recv: Sequence[int]
+    ) -> int:
+        return _ceil_div(worst_pair, self.words_per_round)
 
 
 class MPCNetwork(Network):
@@ -427,11 +476,7 @@ class MPCNetwork(Network):
             return 1
         return max(1, self.space // max(1, (self.k - 1) * words))
 
-    def rounds_for_load(self, pair_words: Dict[Tuple[int, int], int]) -> int:
-        out: Dict[int, int] = {}
-        inc: Dict[int, int] = {}
-        for (src, dst), w in pair_words.items():
-            out[src] = out.get(src, 0) + w
-            inc[dst] = inc.get(dst, 0) + w
-        worst = max(list(out.values()) + list(inc.values()), default=0)
-        return _ceil_div(worst, self.space)
+    def rounds_for(
+        self, worst_pair: int, send: Sequence[int], recv: Sequence[int]
+    ) -> int:
+        return _ceil_div(max(max(send), max(recv)), self.space)

@@ -13,3 +13,8 @@ def converge(net, frontier):
 def drain(net, queues):
     for queue in queues:
         net.broadcast(0, ("drain", len(queue)), 1)
+
+
+def announce(net, counts):
+    for count in counts:
+        net.fanout([(0, ("count", count), 1)])

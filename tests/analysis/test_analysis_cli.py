@@ -58,7 +58,7 @@ def test_json_format_is_machine_readable():
     assert counts["SIM001"] == 6
     assert counts["SIM002"] == 4
     assert counts["SIM003"] == 7  # 6 seeded + 1 un-silenced by bare directive
-    assert counts["SIM004"] == 2
+    assert counts["SIM004"] == 3  # 2 seeded + the fan-out loop
     assert counts["SIM005"] == 2
     assert counts["SIM006"] == 4
     assert counts["SIM007"] == 4

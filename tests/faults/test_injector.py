@@ -206,18 +206,28 @@ class TestMidBatchArming:
 
 
 class TestColumnarDelegation:
-    def test_plane_superstep_falls_back_to_scalar_under_faults(self):
-        import numpy as np
+    def test_closed_form_materializes_under_faults(self):
+        """With a hook enabled, the columnar engine's fan-out and
+        point-to-point supersteps hand the injector the reference
+        engine's message list, in its order, and charge the same."""
+        seen = {}
+        for fast in (True, False):
+            net = KMachineNetwork(4, fast=fast)
+            inj = attach(net, FaultPlan(dup=0.5), rng_values=[0.9] * 7)
+            intercept, steps = inj.intercept, []
 
-        from repro.sim.plane import MessagePlane
+            def spy(messages, n, intercept=intercept, steps=steps):
+                steps.append([(m.src, m.dst, m.payload, m.words) for m in messages])
+                return intercept(messages, n)
 
-        net = make_net()
-        attach(net, FaultPlan(dup=0.5), rng_values=[0.9])
-        plane = MessagePlane(
-            src=np.array([0], dtype=np.int64),
-            dst=np.array([1], dtype=np.int64),
-            words=np.array([2], dtype=np.int64),
-            payloads=["p"],
-        )
-        inboxes = net.superstep_plane(plane)
-        assert inboxes == {1: [(0, "p")]}
+            inj.intercept = spy
+            net.fanout([(1, "a", 2), (0, "b", 1)])
+            net.point_to_point([(0, 1, "p", 2)])
+            assert inj.rng.values == []
+            seen[fast] = (steps, net.ledger.transcript)
+        assert seen[True] == seen[False]
+        assert seen[True][0] == [
+            [(1, 0, "a", 2), (1, 2, "a", 2), (1, 3, "a", 2),
+             (0, 1, "b", 1), (0, 2, "b", 1), (0, 3, "b", 1)],
+            [(0, 1, "p", 2)],
+        ]

@@ -238,6 +238,32 @@ class TestEviction:
 
         run(scenario())
 
+    def test_no_subscriber_means_no_event_encoding(self, monkeypatch):
+        """Each published change is encoded only when a session listens."""
+        from repro.serve import server
+
+        calls = []
+        encode_event = server.encode_event
+
+        def counting(event):
+            calls.append(event)
+            return encode_event(event)
+
+        monkeypatch.setattr(server, "encode_event", counting)
+        config = small_config()
+
+        async def scenario():
+            async with running_daemon(config) as daemon:
+                slices = disjoint_slices(config, clients=2, per_client=3)
+                await asyncio.gather(
+                    *(toggle_client(daemon, s, rounds=1) for s in slices)
+                )
+                await daemon.shutdown(drain=True)
+                assert daemon.reducer.view.version > 0
+                assert calls == []
+
+        run(scenario())
+
 
 class TestRateLimit:
     def test_token_bucket_is_exact_on_a_manual_clock(self):

@@ -154,7 +154,8 @@ class TestForestView:
     def test_component_labels_are_canonical(self):
         r = fresh()
         view = r.view
-        for u, v, _w in view.edges_list() if hasattr(view, "edges_list") else []:
+        assert view.edges
+        for u, v in view.edges:
             assert view.component[u] == view.component[v]
         # every vertex labelled by the minimum vertex of its component
         for vtx, label in view.component.items():
@@ -185,10 +186,10 @@ class TestForestView:
         r = fresh()
         view = ForestView.capture(r.dm, version=9, tick=4)
         assert view.version == 9 and view.tick == 4
-        assert view.edge_set == {
+        assert set(view.edges) == {
             (min(u, v), max(u, v)) for u, v, _w in r.dm.msf_edges()
         }
-        assert view.stats()["forest_edges"] == len(view.edge_set)
+        assert view.stats()["forest_edges"] == len(view.edges)
 
 
 class TestDrainAndGate:
