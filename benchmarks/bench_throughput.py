@@ -96,8 +96,9 @@ def test_fast_path_speedup_table():
 
     The speedup grows with *steps per structural script* (batch size)
     and with k: a reference step walks every machine's affected rows in
-    Python, a columnar step is one masked pass over the fleet's columns
-    plus per-machine work on the few rows the step names.  The large row
+    Python, while the columnar engine composes a script's cuts (or its
+    links) into one relabelling, a fixed number of passes over the
+    fleet's columns plus work on the few rows the steps name.  The large row
     is the headline: batch 64 must be >= 3x, in the median of
     ``REPEATS`` runs per engine.
     """

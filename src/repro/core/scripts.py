@@ -18,9 +18,10 @@ ordered set of MST edge links (both cycle-free).  The protocol:
    tour bookkeeping — pure local computation.  This module's loops are
    the reference engine over dict storage
    (:class:`~repro.core.state.MachineState`); an ``inproc-columnar``
-   instance applies the same script once over its fleet columns
-   (:mod:`repro.perf.columnar`).  The parameter collection and the
-   witness repair below read the state through its seam and serve both.
+   instance composes each phase of the same script into one relabelling
+   of its fleet columns (:mod:`repro.perf.columnar`).  The parameter
+   collection and the witness repair below read the state through its
+   seam and serve both.
 4. Endpoints of cut edges re-broadcast fresh witnesses (O(k) broadcasts →
    O(1) rounds), exactly the "additional work ... completed if edges are
    deleted" of the lemma.
@@ -339,22 +340,22 @@ def _collect_link_params(
     links: Sequence[Tuple[int, int, float]],
 ) -> List[_LinkParam]:
     ordered = sorted((normalize(u, v) + (w,)) for (u, v, w) in links)
+    ends = [(u, v, w, x) for (u, v, w) in ordered for x in (u, v)]
+    reads = [(vp.home(x), x) for (_u, _v, _w, x) in ends]
+    outs = states[0].outgoing_values(states, reads)
     reqs = []
-    for (u, v, w) in ordered:
-        for x in (u, v):
-            src = vp.home(x)
-            st = states[src]
-            tid = st.tour_id(x)
-            if tid is None:
-                raise ProtocolError(f"machine {src}: unknown tour for owned vertex {x}")
-            size = st.tour_size.get(tid)
-            if size is None:
-                raise ProtocolError(f"machine {src}: unknown size for tour {tid}")
-            out = st.outgoing_value(x)
-            reqs.append(
-                (src, ("linkp", u, v, w, x, out if out is not None else 0, tid, size),
-                 WORDS_ID * 5)
-            )
+    for (u, v, w, x), (src, _x), out in zip(ends, reads, outs):
+        st = states[src]
+        tid = st.tour_id(x)
+        if tid is None:
+            raise ProtocolError(f"machine {src}: unknown tour for owned vertex {x}")
+        size = st.tour_size.get(tid)
+        if size is None:
+            raise ProtocolError(f"machine {src}: unknown size for tour {tid}")
+        reqs.append(
+            (src, ("linkp", u, v, w, x, out if out is not None else 0, tid, size),
+             WORDS_ID * 5)
+        )
     got = scheduled_broadcasts(net, reqs)
     halves: Dict[Tuple[int, int, float], Dict[int, Tuple[int, int, int]]] = {}
     for _src, (_tag, u, v, w, x, out, tid, size) in got:

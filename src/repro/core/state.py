@@ -36,7 +36,9 @@ enforces it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -234,6 +236,14 @@ class MachineStateBase:
                 if e.tail_at(label) == x and (best is None or label < best):
                     best = label
         return best
+
+    @staticmethod
+    def outgoing_values(
+        states: Sequence["MachineStateBase"], reads: Sequence[Tuple[int, int]]
+    ) -> List[Optional[int]]:
+        """:meth:`outgoing_value` of vertex ``x`` on ``states[m]`` for each
+        ``(m, x)`` read, in order; a storage may answer all reads at once."""
+        return [states[m].outgoing_value(x) for m, x in reads]
 
     def parent_interval(self, x: int) -> Optional[Tuple[int, int]]:
         """(p_in, p_out) of x's parent edge, or None if x is a root/isolated.

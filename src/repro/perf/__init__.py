@@ -8,8 +8,9 @@ other axis — wall-clock speed of the simulation itself.  It provides:
   ``REPRO_BACKEND``; see :mod:`repro.sim.executor`);
 * :mod:`repro.perf.columnar` — the resident columnar Euler state: every
   machine's MST edges and tracked vertices in NumPy columns stacked
-  across the fleet, with each Lemma 5.9 step applied once over all
-  machines by the verified kernels of :mod:`repro.euler.vectorized`.
+  across the fleet, with each Lemma 5.9 phase (a script's cuts, or its
+  links) composed by :class:`repro.euler.vectorized.PhaseMap` and
+  applied in one pass over all machines.
 
 The contract is strict equivalence: with the fast path on or off, every
 protocol produces **byte-identical round/message/word ledgers** and

@@ -22,19 +22,25 @@ Per-machine dicts map a key to its row (indexes, not objects), and
 from them.  Rows are appended in place; dead edge rows are dropped by
 an occasional compaction.
 
-A cut or link step of a Lemma 5.9 script runs once over the whole fleet:
-one masked split or join over the stacked label columns, whatever k is.
-The per-machine parts — killing the cut edge's copies, appending a
-link's copies on its hosting machines, endpoint witness re-picks and
-``tour_size`` bookkeeping — work on row indexes, so a batch costs array
-passes plus Python work proportional to the batch, not to the machines'
-state.  The classification of tracked vertices happens in the same
-(pre-relabel) coordinates, and witness invalidation and re-picking follow
-the same rules and tie-breaks as :mod:`repro.core.scripts`; the wire
-(request order, payloads, word counts) is the same code, so the ledger
-matches byte for byte.  The cross-engine suites in ``tests/perf``
-compare every machine's :meth:`~repro.core.state.MachineStateBase.record`
-under ``REPRO_STRICT=1``.
+A Lemma 5.9 phase — a script's cuts, or its links — runs once over the
+whole fleet, whatever k is and however many steps it has: every step is
+a piecewise shift of one tour's labels, so
+:class:`~repro.euler.vectorized.PhaseMap` composes the phase into one
+map, and one pass relabels every live edge and witness row of the
+touched tours (:meth:`FleetColumns.cut_phase`,
+:meth:`FleetColumns.link_phase`).  The per-step work left is
+proportional to the script — killing the cut edge's copies, the
+``tour_size`` writes, and the reference's step rules on the few vertex
+rows that may leave their witness's side (a cut endpoint's home row, a
+row without a live witness), in step coordinates read through the map
+built so far — so a batch costs O(1) array passes plus Python work
+proportional to the batch, not to the machines' state.  Witness
+invalidation and re-picking follow the same rules and tie-breaks as
+:mod:`repro.core.scripts`; the wire (request order, payloads, word
+counts) is the same code, so the ledger matches byte for byte.  The
+cross-engine suites in ``tests/perf`` and
+``tests/core/test_scripts_property.py`` compare every machine's
+:meth:`~repro.core.state.MachineStateBase.record`.
 """
 
 from __future__ import annotations
@@ -55,14 +61,8 @@ import numpy as np
 
 from repro.core.state import Forest, MachineStateBase, Snapshot
 from repro.errors import ProtocolError
-from repro.euler.labels import JoinSpec, SplitSpec
 from repro.euler.tour import ETEdge
-from repro.euler.vectorized import (
-    join_m1_labels,
-    join_m2_labels,
-    reroot_labels,
-    split_labels,
-)
+from repro.euler.vectorized import PhaseMap, member_mask, reroot_labels
 from repro.graphs.graph import normalize
 from repro.sim.machine import Machine
 
@@ -311,29 +311,52 @@ class FleetColumns:
             & ((self.eu[:n] == x) | (self.ev[:n] == x))
         )
 
-    def pick_witness_row(self, m: int, x: int) -> Optional[int]:
-        """Row of x's min-key live incident MST edge on machine m."""
-        inc = self.incident_rows(m, x)
-        if inc.size == 0:
-            return None
-        if inc.size == 1:
-            return int(inc[0])
-        # min by ETEdge.key == (weight, u, v); lexsort's last key is primary
-        order = np.lexsort((self.ev[inc], self.eu[inc], self.ew[inc]))
-        return int(inc[order[0]])
+    def _incidences(
+        self, reads: Sequence[Tuple[int, int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``(machine, vertex)`` read's live incident edge rows, in
+        one pass over the edge rows.
 
-    def witness_from_row(self, i: int, r: int) -> None:
-        self.set_witness_row(i, (
-            self.eu[r], self.ev[r], self.ew[r], self.et1[r], self.et2[r], self.etour[r],
-        ))
+        Returns ``(code, row, out)`` per incidence: ``code`` is
+        ``x * k + m`` of the read it answers, ``out`` the row's label
+        departing ``x``.
+        """
+        k, n = self.k, self.ne
+        want = {x * k + m for m, x in reads}
+        mid, alive = self.emid[:n], self.ealive[:n]
+        codes, rows, outs = [], [], []
+        for ends, labels in ((self.eu, self.et1), (self.ev, self.et2)):
+            code = ends[:n] * k + mid
+            hit = np.flatnonzero(alive & member_mask(code, want))
+            codes.append(code[hit])
+            rows.append(hit)
+            outs.append(labels[hit])
+        return np.concatenate(codes), np.concatenate(rows), np.concatenate(outs)
 
-    def outgoing_value(self, m: int, x: int) -> Optional[int]:
-        """Min label departing ``x`` on machine ``m``."""
-        inc = self.incident_rows(m, x)
-        if inc.size == 0:
-            return None
-        out = np.where(self.eu[inc] == x, self.et1[inc], self.et2[inc])
-        return int(out.min())
+    def outgoing_values(self, reads: Sequence[Tuple[int, int]]) -> List[Optional[int]]:
+        """Min label departing ``x`` on machine ``m``, per ``(m, x)`` read."""
+        if not reads:
+            return []
+        code, _rows, out = self._incidences(reads)
+        order = np.lexsort((out, code))
+        code, out = code[order], out[order]
+        first = np.ones(code.shape[0], dtype=bool)
+        first[1:] = code[1:] != code[:-1]
+        best = dict(zip(code[first].tolist(), out[first].tolist()))
+        return [best.get(x * self.k + m) for m, x in reads]
+
+    def _witness_picks(self, reads: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
+        """Per read code, its incident rows in witness-choice order (min
+        :attr:`ETEdge.key` first): a pick is the first row still alive."""
+        if not reads:
+            return {}
+        code, rows, _out = self._incidences(reads)
+        # lexsort's last key is primary: by read, then (weight, u, v)
+        order = np.lexsort((self.ev[rows], self.eu[rows], self.ew[rows], code))
+        picks: Dict[int, List[int]] = {}
+        for c, r in zip(code[order].tolist(), rows[order].tolist()):
+            picks.setdefault(c, []).append(r)
+        return picks
 
     # ------------------------------------------------------------------
     # gauge epochs: sample the space gauges where the per-edge storage did
@@ -359,166 +382,224 @@ class FleetColumns:
             self._compact_edges()
 
     # ------------------------------------------------------------------
-    # vectorized label transforms
+    # Lemma 5.9 phases: a script's steps composed into one relabelling
     # ------------------------------------------------------------------
     @staticmethod
-    def _split_masked(
-        t1: np.ndarray, t2: np.ndarray, tours: np.ndarray, mask: np.ndarray,
-        spec: SplitSpec,
+    def _relabel(
+        pm: PhaseMap, rows: np.ndarray, tours: np.ndarray, t1: np.ndarray,
+        t2: np.ndarray,
     ) -> None:
-        new_tours1, new1 = split_labels(t1[mask], spec)
-        new_tours2, new2 = split_labels(t2[mask], spec)
-        if bool((new_tours1 != new_tours2).any()):
-            raise ProtocolError("edge straddles a split; labels corrupt")
-        t1[mask] = new1
-        t2[mask] = new2
-        tours[mask] = new_tours1
+        """Carry the rows' label pairs and tours through a phase map."""
+        tours[rows], t1[rows], t2[rows] = pm.edge_images(tours[rows], t1[rows], t2[rows])
 
-    @staticmethod
-    def _join_masked(
-        t1: np.ndarray, t2: np.ndarray, tours: np.ndarray, alive: np.ndarray,
-        spec: JoinSpec,
+    def cut_phase(
+        self, script: Sequence["CutStep"], vp: "VertexPartition",
+        states: Sequence[MachineStateBase],
     ) -> None:
-        m1 = alive & (tours == spec.tour1)
-        if bool(m1.any()):
-            t1[m1] = join_m1_labels(t1[m1], spec)
-            t2[m1] = join_m1_labels(t2[m1], spec)
-        m2 = alive & (tours == spec.tour2)
-        if bool(m2.any()):
-            t1[m2] = join_m2_labels(t1[m2], spec)
-            t2[m2] = join_m2_labels(t2[m2], spec)
-            tours[m2] = spec.tour1
+        """Apply a cut script (mirrors ``repro.core.scripts.apply_cut_step``).
 
-    # ------------------------------------------------------------------
-    # one cut step over the fleet (mirrors repro.core.scripts.apply_cut_step)
-    # ------------------------------------------------------------------
-    def cut_step(
-        self, step: "CutStep", vp: "VertexPartition", states: Sequence[MachineStateBase]
-    ) -> None:
-        spec = step.spec
-        old = spec.old_tour
-        cu, cv = normalize(*step.edge)
-        nv, ne = self.nv, self.ne
-        vx, vtour = self.vx[:nv], self.vtour[:nv]
-        wu, wv = self.wu[:nv], self.wv[:nv]
-        wt1, wt2, wtour = self.wt1[:nv], self.wt2[:nv], self.wtour[:nv]
-        walive = self.walive[:nv]
+        A vertex row with a live witness takes its witness's side of every
+        cut, so most rows need no step of their own, and the columns stay
+        in phase-start coordinates while a loop over the steps does what
+        is proportional to the script.  It kills each cut edge's copies,
+        writes ``tour_size``, and runs the reference's step rules on the
+        rows that may leave their witness: the cut endpoints' home rows,
+        whose dead witnesses are re-picked, and rows without a live
+        witness in a split tour, reading an edge row's labels through the
+        map built so far.  Any other row whose witness is a cut edge is a
+        remote copy of an endpoint: it takes the edge's head rule at its
+        step and is unknown from its tour's next split on.  Then one pass
+        relabels every live edge and witness row of the split tours, and
+        every other vertex row there takes its witness's tour.
+        """
+        from repro.core.scripts import _transform_cut
 
-        # Witnesses that *are* the cut edge (endpoint comparison, like
-        # ``normalize(w.u, w.v) == cut_key`` in the reference engine).
-        w_is_cut = (
-            walive
-            & (np.minimum(wu, wv) == cu)
-            & (np.maximum(wu, wv) == cv)
+        pm = PhaseMap()
+        k, nv = self.k, self.nv
+        keys = [normalize(*step.edge) for step in script]
+        splits: Dict[int, List[int]] = {}  # tour -> the steps splitting it
+        for j, step in enumerate(script):
+            splits.setdefault(step.spec.old_tour, []).append(j)
+        fresh = {step.spec.inside_tour for step in script}
+        walive, vtour = self.walive[:nv], self.vtour[:nv]
+
+        stepped = set(np.flatnonzero(
+            ~walive & member_mask(vtour, set(splits) - fresh)
+        ).tolist())
+        for key in keys:
+            for x in key:
+                i = self.vrow[vp.home(x)].get(x)
+                if i is not None:
+                    stepped.add(i)
+        cut_at = {key: j for j, key in enumerate(keys)}
+        wlo = np.minimum(self.wu[:nv], self.wv[:nv])
+        hit = np.flatnonzero(walive & member_mask(wlo, {u for u, _v in keys}))
+        whi = np.maximum(self.wu[hit], self.wv[hit])
+        dying: Dict[int, int] = {}  # row -> step cutting its witness
+        for i, a, b in zip(hit.tolist(), wlo[hit].tolist(), whi.tolist()):
+            j = cut_at.get((a, b))
+            if j is not None and i not in stepped:
+                dying[i] = j
+
+        tour = {i: int(vtour[i]) for i in stepped}
+        wit: Dict[int, Optional[ETEdge]] = {}
+        for i in stepped:
+            snap = self.witness_of_row(i)
+            wit[i] = None if snap is None else ETEdge(*snap)
+        picks = self._witness_picks(
+            [(int(self.vmid[i]), int(self.vx[i])) for i in sorted(stepped) if self.vown[i]]
         )
+        repicked: Set[int] = set()
 
-        # 1. Classify tracked vertices of the split tour in old coordinates.
-        sel = np.flatnonzero(vtour == old)
-        known = sel
-        new_known: Optional[np.ndarray] = None
-        fallback: Dict[int, int] = {}
-        if sel.size:
+        def pick(m: int, x: int) -> Optional[ETEdge]:
+            """x's witness choice on machine m, in step coordinates."""
+            for r in picks.get(x * k + m, ()):
+                if self.ealive[r]:
+                    t = int(self.etour[r])
+                    t1, l1 = pm.image(t, int(self.et1[r]))
+                    t2, l2 = pm.image(t, int(self.et2[r]))
+                    if t1 != t2:
+                        raise ProtocolError("edge straddles a split; labels corrupt")
+                    return ETEdge(int(self.eu[r]), int(self.ev[r]), float(self.ew[r]),
+                                  l1, l2, t1)
+            return None
+
+        for step, key in zip(script, keys):
+            spec = step.spec
+            old = spec.old_tour
             head = step.snapshot.head_at(spec.e_min)
-            alive = walive[sel]
-            a1, a2 = wt1[sel], wt2[sel]
-            inside = np.where(
-                w_is_cut[sel],
-                vx[sel] == head,
-                (spec.e_min < np.minimum(a1, a2)) & (np.maximum(a1, a2) < spec.e_max),
-            )
-            known = sel[alive]
-            new_known = np.where(inside[alive], spec.inside_tour, old)
-            for i in sel[~alive].tolist():
-                x, m = int(vx[i]), int(self.vmid[i])
-                if not self.vown[i]:
-                    fallback[i] = -1  # unknown until the repair broadcast
+            # 1. Classify the stepped rows of the split tour.
+            new: Dict[int, int] = {}
+            for i in stepped:
+                if tour[i] != old:
                     continue
-                r = self.pick_witness_row(m, x)
-                if r is None:
-                    raise ProtocolError(
-                        f"machine {m}: owned vertex {x} in tour "
-                        f"{old} has no incident MST edge"
-                    )
-                if (int(self.eu[r]), int(self.ev[r])) == (cu, cv):
-                    is_inside = head == x
+                x, w = int(self.vx[i]), wit[i]
+                if w is None:
+                    if not self.vown[i]:
+                        new[i] = -1  # unknown until the repair broadcast
+                        continue
+                    m = int(self.vmid[i])
+                    w = pick(m, x)
+                    if w is None:
+                        raise ProtocolError(
+                            f"machine {m}: owned vertex {x} in tour "
+                            f"{old} has no incident MST edge"
+                        )
+                if normalize(w.u, w.v) == key:
+                    inside = head == x
                 else:
-                    r1, r2 = int(self.et1[r]), int(self.et2[r])
-                    is_inside = spec.e_min < min(r1, r2) and max(r1, r2) < spec.e_max
-                fallback[i] = spec.inside_tour if is_inside else old
+                    inside = spec.e_min < w.e_min and w.e_max < spec.e_max
+                new[i] = spec.inside_tour if inside else old
 
-        # 2. Remove the cut edge's copies; invalidate witnesses of it.
-        for m in range(self.k):
-            self.kill_edge_row(m, (cu, cv))
-        walive &= ~w_is_cut
+            # 2. Remove the cut edge's copies; invalidate witnesses of it.
+            for m in range(k):
+                self.kill_edge_row(m, key)
+            for i, w in wit.items():
+                if w is not None and normalize(w.u, w.v) == key:
+                    wit[i] = None
 
-        # 3. Relabel surviving MST edges and witnesses of the split tour.
-        etour = self.etour[:ne]
-        edge_mask = self.ealive[:ne] & (etour == old)
-        if bool(edge_mask.any()):
-            self._split_masked(self.et1[:ne], self.et2[:ne], etour, edge_mask, spec)
-        wit_mask = walive & (wtour == old)
-        if bool(wit_mask.any()):
-            self._split_masked(wt1, wt2, wtour, wit_mask, spec)
+            # 3. Relabel the stepped rows' witnesses of the split tour.
+            for w in wit.values():
+                if w is not None:
+                    _transform_cut(w, spec)
+            pm.split(spec)
 
-        # 4. Tour bookkeeping.
-        for st in states:
-            st.tour_size[old] = spec.root_side_size
-            st.tour_size[spec.inside_tour] = spec.inside_size
-        if new_known is not None:
-            vtour[known] = new_known
-            for i, tid in fallback.items():
-                vtour[i] = tid
+            # 4. Tour bookkeeping.
+            fresh_tour, root_size = spec.inside_tour, spec.root_side_size
+            inside_size = spec.inside_size
+            for st in states:
+                st.tour_size[old] = root_size
+                st.tour_size[fresh_tour] = inside_size
+            tour.update(new)
 
-        # 5. Owned endpoints whose witness died re-pick locally for free.
-        for x in (cu, cv):
-            m = vp.home(x)
-            i = self.vrow[m].get(x)
-            if i is None or walive[i] or vtour[i] == -1:
-                continue
-            r = self.pick_witness_row(m, x)
-            if r is None:
-                self.set_witness_row(i, None)
+            # 5. Owned endpoints whose witness died re-pick locally for free.
+            for x in key:
+                m = vp.home(x)
+                i = self.vrow[m].get(x)
+                if i is None or wit[i] is not None or tour[i] == -1:
+                    continue
+                wit[i] = pick(m, x)
+                repicked.add(i)
+
+        # One pass: the live rows of the split tours to end-of-phase labels.
+        ne = self.ne
+        erows = np.flatnonzero(self.ealive[:ne] & pm.touched(self.etour[:ne]))
+        self._relabel(pm, erows, self.etour, self.et1, self.et2)
+        plain = walive.copy()
+        plain[list(stepped)] = False
+        plain[list(dying)] = False
+        vrows = np.flatnonzero(plain & pm.touched(vtour))
+        wrows = np.flatnonzero(plain & pm.touched(self.wtour[:nv]))
+        self._relabel(pm, wrows, self.wtour, self.wt1, self.wt2)
+        vtour[vrows] = self.wtour[vrows]
+        for i, j in dying.items():
+            spec = script[j].spec
+            inside = self.vx[i] == script[j].snapshot.head_at(spec.e_min)
+            t = spec.inside_tour if inside else spec.old_tour
+            if any(s > j for s in splits.get(t, ())):
+                t = -1  # unknown until the repair broadcast
+            vtour[i] = t
+            walive[i] = False
+        for i in stepped:
+            vtour[i] = tour[i]
+            w = wit[i]
+            if i in repicked:
+                self.set_witness_row(i, None if w is None else w.snapshot())
+            elif w is None:
+                walive[i] = False
             else:
-                self.witness_from_row(i, r)
+                self.wt1[i], self.wt2[i], self.wtour[i] = w.t_uv, w.t_vu, w.tour
 
-    # ------------------------------------------------------------------
-    # one link step over the fleet (mirrors repro.core.scripts.apply_link_step)
-    # ------------------------------------------------------------------
-    def link_step(
-        self, step: "LinkStep", vp: "VertexPartition", states: Sequence[MachineStateBase]
+    def link_phase(
+        self, script: Sequence["LinkStep"], vp: "VertexPartition",
+        states: Sequence[MachineStateBase],
     ) -> None:
-        spec = step.spec
-        u, v = step.edge
-        lab_in, lab_out = spec.new_edge_labels
+        """Apply a link script (mirrors ``repro.core.scripts.apply_link_step``).
+
+        A loop over the steps composes the joins, writes ``tour_size`` and
+        carries each new edge through the later joins; then one pass
+        relabels every live edge and witness row of the joined tours and
+        renames their vertex rows' tours, the new edges' copies are
+        appended in step order, and each endpoint row without a live
+        witness takes its new edge, first step first.
+        """
+        from repro.core.scripts import _transform_link
+
+        pm = PhaseMap()
+        new_edges: List[ETEdge] = []
+        for step in script:
+            spec = step.spec
+            for ete in new_edges:
+                _transform_link(ete, spec)
+            pm.join(spec)
+            lab_in, lab_out = spec.new_edge_labels
+            new_edges.append(
+                ETEdge(*normalize(*step.edge), step.weight, lab_in, lab_out, spec.tour1)
+            )
+            tour1, tour2, size = spec.tour1, spec.tour2, spec.new_size
+            for st in states:
+                st.tour_size[tour1] = size
+                st.tour_size.pop(tour2, None)
+
         nv, ne = self.nv, self.ne
-
-        # 1. Relabel existing MST edges, witnesses and tour ids.
-        self._join_masked(
-            self.et1[:ne], self.et2[:ne], self.etour[:ne], self.ealive[:ne], spec
-        )
-        self._join_masked(
-            self.wt1[:nv], self.wt2[:nv], self.wtour[:nv], self.walive[:nv], spec
-        )
+        erows = np.flatnonzero(self.ealive[:ne] & pm.touched(self.etour[:ne]))
+        self._relabel(pm, erows, self.etour, self.et1, self.et2)
+        wrows = np.flatnonzero(self.walive[:nv] & pm.touched(self.wtour[:nv]))
+        self._relabel(pm, wrows, self.wtour, self.wt1, self.wt2)
         vtour = self.vtour[:nv]
-        vtour[vtour == spec.tour2] = spec.tour1
-
-        # 2. Materialize the new edge on the machines hosting an endpoint.
-        a, b = normalize(u, v)
-        for m in sorted({vp.home(u), vp.home(v)}):
-            self.add_edge_row(m, a, b, step.weight, lab_in, lab_out, spec.tour1)
-
-        # 3. Tour bookkeeping: M2 dissolves into M1.
-        for st in states:
-            st.tour_size[spec.tour1] = spec.new_size
-            st.tour_size.pop(spec.tour2, None)
-
-        # 4. Endpoint witnesses: a previously-isolated endpoint now has an edge.
-        snap = (a, b, step.weight, lab_in, lab_out, spec.tour1)
-        for x in (u, v):
-            for vrow in self.vrow:
-                i = vrow.get(x)
-                if i is not None and not self.walive[i]:
-                    self.set_witness_row(i, snap)
+        vrows = np.flatnonzero(pm.touched(vtour))
+        vtour[vrows] = pm.tour_images(vtour[vrows])
+        for step, ete in zip(script, new_edges):
+            u, v = step.edge
+            for m in sorted({vp.home(u), vp.home(v)}):
+                self.add_edge_row(m, ete.u, ete.v, ete.weight, ete.t_uv, ete.t_vu, ete.tour)
+        for step, ete in zip(script, new_edges):
+            snap = ete.snapshot()
+            for x in step.edge:
+                for vrow in self.vrow:
+                    i = vrow.get(x)
+                    if i is not None and not self.walive[i]:
+                        self.set_witness_row(i, snap)
 
     # ------------------------------------------------------------------
     # reroot (Lemma 5.5) of one tour, fleet-wide
@@ -705,7 +786,13 @@ class ColumnarMachineState(MachineStateBase):
                 fleet.et1[rows], fleet.et2[rows])
 
     def outgoing_value(self, x: int) -> Optional[int]:
-        return self.fleet.outgoing_value(self.mid, x)
+        return self.fleet.outgoing_values([(self.mid, x)])[0]
+
+    @staticmethod
+    def outgoing_values(
+        states: Sequence[MachineStateBase], reads: Sequence[Tuple[int, int]]
+    ) -> List[Optional[int]]:
+        return states[0].fleet.outgoing_values(reads)  # type: ignore[attr-defined]
 
     def live_tours(self) -> Set[int]:
         fleet = self.fleet
@@ -858,8 +945,7 @@ def run_structural_batch_columnar(
     if cuts:
         params = _collect_cut_params(net, vp, states, cuts)
         cut_script, next_tour_id = build_cut_script(params, next_tour_id)
-        for step in cut_script:
-            fleet.cut_step(step, vp, states)
+        fleet.cut_phase(cut_script, vp, states)
         _repair_witnesses(net, vp, states, [x for (u, v) in cuts for x in (u, v)])
     if links:
         link_into_fleet(net, vp, states, links)
@@ -883,5 +969,4 @@ def link_into_fleet(
 
     fleet: FleetColumns = states[0].fleet  # type: ignore[attr-defined]
     script = build_link_script(_collect_link_params(net, vp, states, links))
-    for step in script:
-        fleet.link_step(step, vp, states)
+    fleet.link_phase(script, vp, states)

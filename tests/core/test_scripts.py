@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicMST
-from repro.core.init_build import free_init, make_states
 from repro.core.checker import check_global_consistency
+from repro.core.init_build import free_init, make_states
 from repro.core.scripts import run_structural_batch
 from repro.errors import ProtocolError
 from repro.euler import EulerForest
@@ -13,9 +13,9 @@ from repro.graphs import Edge, WeightedGraph, kruskal_msf, random_tree, random_w
 from repro.sim import KMachineNetwork, random_vertex_partition
 
 
-def _setup(graph, k, seed=0):
+def _setup(graph, k, seed=0, fast=None):
     rng = np.random.default_rng(seed)
-    net = KMachineNetwork(k)
+    net = KMachineNetwork(k, fast=fast)
     vp = random_vertex_partition(sorted(graph.vertices()), k, rng)
     states, tid = make_states(graph, vp, net)
     _, tid = free_init(graph, vp, states, tid)
@@ -113,3 +113,45 @@ class TestWitnessRepair:
                 st.drop_graph_edge(u, v)
         run_structural_batch(net, vp, states, cuts=victim, links=[], next_tour_id=tid)
         check_global_consistency(states, g2, vp)  # includes witness checks
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["reference", "columnar"])
+class TestCorruptStateRaises:
+    """Both engines reject the same corruptions with the same exception.
+
+    Path 0-1-2-3-4 is one tour rooted at 0, where edge (i, i+1) has labels
+    (i, 7 - i); every case cuts (1, 2), whose labels are (1, 6).
+    """
+
+    @staticmethod
+    def _path(fast):
+        g = WeightedGraph.from_edges([(i, i + 1, 0.1 * (i + 1)) for i in range(4)])
+        return _setup(g, 2, 0, fast)
+
+    @staticmethod
+    def _relabel(states, key, t_uv, t_vu):
+        for st in states:
+            e = st.pop_mst_edge(*key)
+            if e is not None:
+                e.t_uv, e.t_vu = t_uv, t_vu
+                st.add_mst_edge(e)
+
+    def test_label_of_the_cut_edge_elsewhere(self, fast):
+        net, vp, states, tid = self._path(fast)
+        self._relabel(states, (3, 4), 6, 4)
+        with pytest.raises(ValueError):
+            run_structural_batch(net, vp, states, cuts=[(1, 2)], links=[], next_tour_id=tid)
+
+    def test_edge_straddling_the_cut(self, fast):
+        net, vp, states, tid = self._path(fast)
+        self._relabel(states, (3, 4), 3, 7)
+        with pytest.raises(ProtocolError, match="straddles"):
+            run_structural_batch(net, vp, states, cuts=[(1, 2)], links=[], next_tour_id=tid)
+
+    def test_owned_vertex_without_mst_edge_in_split_tour(self, fast):
+        net, vp, states, tid = self._path(fast)
+        home = states[vp.home(4)]
+        home.pop_mst_edge(3, 4)
+        home.set_witness(4, None)
+        with pytest.raises(ProtocolError, match="no incident MST edge"):
+            run_structural_batch(net, vp, states, cuts=[(1, 2)], links=[], next_tour_id=tid)
