@@ -25,6 +25,11 @@ Engines:
   which is O(1) rounds per iteration; if sparsification stalls the engine
   falls back to Borůvka phases.  On every instance the §6.2 reduction
   produces, the measured cost is a small constant number of rounds.
+
+Each engine is written once, for both execution engines: only the
+machine-local scans (:func:`_cc_local_msf`, :func:`_cc_min_outgoing`)
+run as array passes (:mod:`repro.perf.cclique_columnar`) on a fast-path
+network above the vectorize/loop crossover.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.comm.aggregate import batched_queries, global_sum
 from repro.comm.lenzen import lenzen_route
 from repro.comm.rerouting import scheduled_broadcasts
 from repro.cclique.ccedge import CCEdge
-from repro.graphs.dsu import DisjointSet
+from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.generators import RngLike, as_rng
 from repro.perf import config as _perf_config
 from repro.perf.config import fast_path_enabled
@@ -77,6 +82,49 @@ def _broadcast_result(net: Network, holder: int, msf: List[CCEdge]) -> List[CCEd
 # ----------------------------------------------------------------------
 # Borůvka
 # ----------------------------------------------------------------------
+def _cc_min_outgoing(
+    net: Network,
+    local_edges: Sequence[Sequence[CCEdge]],
+    roots: np.ndarray,
+) -> Dict[int, List[Optional[CCEdge]]]:
+    """One Borůvka phase's query table: per component, keyed by its
+    representative in ascending order, machine m's minimum outgoing
+    :class:`CCEdge` in slot m (``None`` where m holds none).
+
+    ``roots[c]`` is super-vertex c's representative (one
+    :meth:`~repro.graphs.dsu.ArrayDSU.root_indices` pass; super-vertex
+    ids are dense, so a root index is a representative).  Pure local
+    computation, so above the vectorize/loop crossover a fast-path
+    network runs it as array passes
+    (:func:`repro.perf.cclique_columnar.cc_min_outgoing_columnar`),
+    with the same edge objects in the same slots.
+    """
+    if fast_path_enabled(net) and (
+        sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
+    ):
+        from repro.perf.cclique_columnar import cc_min_outgoing_columnar
+
+        return cc_min_outgoing_columnar(net, local_edges, roots)
+    root = roots.tolist()
+    per_query: Dict[int, List[Optional[CCEdge]]] = {
+        c: [None] * net.k for c in sorted(set(root))
+    }
+    for m, edges in enumerate(local_edges):
+        # Machine-local minimum outgoing edge per component.
+        best: Dict[int, CCEdge] = {}
+        for e in edges:
+            ru, rv = root[e.cu], root[e.cv]
+            if ru == rv:
+                continue
+            for r in (ru, rv):
+                cur = best.get(r)
+                if cur is None or e < cur:
+                    best[r] = e
+        for r, e in best.items():
+            per_query[r][m] = e
+    return per_query
+
+
 def boruvka_engine(
     net: Network,
     n_vertices: int,
@@ -85,50 +133,26 @@ def boruvka_engine(
 ) -> List[CCEdge]:
     """Deterministic Borůvka with batched per-component min-queries.
 
-    Dispatch is adaptive like the update path (the ``inproc-columnar``
-    backend takes the columnar engine, but only above the vectorize/loop
-    crossover; both engines are wire-identical, so the gate never changes
-    a ledger).
+    One body for both engines: only each machine's candidate scan
+    (:func:`_cc_min_outgoing`) depends on the engine.
     """
-    if fast_path_enabled(net) and (
-        sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
-    ):
-        from repro.perf.cclique_columnar import boruvka_engine_columnar
-
-        return boruvka_engine_columnar(net, n_vertices, local_edges, rng)
     k = net.k
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
     recorder = net.ledger.recorder
     if recorder is not None:
-        recorder.on_engine("cc_boruvka", "scalar")
+        # The engine _cc_min_outgoing picks: the row count is fixed.
+        columnar = fast_path_enabled(net) and (
+            sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
+        )
+        recorder.on_engine("cc_boruvka", "columnar" if columnar else "scalar")
     # The component map is replicated: every machine sees the same
     # broadcast answers, so it evolves identically everywhere.
-    dsu = DisjointSet(range(n_vertices))
+    dsu = ArrayDSU(np.arange(n_vertices, dtype=np.int64))
     msf: List[CCEdge] = []
-    local = [list(edges) for edges in local_edges]
     with net.ledger.phase("cc.boruvka"):
-        while True:
-            roots = sorted(dsu.find(v) for v in range(n_vertices))
-            roots = sorted(set(roots))
-            if len(roots) <= 1:
-                break
-            per_query: Dict[int, List[Optional[CCEdge]]] = {}
-            for c in roots:
-                per_query[c] = [None] * k
-            for m in range(k):
-                # Machine-local minimum outgoing edge per component.
-                best: Dict[int, CCEdge] = {}
-                for e in local[m]:
-                    ru, rv = dsu.find(e.cu), dsu.find(e.cv)
-                    if ru == rv:
-                        continue
-                    for r in (ru, rv):
-                        cur = best.get(r)
-                        if cur is None or e < cur:
-                            best[r] = e
-                for r, e in best.items():
-                    per_query[r][m] = e
+        while dsu.n_components > 1:
+            per_query = _cc_min_outgoing(net, local_edges, dsu.root_indices())
             answers = batched_queries(
                 net, per_query, min, words=WORDS_COMPONENT_EDGE
             )

@@ -14,17 +14,24 @@ Two modes:
 
 Both install through the state seam (:mod:`repro.core.state`), so they
 fill either storage; the network's engine picks it (:func:`make_states`).
+The distributed protocol, and the MPC one that shares its step 1
+(:mod:`repro.mpc.init_mpc`), are written once for both engines: only a
+machine's minimum-outgoing-edge scan (:func:`min_outgoing_queries`)
+runs as array passes on the fast path, and the link chunks share one
+gauge epoch (:func:`repro.core.scripts.gauge_epoch`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.comm.aggregate import batched_queries
-from repro.core.scripts import run_structural_batch
+from repro.core.scripts import gauge_epoch, run_structural_batch
 from repro.core.state import MachineState, MachineStateBase
 from repro.euler.tour import ETEdge, EulerForest
-from repro.graphs.dsu import DisjointSet
+from repro.graphs.dsu import ArrayDSU
 from repro.graphs.graph import Edge, WeightedGraph
 from repro.graphs.mst import kruskal_msf
 from repro.perf.config import fast_path_enabled
@@ -67,6 +74,68 @@ def make_states(
     return states, next_tour_id
 
 
+def scan_tables(
+    net: Network,
+    states: Sequence[MachineStateBase],
+    ids: np.ndarray,
+) -> List[Any]:
+    """Each machine's graph edges as its Borůvka scan reads them.
+
+    Built once per init: the graph does not change during one.  The
+    dict storage's scan reads ``graph_edges`` itself; on the fast path
+    each machine's resident graph-edge rows are ranked once by the
+    global key (:func:`repro.perf.init_columnar.scan_tables_columnar`).
+    ``ids`` are the init's sorted vertex ids.
+    """
+    if fast_path_enabled(net):
+        from repro.perf.init_columnar import scan_tables_columnar
+
+        return scan_tables_columnar(net, states, ids)
+    return [st.graph_edges for st in states]
+
+
+def min_outgoing_queries(
+    net: Network,
+    tables: Sequence[Any],
+    ids: np.ndarray,
+    roots: np.ndarray,
+) -> Dict[int, List[Optional[Tuple]]]:
+    """Step 1 of a Borůvka phase: each component's min-query table.
+
+    ``roots[i]`` is the dense root index of vertex ``ids[i]`` (one
+    :meth:`~repro.graphs.dsu.ArrayDSU.root_indices` pass).  The table
+    has one query per component, keyed by its representative in
+    ascending order, and in slot ``m`` machine m's minimum outgoing edge
+    of that component as ``((w, u, v), u, v)``, compared by the global
+    key (``None`` where m holds none).  This is each machine's local
+    computation; on the fast path it is one array pass per machine
+    (:func:`repro.perf.init_columnar.min_outgoing_queries_columnar`)
+    with the same payloads in the same slots.
+    """
+    if fast_path_enabled(net):
+        from repro.perf.init_columnar import min_outgoing_queries_columnar
+
+        return min_outgoing_queries_columnar(net, tables, ids, roots)
+    rep = ids[roots].tolist()
+    root_of = dict(zip(ids.tolist(), rep))
+    per_query: Dict[int, List[Optional[Tuple]]] = {
+        r: [None] * net.k for r in sorted(set(rep))
+    }
+    for mid, edges in enumerate(tables):
+        best: Dict[int, Tuple] = {}
+        for (u, v), w in edges.items():
+            ru, rv = root_of[u], root_of[v]
+            if ru == rv:
+                continue
+            cand = ((w, u, v), u, v)
+            for r in (ru, rv):
+                if r not in best or cand < best[r]:
+                    best[r] = cand
+        for r, cand in best.items():
+            per_query[r][mid] = cand
+    return per_query
+
+
 def distributed_init(
     net: Network,
     vp: VertexPartition,
@@ -75,36 +144,17 @@ def distributed_init(
     next_tour_id: int,
 ) -> Tuple[Set[Edge], int]:
     """Borůvka + batched Euler construction; returns (MSF edges, counter)."""
-    if fast_path_enabled(net):
-        from repro.perf.init_columnar import distributed_init_columnar
-
-        return distributed_init_columnar(
-            net, vp, states, vertices, next_tour_id
-        )
     recorder = net.ledger.recorder
     if recorder is not None:
-        recorder.on_engine("init_build", "scalar")
+        recorder.on_engine("init_build", "columnar" if fast_path_enabled(net) else "scalar")
     k = net.k
-    dsu = DisjointSet(vertices)
+    ids = np.asarray(sorted(vertices), dtype=np.int64)
+    dsu = ArrayDSU(ids)
+    tables = scan_tables(net, states, ids)
     msf: Set[Edge] = set()
-    with net.ledger.phase("init"):
-        while True:
-            roots = sorted({dsu.find(v) for v in vertices})
-            if len(roots) <= 1:
-                break
-            per_query: Dict[int, List[Optional[Tuple]]] = {r: [None] * k for r in roots}
-            for st in states:
-                best: Dict[int, Tuple] = {}
-                for (u, v), w in st.graph_edges.items():
-                    ru, rv = dsu.find(u), dsu.find(v)
-                    if ru == rv:
-                        continue
-                    cand = ((w, u, v), u, v)
-                    for r in (ru, rv):
-                        if r in per_query and (r not in best or cand < best[r]):
-                            best[r] = cand
-                for r, cand in best.items():
-                    per_query[r][st.mid] = cand
+    with gauge_epoch(net, states), net.ledger.phase("init"):
+        while dsu.n_components > 1:
+            per_query = min_outgoing_queries(net, tables, ids, dsu.root_indices())
             answers = batched_queries(net, per_query, min, words=WORDS_EDGE)
             chosen: List[Edge] = []
             for r in sorted(answers):

@@ -33,8 +33,9 @@ batches, matching Lemma 5.9's homogeneous statement.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.comm.rerouting import scheduled_broadcasts
 from repro.errors import ProtocolError
@@ -441,6 +442,28 @@ def run_structural_batch(
             for step in script:
                 apply_link_step(st, step)
     return next_tour_id
+
+
+@contextmanager
+def gauge_epoch(net: Network, states: Sequence[MachineStateBase]) -> Iterator[None]:
+    """Sample the space gauges once around a run of structural batches.
+
+    The fleet columns sample their gauges at the end of a gauge epoch,
+    as a per-edge store making every change of the epoch would have
+    (:meth:`repro.perf.columnar.FleetColumns.end_epoch`).  Epochs nest,
+    so each batch's own epoch folds into this one: the initialisers
+    wrap all of their link chunks in one.  The dict storage samples
+    after every step, so on the reference engine this does nothing.
+    """
+    if not fast_path_enabled(net):
+        yield
+        return
+    fleet = states[0].fleet  # type: ignore[attr-defined]
+    fleet.begin_epoch()
+    try:
+        yield
+    finally:
+        fleet.end_epoch(states)
 
 
 def reroot_machines(

@@ -23,10 +23,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.comm.aggregate import batched_queries
-from repro.core.scripts import run_structural_batch
-from repro.core.state import MachineState
-from repro.graphs.dsu import DisjointSet
+from repro.core.init_build import min_outgoing_queries, scan_tables
+from repro.core.scripts import gauge_epoch, run_structural_batch
+from repro.core.state import MachineStateBase
+from repro.graphs.dsu import ArrayDSU
 from repro.graphs.graph import Edge
 from repro.mpc.cole_vishkin import cole_vishkin_3coloring
 from repro.perf.config import fast_path_enabled
@@ -57,50 +60,31 @@ def _charge_cv_exchanges(
 def mpc_init(
     net: Network,
     vp: VertexPartition,
-    states: Sequence[MachineState],
+    states: Sequence[MachineStateBase],
     vertices: Sequence[int],
     next_tour_id: int,
     batch_limit: Optional[int] = None,
 ) -> Tuple[Set[Edge], int]:
     """Star-merge Borůvka; returns (MSF edges, advanced tour counter)."""
-    if fast_path_enabled(net):
-        from repro.perf.init_columnar import mpc_init_columnar
-
-        return mpc_init_columnar(
-            net, vp, states, vertices, next_tour_id, batch_limit
-        )
     recorder = net.ledger.recorder
     if recorder is not None:
-        recorder.on_engine("mpc_init", "scalar")
+        recorder.on_engine("mpc_init", "columnar" if fast_path_enabled(net) else "scalar")
     k = net.k
     if batch_limit is None:
         batch_limit = getattr(net, "space", k)
-    dsu = DisjointSet(vertices)
+    ids = np.asarray(sorted(vertices), dtype=np.int64)
+    dsu = ArrayDSU(ids)
+    tables = scan_tables(net, states, ids)
     msf: Set[Edge] = set()
-    with net.ledger.phase("mpc_init"):
-        while True:
-            roots = sorted({dsu.find(v) for v in vertices})
-            if len(roots) <= 1:
-                break
+    with gauge_epoch(net, states), net.ledger.phase("mpc_init"):
+        while dsu.n_components > 1:
             # Step 1: per-component min outgoing edge.
-            per_query: Dict[int, List[Optional[Tuple]]] = {r: [None] * k for r in roots}
-            for st in states:
-                best: Dict[int, Tuple] = {}
-                for (u, v), w in st.graph_edges.items():
-                    ru, rv = dsu.find(u), dsu.find(v)
-                    if ru == rv:
-                        continue
-                    cand = ((w, u, v), u, v)
-                    for r in (ru, rv):
-                        if r in per_query and (r not in best or cand < best[r]):
-                            best[r] = cand
-                for r, cand in best.items():
-                    per_query[r][st.mid] = cand
+            per_query = min_outgoing_queries(net, tables, ids, dsu.root_indices())
             answers = batched_queries(net, per_query, min, words=WORDS_EDGE)
 
             # Step 2: orient the component forest F.
             chosen: Dict[int, Tuple[int, int, float, int]] = {}
-            for r in roots:
+            for r in per_query:
                 ans = answers.get(r)
                 if ans is None:
                     continue

@@ -10,7 +10,15 @@ other axis — wall-clock speed of the simulation itself.  It provides:
   machine's MST edges and tracked vertices in NumPy columns stacked
   across the fleet, with each Lemma 5.9 phase (a script's cuts, or its
   links) composed by :class:`repro.euler.vectorized.PhaseMap` and
-  applied in one pass over all machines.
+  applied in one pass over all machines;
+* local kernels that the protocols dispatch to on the fast path: the
+  §6.2 candidate scan (:mod:`repro.perf.components`), the Borůvka
+  initialisers' min-outgoing-edge scan (:mod:`repro.perf.init_columnar`)
+  and the contracted-clique scans (:mod:`repro.perf.cclique_columnar`).
+
+Every protocol's sends are written once, in its own module: no function
+here calls a communication primitive
+(``tests/perf/test_no_wire_in_perf.py``).
 
 The contract is strict equivalence: with the fast path on or off, every
 protocol produces **byte-identical round/message/word ledgers** and

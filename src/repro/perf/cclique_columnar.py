@@ -1,4 +1,4 @@
-"""Vectorized engines for contracted CONGESTED-CLIQUE instances (§6.2).
+"""Vectorized local kernels for contracted CONGESTED-CLIQUE instances (§6.2).
 
 Two scalar hot paths in :mod:`repro.cclique.engines` move no words but
 dominate the wall clock of a contracted-instance solve:
@@ -6,15 +6,16 @@ dominate the wall clock of a contracted-instance solve:
 * :func:`repro.cclique.engines._cc_local_msf` — machine-local cycle
   deletion, a ``sorted`` + per-edge dict-DSU scan (run by every engine,
   several times per solve on the merge-and-filter paths);
-* the Borůvka engine's per-phase candidate scan — every machine rescans
-  its whole :class:`CCEdge` list with two dict-``find`` calls per edge.
+* :func:`repro.cclique.engines._cc_min_outgoing` — the Borůvka engine's
+  per-phase candidate scan, where every machine walks its whole
+  :class:`CCEdge` list.
 
-Both are replaced here with NumPy passes at **identical observable
-results**: the same MSF edge objects, in the same order, and (for the
-engine) the same wire — the per-query tables handed to
-:func:`repro.comm.aggregate.batched_queries` hold the same ``CCEdge``
-objects in the same (query, machine) slots, and the union sequence is
-replicated through :class:`~repro.perf.init_columnar.ArrayDSU`.
+Above the ``VECTOR_MIN_ROWS`` crossover a fast-path network runs both as
+NumPy passes with **identical observable results**: the same MSF edge
+objects in the same order, and the same ``CCEdge`` objects in the same
+(query, machine) slots of the Borůvka query table.  The engines
+themselves, and everything they send, are written once in
+:mod:`repro.cclique.engines`.
 
 The local-MSF kernel runs Borůvka over *sort ranks*: edges get their
 position in the scalar path's sort order (``(key, cu, cv)``, stable) as
@@ -35,11 +36,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf.init_columnar import ArrayDSU
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cclique.ccedge import CCEdge
-    from repro.graphs.generators import RngLike
     from repro.sim.network import Network
 
 
@@ -151,57 +149,22 @@ class CCEdgeTable:
         return comp_s[first], rows_s[first]
 
 
-def boruvka_engine_columnar(
+def cc_min_outgoing_columnar(
     net: "Network",
-    n_vertices: int,
     local_edges: Sequence[Sequence["CCEdge"]],
-    rng: "RngLike" = None,
-) -> List["CCEdge"]:
-    """Columnar twin of :func:`repro.cclique.engines.boruvka_engine`.
+    roots: np.ndarray,
+) -> Dict[int, List[Optional["CCEdge"]]]:
+    """Columnar twin of :func:`repro.cclique.engines._cc_min_outgoing`.
 
-    Identical wire: the same replicated component map (ArrayDSU mirrors
-    the scalar DSU's representatives), the same per-query candidate
-    tables with the same ``CCEdge`` payloads, folded in the same order.
+    Each machine's list is ranked once per phase; Borůvka on n'
+    super-vertices runs O(log n') phases.
     """
-    from repro.comm.aggregate import batched_queries
-    from repro.sim.message import WORDS_COMPONENT_EDGE
-
-    k = net.k
-    if len(local_edges) != k:
-        raise ValueError("need one edge list per machine")
-    recorder = net.ledger.recorder
-    if recorder is not None:
-        recorder.on_engine("cc_boruvka", "columnar")
-    dsu = ArrayDSU(np.arange(n_vertices, dtype=np.int64))
-    tables = [CCEdgeTable(edges) for edges in local_edges]
-    msf: List["CCEdge"] = []
-    with net.ledger.phase("cc.boruvka"):
-        while True:
-            # Super-vertex ids are already dense (0..n'-1), so the dense
-            # root index doubles as the representative id.
-            roots = dsu.root_indices()
-            uroots = np.unique(roots)
-            if uroots.size <= 1:
-                break
-            id_list = uroots.tolist()
-            per_query: Dict[int, List[Optional["CCEdge"]]] = {
-                c: [None] * k for c in id_list
-            }
-            for mid, table in enumerate(tables):
-                comps, rows = table.min_outgoing(roots)
-                for c, r in zip(comps.tolist(), rows.tolist()):
-                    per_query[c][mid] = table.objs[r]
-            answers = batched_queries(
-                net, per_query, min, words=WORDS_COMPONENT_EDGE
-            )
-            merged_any = False
-            for c in sorted(answers):
-                e = answers[c]
-                if e is not None and dsu.union(e.cu, e.cv):
-                    msf.append(e)
-                    merged_any = True
-            if not merged_any:
-                break
-    # Everyone already knows the MSF (answers were broadcast), so no final
-    # result broadcast is needed.
-    return sorted(msf)
+    per_query: Dict[int, List[Optional["CCEdge"]]] = {
+        c: [None] * net.k for c in np.unique(roots).tolist()
+    }
+    for m, edges in enumerate(local_edges):
+        table = CCEdgeTable(edges)
+        comps, rows = table.min_outgoing(roots)
+        for c, r in zip(comps.tolist(), rows.tolist()):
+            per_query[c][m] = table.objs[r]
+    return per_query

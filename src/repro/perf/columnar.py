@@ -104,8 +104,10 @@ class FleetColumns:
         #: Witness entries per machine (the ``witness`` gauge's count).
         self.wkeys = [0] * k
         self._n_dead = self._n_gdead = 0
-        # Gauge epoch: per machine (MST count, witness count) at its start,
-        # and the copies killed / appended since (see end_epoch).
+        # Gauge epoch: its nesting depth, per machine (MST count, witness
+        # count) at its start, and the copies killed / appended since
+        # (see end_epoch).
+        self._depth = 0
         self._epoch: List[Tuple[int, int]] = []
         self._killed = [0] * k
         self._added = [0] * k
@@ -362,12 +364,18 @@ class FleetColumns:
     # gauge epochs: sample the space gauges where the per-edge storage did
     # ------------------------------------------------------------------
     def begin_epoch(self) -> None:
+        """Open a gauge epoch; epochs nest, and only the outermost one
+        counts (an init wraps its link batches in one)."""
+        self._depth += 1
+        if self._depth > 1:
+            return
         self._epoch = [(len(self.erow[m]), self.wkeys[m]) for m in range(self.k)]
         self._killed = [0] * self.k
         self._added = [0] * self.k
 
     def end_epoch(self, states: Sequence["ColumnarMachineState"]) -> None:
-        """Refresh every machine's gauges as per-edge storage would have.
+        """Close a gauge epoch; closing the outermost one refreshes every
+        machine's gauges as per-edge storage would have.
 
         Storage that pops each killed copy and then inserts each appended
         one samples the machine's peak after every single change; the
@@ -375,6 +383,9 @@ class FleetColumns:
         insert), the last insert, and the final refresh, replayed here in
         that order with the same gauge values.
         """
+        self._depth -= 1
+        if self._depth:
+            return
         for m, st in enumerate(states):
             m0, w0 = self._epoch[m]
             st.replay_gauges(m0, self._killed[m], self._added[m], w0)
@@ -403,43 +414,39 @@ class FleetColumns:
         in phase-start coordinates while a loop over the steps does what
         is proportional to the script.  It kills each cut edge's copies,
         writes ``tour_size``, and runs the reference's step rules on the
-        rows that may leave their witness: the cut endpoints' home rows,
-        whose dead witnesses are re-picked, and rows without a live
-        witness in a split tour, reading an edge row's labels through the
-        map built so far.  Any other row whose witness is a cut edge is a
-        remote copy of an endpoint: it takes the edge's head rule at its
-        step and is unknown from its tour's next split on.  Then one pass
-        relabels every live edge and witness row of the split tours, and
-        every other vertex row there takes its witness's tour.
+        rows that may leave their witness: the cut endpoints' home rows
+        and rows without a live witness in a split tour, reading an edge
+        row's labels through the map built so far.  Any other row whose
+        witness is a cut edge is a remote copy of a cut endpoint: it is
+        left witness-dead and unknown, and the repair broadcast that
+        follows every cut phase overwrites its witness and tour (as it
+        re-picks a home row's dead witness).  Then one pass relabels
+        every live edge and witness row of the split tours, and every
+        other vertex row there takes its witness's tour.
         """
         from repro.core.scripts import _transform_cut
 
         pm = PhaseMap()
         k, nv = self.k, self.nv
         keys = [normalize(*step.edge) for step in script]
-        splits: Dict[int, List[int]] = {}  # tour -> the steps splitting it
-        for j, step in enumerate(script):
-            splits.setdefault(step.spec.old_tour, []).append(j)
+        split = {step.spec.old_tour for step in script}
         fresh = {step.spec.inside_tour for step in script}
         walive, vtour = self.walive[:nv], self.vtour[:nv]
 
-        stepped = set(np.flatnonzero(
-            ~walive & member_mask(vtour, set(splits) - fresh)
-        ).tolist())
+        stepped = set(np.flatnonzero(~walive & member_mask(vtour, split - fresh)).tolist())
         for key in keys:
             for x in key:
                 i = self.vrow[vp.home(x)].get(x)
                 if i is not None:
                     stepped.add(i)
-        cut_at = {key: j for j, key in enumerate(keys)}
+        cut = set(keys)
         wlo = np.minimum(self.wu[:nv], self.wv[:nv])
         hit = np.flatnonzero(walive & member_mask(wlo, {u for u, _v in keys}))
         whi = np.maximum(self.wu[hit], self.wv[hit])
-        dying: Dict[int, int] = {}  # row -> step cutting its witness
-        for i, a, b in zip(hit.tolist(), wlo[hit].tolist(), whi.tolist()):
-            j = cut_at.get((a, b))
-            if j is not None and i not in stepped:
-                dying[i] = j
+        dying = [
+            i for i, a, b in zip(hit.tolist(), wlo[hit].tolist(), whi.tolist())
+            if (a, b) in cut and i not in stepped
+        ]
 
         tour = {i: int(vtour[i]) for i in stepped}
         wit: Dict[int, Optional[ETEdge]] = {}
@@ -449,7 +456,6 @@ class FleetColumns:
         picks = self._witness_picks(
             [(int(self.vmid[i]), int(self.vx[i])) for i in sorted(stepped) if self.vown[i]]
         )
-        repicked: Set[int] = set()
 
         def pick(m: int, x: int) -> Optional[ETEdge]:
             """x's witness choice on machine m, in step coordinates."""
@@ -512,40 +518,22 @@ class FleetColumns:
                 st.tour_size[fresh_tour] = inside_size
             tour.update(new)
 
-            # 5. Owned endpoints whose witness died re-pick locally for free.
-            for x in key:
-                m = vp.home(x)
-                i = self.vrow[m].get(x)
-                if i is None or wit[i] is not None or tour[i] == -1:
-                    continue
-                wit[i] = pick(m, x)
-                repicked.add(i)
-
         # One pass: the live rows of the split tours to end-of-phase labels.
         ne = self.ne
         erows = np.flatnonzero(self.ealive[:ne] & pm.touched(self.etour[:ne]))
         self._relabel(pm, erows, self.etour, self.et1, self.et2)
+        walive[dying] = False
+        vtour[dying] = -1  # unknown until the repair broadcast
         plain = walive.copy()
         plain[list(stepped)] = False
-        plain[list(dying)] = False
         vrows = np.flatnonzero(plain & pm.touched(vtour))
         wrows = np.flatnonzero(plain & pm.touched(self.wtour[:nv]))
         self._relabel(pm, wrows, self.wtour, self.wt1, self.wt2)
         vtour[vrows] = self.wtour[vrows]
-        for i, j in dying.items():
-            spec = script[j].spec
-            inside = self.vx[i] == script[j].snapshot.head_at(spec.e_min)
-            t = spec.inside_tour if inside else spec.old_tour
-            if any(s > j for s in splits.get(t, ())):
-                t = -1  # unknown until the repair broadcast
-            vtour[i] = t
-            walive[i] = False
         for i in stepped:
             vtour[i] = tour[i]
             w = wit[i]
-            if i in repicked:
-                self.set_witness_row(i, None if w is None else w.snapshot())
-            elif w is None:
+            if w is None:
                 walive[i] = False
             else:
                 self.wt1[i], self.wt2[i], self.wtour[i] = w.t_uv, w.t_vu, w.tour
@@ -933,40 +921,24 @@ def run_structural_batch_columnar(
     """
     from repro.core.scripts import (
         _collect_cut_params,
+        _collect_link_params,
         _repair_witnesses,
         build_cut_script,
+        build_link_script,
+        gauge_epoch,
     )
 
     fleet: FleetColumns = states[0].fleet  # type: ignore[attr-defined]
     recorder = net.ledger.recorder
     if recorder is not None:
         recorder.on_engine("structural_batch", "columnar")
-    fleet.begin_epoch()
-    if cuts:
-        params = _collect_cut_params(net, vp, states, cuts)
-        cut_script, next_tour_id = build_cut_script(params, next_tour_id)
-        fleet.cut_phase(cut_script, vp, states)
-        _repair_witnesses(net, vp, states, [x for (u, v) in cuts for x in (u, v)])
-    if links:
-        link_into_fleet(net, vp, states, links)
-    fleet.end_epoch(states)  # type: ignore[arg-type]
+    with gauge_epoch(net, states):
+        if cuts:
+            params = _collect_cut_params(net, vp, states, cuts)
+            cut_script, next_tour_id = build_cut_script(params, next_tour_id)
+            fleet.cut_phase(cut_script, vp, states)
+            _repair_witnesses(net, vp, states, [x for (u, v) in cuts for x in (u, v)])
+        if links:
+            link_script = build_link_script(_collect_link_params(net, vp, states, links))
+            fleet.link_phase(link_script, vp, states)
     return next_tour_id
-
-
-def link_into_fleet(
-    net: "Network",
-    vp: "VertexPartition",
-    states: Sequence["MachineStateBase"],
-    links: Sequence[Tuple[int, int, float]],
-) -> None:
-    """One Lemma 5.9 link phase applied straight to the fleet columns.
-
-    The initialisation protocols (Theorems 5.8 and 8.1) call this once
-    per link chunk inside one gauge epoch; a structural batch calls it
-    after its cuts.
-    """
-    from repro.core.scripts import _collect_link_params, build_link_script
-
-    fleet: FleetColumns = states[0].fleet  # type: ignore[attr-defined]
-    script = build_link_script(_collect_link_params(net, vp, states, links))
-    fleet.link_phase(script, vp, states)

@@ -1,37 +1,27 @@
-"""Columnar Borůvka initialisation (Theorem 5.8 and Theorem 8.1, fast).
+"""The Borůvka initialisers' min-outgoing-edge scan, columnar.
 
-The reference initialisers — :func:`repro.core.init_build.distributed_init`
+The two initialisers — :func:`repro.core.init_build.distributed_init`
 (k-machine, Theorem 5.8) and :func:`repro.mpc.init_mpc.mpc_init` (MPC,
-Theorem 8.1) — spend almost all of their wall clock in one scalar loop:
-every Borůvka phase rescans every machine's graph-edge dictionary, calls
-``dsu.find`` twice per edge, and keeps a per-component best candidate in
-a Python dict.  That scan is O(m·phases) tuple work and dominates the
-O(n/k + log n)-round initialisation the benches measure.
+Theorem 8.1) — are written once, for both engines.  The one step whose
+local computation depends on the engine is step 1 of a phase, each
+machine's minimum outgoing edge per component
+(:func:`repro.core.init_build.min_outgoing_queries`).  The reference
+engine walks each machine's graph-edge dict; on the fast path:
 
-This module replaces the *local computation* of that scan while keeping
-the wire byte-identical:
+* each machine's slice of the resident graph-edge columns is ranked
+  **once per init** by the global key (:class:`GraphEdgeTable`,
+  :func:`scan_tables_columnar`);
+* the per-component minimum outgoing edge of a machine is one stable
+  single-key sort + group-first pass over that ranking
+  (:func:`min_outgoing_rows`), fed by the phase's one
+  :meth:`~repro.graphs.dsu.ArrayDSU.root_indices` pass.
 
-* each machine's graph edges are packed **once per init** into parallel
-  NumPy columns (:class:`GraphEdgeTable`, ranked once);
-* each phase resolves every vertex's component representative in a few
-  vectorized pointer-jumping passes (:meth:`ArrayDSU.root_indices`)
-  instead of n dict-walking ``find`` calls;
-* the per-component minimum outgoing edge of a machine is one
-  ``np.lexsort`` + group-first pass (:func:`min_outgoing_rows`) over the
-  edge table, ordered by the same global key ``(w, u, v)`` the scalar
-  candidate tuples compare by.
-
-Everything that *touches the wire* is unchanged: the per-query
-contribution tables handed to :func:`repro.comm.aggregate.batched_queries`
-hold the same Python-scalar payloads for the same (query, machine) slots,
-the answers are folded in the same sorted order, the union sequence is
-identical (see :class:`ArrayDSU`), and the chosen edges are linked in
-the same Lemma 5.9 chunks, straight into the resident fleet columns
-(:func:`repro.perf.columnar.link_into_fleet`) inside one gauge epoch.
-The ledger transcript therefore matches the reference engine's charge
-for charge — ``tests/perf`` verifies digests, transcripts and machine
-state under ``REPRO_STRICT=1``, and ``repro trace-diff`` localises any
-regression.
+:func:`min_outgoing_queries_columnar` turns the winning rows into the
+same Python-scalar payloads in the same (query, machine) slots as the
+scalar scan, so the batched min-query, the answer fold, the unions and
+the Lemma 5.9 link chunks that follow are the same code on both
+engines.  Nothing here sends; ``tests/perf`` compares the two engines'
+transcripts, digests and machine state under ``REPRO_STRICT=1``.
 """
 
 from __future__ import annotations
@@ -43,80 +33,14 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports perf)
-    from repro.core.state import MachineState
-    from repro.graphs.graph import Edge
+    from repro.core.state import MachineStateBase
     from repro.sim.network import Network
-    from repro.sim.partition import VertexPartition
-
-
-class ArrayDSU:
-    """Array-backed union-find replicating :class:`DisjointSet`'s choices.
-
-    The reference initialisers put component *representatives* on the
-    wire (they key the batched min-queries), so matching the reference
-    DSU's answers is a wire requirement, not a convenience.  This class
-    uses the same union-by-size rule with the same tie-break (the first
-    argument's root wins on equal sizes) over the same element set, so
-    every ``find`` returns the exact element the scalar
-    :class:`repro.graphs.dsu.DisjointSet` would return at the same point
-    of the protocol — path compression only shortens pointer chains,
-    never changes roots.
-
-    ``ids`` must be sorted and duplicate-free; elements are addressed by
-    their position in it.  Scalar ``union``/``find`` use path-halving
-    loops (O(#unions) per phase); :meth:`root_indices` resolves *every*
-    element at once by vectorized pointer jumping (O(log depth) array
-    passes — depth is logarithmic under union by size).
-    """
-
-    __slots__ = ("ids", "parent", "size")
-
-    def __init__(self, ids: np.ndarray) -> None:
-        self.ids = np.ascontiguousarray(ids, dtype=np.int64)
-        n = self.ids.shape[0]
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def index_of(self, x: int) -> int:
-        return int(np.searchsorted(self.ids, x))
-
-    def _find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = int(parent[i])
-        return i
-
-    def find(self, x: int) -> int:
-        """Representative *element* of x's component (same as DisjointSet)."""
-        return int(self.ids[self._find(self.index_of(x))])
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge by size, first argument's root winning ties; True if merged."""
-        rx, ry = self._find(self.index_of(x)), self._find(self.index_of(y))
-        if rx == ry:
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        return True
-
-    def root_indices(self) -> np.ndarray:
-        """Root *index* of every element, via vectorized pointer jumping."""
-        p = self.parent.copy()
-        while True:
-            gp = p[p]
-            if np.array_equal(gp, p):
-                return p
-            p = gp
 
 
 class GraphEdgeTable:
@@ -205,205 +129,36 @@ def min_outgoing_rows(
     return comp_s[first], rows_s[first]
 
 
-class _FleetLinker:
-    """The init's Lemma 5.9 link chunks, applied to the fleet columns.
-
-    Each call is one link batch with the reference's wire (its engine
-    event included); the whole init is one gauge epoch, closed by
-    :meth:`close`.  Link batches never consume fresh tour ids, so the
-    counter is untouched.
-    """
-
-    def __init__(
-        self,
-        net: "Network",
-        vp: "VertexPartition",
-        states: Sequence["MachineState"],
-    ) -> None:
-        self.net, self.vp, self.states = net, vp, states
-        self.fleet = states[0].fleet  # type: ignore[attr-defined]
-        self.fleet.begin_epoch()
-
-    def __call__(self, links: Sequence[Tuple[int, int, float]]) -> None:
-        from repro.perf.columnar import link_into_fleet
-
-        recorder = self.net.ledger.recorder
-        if recorder is not None:
-            recorder.on_engine("structural_batch", "columnar")
-        link_into_fleet(self.net, self.vp, self.states, links)
-
-    def close(self) -> None:
-        self.fleet.end_epoch(self.states)
-
-
-def distributed_init_columnar(
+def scan_tables_columnar(
     net: "Network",
-    vp: "VertexPartition",
-    states: Sequence["MachineState"],
-    vertices: Sequence[int],
-    next_tour_id: int,
-) -> Tuple[Set["Edge"], int]:
-    """Columnar twin of :func:`repro.core.init_build.distributed_init`.
-
-    Identical phase structure, query tables, answer folding, union
-    sequence and Lemma 5.9 link chunks; only the per-machine candidate
-    scan and the component-representative resolution are vectorized.
-    """
-    from repro.comm.aggregate import batched_queries
-    from repro.graphs.graph import Edge
-    from repro.sim.message import WORDS_EDGE
-
-    k = net.k
-    recorder = net.ledger.recorder
-    if recorder is not None:
-        recorder.on_engine("init_build", "columnar")
-    ids = np.asarray(sorted(vertices), dtype=np.int64)
-    dsu = ArrayDSU(ids)
-    link = _FleetLinker(net, vp, states)
-    tables = [GraphEdgeTable.of_machine(link.fleet, st.mid, ids) for st in states]
-    msf: Set[Edge] = set()
-    with net.ledger.phase("init"):
-        while True:
-            roots = dsu.root_indices()
-            uroots = np.unique(roots)
-            if uroots.size <= 1:
-                break
-            root_ids = ids[uroots]
-            # Dense root index -> position among this phase's roots.
-            slot = np.zeros(ids.shape[0], dtype=np.int64)
-            slot[uroots] = np.arange(uroots.size)
-            id_list = root_ids.tolist()
-            per_query: Dict[int, List[Optional[Tuple]]] = {
-                r: [None] * k for r in id_list
-            }
-            for mid, table in enumerate(tables):
-                comps, rows = min_outgoing_rows(table, roots)
-                if comps.size == 0:
-                    continue
-                us = table.u[rows].tolist()
-                vs = table.v[rows].tolist()
-                ws = table.w[rows].tolist()
-                cs = slot[comps].tolist()
-                for c, u, v, w in zip(cs, us, vs, ws):
-                    per_query[id_list[c]][mid] = ((w, u, v), u, v)
-            answers = batched_queries(net, per_query, min, words=WORDS_EDGE)
-            chosen: List[Edge] = []
-            for r in sorted(answers):
-                ans = answers[r]
-                if ans is None:
-                    continue
-                (wk, u, v) = ans[0], ans[1], ans[2]
-                if dsu.union(u, v):
-                    chosen.append(Edge(u, v, wk[0]))
-            if not chosen:
-                break
-            msf.update(chosen)
-            # Link the new forest edges k at a time (Lemma 5.9).
-            chosen.sort(key=lambda e: e.key())
-            for base in range(0, len(chosen), k):
-                chunk = chosen[base : base + k]
-                link([(e.u, e.v, e.weight) for e in chunk])
-    link.close()
-    return msf, next_tour_id
+    states: Sequence["MachineStateBase"],
+    ids: np.ndarray,
+) -> List[GraphEdgeTable]:
+    """Columnar twin of :func:`repro.core.init_build.scan_tables`: each
+    machine's resident graph-edge rows, ranked once per init."""
+    fleet = states[0].fleet  # type: ignore[attr-defined]
+    return [GraphEdgeTable.of_machine(fleet, st.mid, ids) for st in states]
 
 
-def mpc_init_columnar(
+def min_outgoing_queries_columnar(
     net: "Network",
-    vp: "VertexPartition",
-    states: Sequence["MachineState"],
-    vertices: Sequence[int],
-    next_tour_id: int,
-    batch_limit: Optional[int] = None,
-) -> Tuple[Set["Edge"], int]:
-    """Columnar twin of :func:`repro.mpc.init_mpc.mpc_init` (Theorem 8.1).
+    tables: Sequence[GraphEdgeTable],
+    ids: np.ndarray,
+    roots: np.ndarray,
+) -> Dict[int, List[Optional[Tuple]]]:
+    """Columnar twin of :func:`repro.core.init_build.min_outgoing_queries`.
 
-    Step 1 (the per-component min-outgoing-edge scan) is the vectorized
-    table pass; steps 2–4 — forest orientation, the measured Cole–Vishkin
-    colour exchanges, and the star merges — are O(#components) and reuse
-    the reference code verbatim, fed identical answers.
+    A component's representative is the id at its dense root index, so
+    the winning rows go straight into the representatives' slots.
     """
-    from collections import Counter
-
-    from repro.comm.aggregate import batched_queries
-    from repro.graphs.graph import Edge
-    from repro.mpc.cole_vishkin import cole_vishkin_3coloring
-    from repro.mpc.init_mpc import _charge_cv_exchanges
-    from repro.sim.message import WORDS_EDGE
-
-    k = net.k
-    if batch_limit is None:
-        batch_limit = getattr(net, "space", k)
-    recorder = net.ledger.recorder
-    if recorder is not None:
-        recorder.on_engine("mpc_init", "columnar")
-    ids = np.asarray(sorted(vertices), dtype=np.int64)
-    dsu = ArrayDSU(ids)
-    link = _FleetLinker(net, vp, states)
-    tables = [GraphEdgeTable.of_machine(link.fleet, st.mid, ids) for st in states]
-    msf: Set[Edge] = set()
-    with net.ledger.phase("mpc_init"):
-        while True:
-            roots_dense = dsu.root_indices()
-            uroots = np.unique(roots_dense)
-            if uroots.size <= 1:
-                break
-            slot = np.zeros(ids.shape[0], dtype=np.int64)
-            slot[uroots] = np.arange(uroots.size)
-            id_list = ids[uroots].tolist()
-            roots = id_list  # ascending, like the scalar sorted({find(v)})
-            # Step 1: per-component min outgoing edge (vectorized scan).
-            per_query: Dict[int, List[Optional[Tuple]]] = {
-                r: [None] * k for r in roots
-            }
-            for mid, table in enumerate(tables):
-                comps, rows = min_outgoing_rows(table, roots_dense)
-                if comps.size == 0:
-                    continue
-                us = table.u[rows].tolist()
-                vs = table.v[rows].tolist()
-                ws = table.w[rows].tolist()
-                cs = slot[comps].tolist()
-                for c, u, v, w in zip(cs, us, vs, ws):
-                    per_query[id_list[c]][mid] = ((w, u, v), u, v)
-            answers = batched_queries(net, per_query, min, words=WORDS_EDGE)
-
-            # Step 2: orient the component forest F.
-            chosen: Dict[int, Tuple[int, int, float, int]] = {}
-            for r in roots:
-                ans = answers.get(r)
-                if ans is None:
-                    continue
-                (w, u, v), eu, ev = ans[0], ans[1], ans[2]
-                other = dsu.find(ev) if dsu.find(eu) == r else dsu.find(eu)
-                chosen[r] = (eu, ev, w, other)
-            if not chosen:
-                break
-            # Mutual pairs (a ↔ b, a < b) make a the root of their tree;
-            # the classic argument rules out longer pointer cycles.
-            parent: Dict[int, Optional[int]] = {}
-            for r, (_eu, _ev, _w, other) in chosen.items():
-                mutual = other in chosen and chosen[other][3] == r
-                parent[r] = None if (mutual and r < other) else other
-
-            # Step 3: Cole–Vishkin 3-colouring, charged per iteration.
-            colour, iters = cole_vishkin_3coloring(parent)
-            _charge_cv_exchanges(net, vp, parent, iters)
-
-            # Step 4: the most frequent colour merges through its edge.
-            counts = Counter(colour[r] for r in chosen if parent[r] is not None)
-            best_colour = min(
-                (c for c in counts), key=lambda c: (-counts[c], c)
-            )
-            links: List[Tuple[int, int, float]] = []
-            for r in sorted(chosen):
-                if colour[r] != best_colour or parent[r] is None:
-                    continue
-                eu, ev, w, other = chosen[r]
-                if dsu.union(r, other):
-                    links.append((eu, ev, w))
-                    msf.add(Edge.of(eu, ev, w))
-            links.sort()
-            for base in range(0, len(links), max(batch_limit, 1)):
-                link(links[base : base + batch_limit])
-    link.close()
-    return msf, next_tour_id
+    per_query: Dict[int, List[Optional[Tuple]]] = {
+        r: [None] * net.k for r in ids[np.unique(roots)].tolist()
+    }
+    for mid, table in enumerate(tables):
+        comps, rows = min_outgoing_rows(table, roots)
+        us = table.u[rows].tolist()
+        vs = table.v[rows].tolist()
+        ws = table.w[rows].tolist()
+        for r, u, v, w in zip(ids[comps].tolist(), us, vs, ws):
+            per_query[r][mid] = ((w, u, v), u, v)
+    return per_query

@@ -18,13 +18,13 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 
 # ----------------------------------------------------------------------
-# SIM006: strip kind="stable" from the columnar init engine
+# SIM006: strip kind="stable" from the columnar init scan
 # ----------------------------------------------------------------------
 def _mini_project(tmp_path, mutate):
     """Copy the dispatching scalar module + its columnar twin into a
     scratch src tree, optionally dropping the stable-sort guarantee."""
     for rel in (
-        "repro/mpc/init_mpc.py",
+        "repro/core/init_build.py",
         "repro/perf/init_columnar.py",
         "repro/perf/config.py",
     ):

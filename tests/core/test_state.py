@@ -111,6 +111,12 @@ _AFTER_CHURN = [
     ({"graph_edges": 171, "mst_edges": 208, "tours": 49, "witness": 376}, 880),
     ({"graph_edges": 258, "mst_edges": 288, "tours": 56, "witness": 432}, 1124),
 ]
+# The two engines' peaks differ by design: the fleet columns sample their
+# gauges once per init (one gauge epoch around every link chunk), while
+# the dicts sample after every link step and so also see the states
+# between steps.  On core-batch64's graph (n=3000, m=9000, k=16), summed
+# over the 16 machines, the fleet reports 252 337 words and the dicts
+# 264 789.
 _DISTRIBUTED_PEAKS = {
     "inproc-columnar": [763, 903, 788, 1020],
     "reference": [771, 905, 798, 1022],

@@ -1,8 +1,10 @@
-"""Initialisation fast path IS the reference initialisation, observably.
+"""Initialisation on the fast path IS the reference initialisation, observably.
 
-The columnar initialisers (:mod:`repro.perf.init_columnar`) and the
-contracted-clique engine kernels (:mod:`repro.perf.cclique_columnar`)
-carry the same contract as the update fast path: byte-identical
+The Borůvka initialisers and the contracted-clique engines are written
+once; on a fast-path network their machine-local scans run as array
+passes (:mod:`repro.perf.init_columnar`,
+:mod:`repro.perf.cclique_columnar`) over the resident fleet columns.
+They carry the same contract as the update fast path: byte-identical
 round/message/word transcripts (hence SHA-256 ledger digests), identical
 MSF output, identical machine state — under ``REPRO_STRICT=1``, across
 seeds and machine counts.  These tests pin that contract for
@@ -11,8 +13,8 @@ seeds and machine counts.  These tests pin that contract for
 * :func:`repro.mpc.init_mpc.mpc_init` (Theorem 8.1),
 * every engine in :data:`repro.cclique.ENGINES`,
 
-plus unit-level oracles for the kernels the fast initialisers stand on
-(:class:`ArrayDSU`, :func:`min_outgoing_rows`,
+plus unit-level oracles for the kernels they stand on
+(:class:`~repro.graphs.dsu.ArrayDSU`, :func:`min_outgoing_rows`,
 :func:`cc_local_msf_columnar`).
 """
 
@@ -22,12 +24,12 @@ import pytest
 from repro.cclique import CCEdge, ENGINES, cc_msf
 from repro.core import DynamicMST
 from repro.graphs import kruskal_msf, random_weighted_graph
-from repro.graphs.dsu import DisjointSet
+from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
 from repro.perf.cclique_columnar import cc_local_msf_columnar
 from repro.perf.config import VECTOR_MIN_ROWS
-from repro.perf.init_columnar import ArrayDSU, GraphEdgeTable, min_outgoing_rows
+from repro.perf.init_columnar import GraphEdgeTable, min_outgoing_rows
 from repro.sim import KMachineNetwork
 
 ALL_ENGINES = sorted(ENGINES)
