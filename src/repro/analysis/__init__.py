@@ -13,15 +13,13 @@ Since v2 the analyzer is whole-program: pass 1
 (:mod:`repro.analysis.callgraph`) builds a project symbol table, call
 graph, and transitive effect summaries; pass 2 runs flow-sensitive rules
 with that project in scope.  Reports serialize to text, JSON, or SARIF
-2.1.0; adoption on found debt goes through the baseline ratchet
-(:mod:`repro.analysis.baseline`); repeated runs are incremental via
-``.simlint_cache/`` (:mod:`repro.analysis.cache`).
+2.1.0; repeated runs are incremental via ``.simlint_cache/``
+(:mod:`repro.analysis.cache`).
 
 See ``docs/static_analysis.md`` for the rule catalog and the suppression
 syntax.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.callgraph import (
     CallSite,
     FunctionSummary,
@@ -43,8 +41,6 @@ from repro.analysis.sarif import format_sarif, to_sarif
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "CallSite",
     "Finding",
     "FunctionSummary",

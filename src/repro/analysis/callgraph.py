@@ -50,7 +50,6 @@ from repro.analysis.astutil import (
     LEDGER_TAILS,
     call_tail,
     dotted_name,
-    is_phase_with,
     string_const,
 )
 
@@ -534,9 +533,6 @@ class Project:
                     self.fast_twins.append((fn, twin, site))
 
     # -- queries used by rules -----------------------------------------
-    def callers_of(self, qualname: str) -> List[Tuple[str, CallSite]]:
-        return self._callers.get(qualname, [])
-
     def comm_chain(self, qualname: str, limit: int = 6) -> List[str]:
         """A shortest call chain from ``qualname`` to a comm primitive,
         as human-readable hops (for SIM004 messages)."""
@@ -585,23 +581,3 @@ class Project:
             h.update(",".join(fn.phase_names).encode())
             h.update(",".join(fn.params).encode())
         return h.hexdigest()
-
-
-def enclosing_function_qualname(
-    module: ModuleSummary, line: int
-) -> Optional[str]:
-    """Qualname of the innermost function whose def-line precedes ``line``.
-
-    Summaries do not retain end lines, so this is a best-effort map from
-    a finding's line back to the function that owns it: the function
-    with the greatest def-line ≤ ``line``.  Good enough for rule
-    messages and coverage lookups on real code (functions do not
-    interleave).
-    """
-    best: Optional[FunctionSummary] = None
-    for fn in module.functions.values():
-        if fn.name == MODULE_BODY:
-            continue
-        if fn.line <= line and (best is None or fn.line > best.line):
-            best = fn
-    return best.qualname if best is not None else None

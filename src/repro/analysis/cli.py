@@ -1,7 +1,7 @@
 """``python -m repro.analysis`` — the simlint command line.
 
-Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage/IO
-error (the convention CI and the pytest self-clean gate rely on).
+Exit codes: 0 clean, 1 findings, 2 usage/IO error (the convention CI
+and the pytest self-clean gate rely on).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import load_config
 from repro.analysis.engine import run
 from repro.analysis.rules import ALL_RULES
@@ -40,16 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", metavar="CODES",
         help="comma-separated rule codes to run (e.g. SIM001,SIM003); "
         "suppression hygiene (SIM000) is always checked",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE",
-        help="apply the baseline ratchet: findings in FILE warn with age, "
-        "anything new fails",
-    )
-    p.add_argument(
-        "--update-baseline", metavar="FILE",
-        help="write the current findings to FILE as the new baseline "
-        "(preserving first-seen dates) and exit 0",
     )
     p.add_argument(
         "--no-cache", action="store_true",
@@ -81,26 +70,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = None
     if args.select:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
-    baseline: Optional[Baseline] = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"simlint: baseline not found: {args.baseline}",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
     config = load_config(next((p for p in args.paths if os.path.exists(p)), None))
     try:
         report = run(
             args.paths,
             select=select,
             config=config,
-            baseline=None if args.update_baseline else baseline,
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
         )
@@ -110,23 +85,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        prior = baseline if baseline is not None else Baseline.empty()
-        if baseline is None and args.baseline is None:
-            try:
-                prior = Baseline.load(args.update_baseline)
-            except (FileNotFoundError, ValueError):
-                prior = Baseline.empty()
-        prior.updated_with(report.findings, root=config.root).write(args.update_baseline)
-        print(
-            f"simlint: baseline written to {args.update_baseline} "
-            f"({len(report.findings)} finding(s) inventoried)"
-        )
-        return 0
     if args.format == "json":
         text = report.format_json()
     elif args.format == "sarif":
-        text = format_sarif(report.findings, report.baselined)
+        text = format_sarif(report.findings)
     else:
         text = report.format_text()
     try:

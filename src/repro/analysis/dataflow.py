@@ -22,7 +22,7 @@ interprocedural half lives in :mod:`repro.analysis.callgraph`.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
     FAST_GATE_TAILS,
@@ -90,14 +90,6 @@ def is_fast_gate_test(test: ast.expr, gate_vars: Set[str]) -> bool:
         if isinstance(node, ast.Name) and node.id in gate_vars:
             return True
     return False
-
-
-def assigned_names(func: ast.AST) -> Dict[str, ast.expr]:
-    """Last simple assignment expression per local name (best-effort)."""
-    out: Dict[str, ast.expr] = {}
-    for name, value in _simple_assigns(func):
-        out[name] = value
-    return out
 
 
 def _simple_assigns(func: ast.AST) -> Iterator[Tuple[str, ast.expr]]:

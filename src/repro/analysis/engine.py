@@ -1,4 +1,4 @@
-"""The simlint driver: two passes over the project, then the ratchet.
+"""The simlint engine: two passes over the project.
 
 v2 is a whole-program analyzer.  **Pass 1** parses every collected file
 once and distils it to a :class:`~repro.analysis.callgraph.ModuleSummary`
@@ -13,9 +13,8 @@ send and SIM009 pairs fast-path twins across modules.
 The engine stays deterministic — sorted file order, stable finding
 order, one AST parse per file per pass — so a finding's presence depends
 only on the source tree, never on traversal order or cache state.  The
-incremental cache (:mod:`repro.analysis.cache`) and the baseline ratchet
-(:mod:`repro.analysis.baseline`) compose around the passes without
-changing their results.
+incremental cache (:mod:`repro.analysis.cache`) composes around the
+passes without changing their results.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import ast
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -34,7 +33,6 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.cache import AnalysisCache, DEFAULT_CACHE_DIR, file_sha256
 from repro.analysis.callgraph import ModuleSummary, Project, summarize_module
 from repro.analysis.config import SimlintConfig, load_config
@@ -53,17 +51,11 @@ class Report:
     findings: List[Finding]
     files_checked: int
     suppressions_used: int = 0
-    #: Findings absorbed by the baseline ratchet (finding, entry) pairs.
-    baselined: List[Tuple[Finding, BaselineEntry]] = field(default_factory=list)
-    #: Baseline entries nothing matched anymore — paid debt to delete.
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
-        # Stale baseline entries fail too: the ratchet only ratchets if
-        # paid debt must be struck from the inventory.
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
     def counts_by_code(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -73,29 +65,12 @@ class Report:
 
     def format_text(self) -> str:
         lines = [f.format_text() for f in self.findings]
-        for finding, entry in self.baselined:
-            lines.append(
-                f"{finding.path}:{finding.line}:{finding.col + 1}: "
-                f"{finding.code} [baselined {entry.age_days()}d] "
-                f"{finding.message}"
-            )
-        for entry in self.stale_baseline:
-            lines.append(
-                f"simlint: stale baseline entry {entry.code} at {entry.path} "
-                f"(×{entry.count}) — debt paid; regenerate with "
-                "--update-baseline"
-            )
         by_code = ", ".join(f"{c}×{n}" for c, n in self.counts_by_code().items())
         tail = (
             f"{len(self.findings)} finding(s) [{by_code}]"
             if self.findings
             else "clean"
         )
-        if self.baselined or self.stale_baseline:
-            tail += (
-                f", {len(self.baselined)} baselined, "
-                f"{len(self.stale_baseline)} stale baseline entr(ies)"
-            )
         lines.append(
             f"simlint: {self.files_checked} file(s), "
             f"{self.suppressions_used} suppression(s) honoured — {tail}"
@@ -110,22 +85,6 @@ class Report:
                 "cache_hits": self.cache_hits,
                 "counts": self.counts_by_code(),
                 "findings": [f.to_dict() for f in self.findings],
-                "baselined": [
-                    {
-                        **f.to_dict(),
-                        "first_seen": e.first_seen,
-                        "age_days": e.age_days(),
-                    }
-                    for f, e in self.baselined
-                ],
-                "stale_baseline": [
-                    {
-                        "code": e.code, "path": e.path,
-                        "message": e.message, "count": e.count,
-                        "first_seen": e.first_seen,
-                    }
-                    for e in self.stale_baseline
-                ],
             },
             indent=2,
             sort_keys=True,
@@ -329,7 +288,6 @@ def run(
     select: Optional[Iterable[str]] = None,
     *,
     config: Optional[SimlintConfig] = None,
-    baseline: Optional[Baseline] = None,
     use_cache: bool = False,
     cache_dir: Optional[str] = None,
 ) -> Report:
@@ -400,15 +358,7 @@ def run(
     if cache is not None:
         cache.save()
 
-    report = Report(
+    return Report(
         sort_findings(findings), len(files), suppressions_used,
         cache_hits=cache_hits,
     )
-    if baseline is not None:
-        matched = baseline.apply(report.findings, root=config.root)
-        report.findings = matched.new
-        report.baselined = matched.baselined
-        # Under --select most entries are trivially unmatched; staleness
-        # is only meaningful against the full catalog.
-        report.stale_baseline = matched.stale if wanted is None else []
-    return report

@@ -6,9 +6,7 @@ diff).  The mapping is deliberately small:
 
 * one ``run`` with ``tool.driver.name = "simlint"`` and the full rule
   catalog (so viewers can show rule help without a second lookup);
-* one ``result`` per finding — new findings at level ``error``,
-  baseline-absorbed findings at level ``note`` with
-  ``properties.baselined = true`` and the debt's age in days;
+* one ``result`` per finding, at level ``error``;
 * ``artifactLocation.uri`` is the forward-slash relative path, which is
   what code-scanning matches against the checkout.
 """
@@ -17,9 +15,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.findings import META_CODE, Finding
 from repro.analysis.rules import ALL_RULES, Rule
 
@@ -51,15 +48,11 @@ def _meta_descriptor() -> Dict[str, Any]:
     }
 
 
-def _result(
-    finding: Finding,
-    level: str,
-    properties: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
+def _result(finding: Finding) -> Dict[str, Any]:
     uri = os.path.normpath(finding.path).replace(os.sep, "/").lstrip("./")
-    result: Dict[str, Any] = {
+    return {
         "ruleId": finding.code,
-        "level": level,
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [
             {
@@ -73,31 +66,13 @@ def _result(
             }
         ],
     }
-    if properties:
-        result["properties"] = properties
-    return result
 
 
 def to_sarif(
-    findings: Sequence[Finding],
-    baselined: Sequence[Tuple[Finding, BaselineEntry]] = (),
-    rules: Optional[Sequence[Rule]] = None,
+    findings: Sequence[Finding], rules: Optional[Sequence[Rule]] = None
 ) -> Dict[str, Any]:
     """Build the SARIF log object (a plain dict, ready for json.dump)."""
     catalog = list(rules if rules is not None else ALL_RULES)
-    results: List[Dict[str, Any]] = [_result(f, "error") for f in findings]
-    for finding, entry in baselined:
-        results.append(
-            _result(
-                finding,
-                "note",
-                {
-                    "baselined": True,
-                    "first_seen": entry.first_seen,
-                    "age_days": entry.age_days(),
-                },
-            )
-        )
     return {
         "$schema": _SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -113,17 +88,13 @@ def to_sarif(
                         ],
                     }
                 },
-                "results": results,
+                "results": [_result(f) for f in findings],
             }
         ],
     }
 
 
 def format_sarif(
-    findings: Sequence[Finding],
-    baselined: Sequence[Tuple[Finding, BaselineEntry]] = (),
-    rules: Optional[Sequence[Rule]] = None,
+    findings: Sequence[Finding], rules: Optional[Sequence[Rule]] = None
 ) -> str:
-    return json.dumps(
-        to_sarif(findings, baselined, rules), indent=2, sort_keys=True
-    )
+    return json.dumps(to_sarif(findings, rules), indent=2, sort_keys=True)

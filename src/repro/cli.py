@@ -312,7 +312,6 @@ def _serve_config(args: argparse.Namespace):
     return ServeConfig.from_env(
         k=args.k, n=args.n, m=args.m, seed=args.seed,
         init=args.init, backend=args.backend,
-        coalesce=not args.no_coalesce,
         host=args.host, port=args.port,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst,
     )
@@ -601,8 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=backend_names(),
                         help="execution backend: reference or inproc-columnar "
                              "(default: REPRO_BACKEND)")
-        sp.add_argument("--no-coalesce", action="store_true",
-                        help="ship every admitted update uncoalesced")
         sp.add_argument("--host", default="127.0.0.1")
         sp.add_argument("--port", type=int, default=7787,
                         help="TCP port (0 = pick a free one)")

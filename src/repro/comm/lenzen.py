@@ -121,14 +121,6 @@ def lenzen_route(
     return inboxes
 
 
-def _splitters(all_samples: List[Any], k: int) -> List[Any]:
-    """k-1 splitters at even quantiles of the shared sample set."""
-    if not all_samples or k <= 1:
-        return []
-    s = sorted(all_samples)
-    return [s[min(len(s) - 1, (i * len(s)) // k)] for i in range(1, k)]
-
-
 def _range_of(key: Any, splitters: List[Any]) -> int:
     """Index of the splitter range containing ``key`` (binary search)."""
     lo, hi = 0, len(splitters)

@@ -90,9 +90,6 @@ class MachineStateBase:
     # ------------------------------------------------------------------
     # graph-edge bookkeeping (local storage only; no communication)
     # ------------------------------------------------------------------
-    def hosts_vertex(self, x: int) -> bool:
-        return x in self.vertices
-
     def hosts_edge(self, u: int, v: int) -> bool:
         return normalize(u, v) in self.graph_edges
 

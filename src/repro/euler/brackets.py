@@ -106,7 +106,3 @@ class BracketComponents:
         if witness.head_at(c_in) == x:
             return self.component_inside(idx)
         return self.component_outside(idx)
-
-    def components_in_tour_order(self) -> List[int]:
-        """All component ids, outermost first then by c_in — i.e. 0..d."""
-        return list(range(self.n_components))

@@ -30,7 +30,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -52,27 +51,13 @@ class GraphEdgeTable:
     lookup is a pure ``take``.  ``by_rank`` orders the rows by the
     global key ``(w, u, v)`` — the table never changes during an init,
     so the expensive three-key lexsort is paid once and every phase's
-    min-reduction degrades to a single-key stable sort.  Row order is
-    the dictionary's insertion order — the same order the scalar scan
-    iterates — which matters only for tie-breaking, and ties are
-    impossible: ``(w, u, v)`` repeats nowhere within one machine's edge
-    dict.  A columnar instance's table is a slice of the resident
-    graph-edge columns (:meth:`of_machine`), which hold each machine's
-    edges in that same order.
+    min-reduction degrades to a single-key stable sort.  The table is a
+    slice of the resident graph-edge columns (:meth:`of_machine`), whose
+    row order matters only for tie-breaking, and ties are impossible:
+    ``(w, u, v)`` repeats nowhere within one machine's edges.
     """
 
     __slots__ = ("u", "v", "w", "ui", "vi", "by_rank")
-
-    def __init__(
-        self, graph_edges: Mapping[Tuple[int, int], float], ids: np.ndarray
-    ) -> None:
-        n = len(graph_edges)
-        self._rank(
-            np.fromiter((k[0] for k in graph_edges), np.int64, n),
-            np.fromiter((k[1] for k in graph_edges), np.int64, n),
-            np.fromiter(graph_edges.values(), np.float64, n),
-            ids,
-        )
 
     @classmethod
     def of_machine(cls, fleet, m: int, ids: np.ndarray) -> "GraphEdgeTable":
@@ -80,14 +65,11 @@ class GraphEdgeTable:
         ng = fleet.ng
         rows = np.flatnonzero(fleet.galive[:ng] & (fleet.gmid[:ng] == m))
         table = cls.__new__(cls)
-        table._rank(fleet.gu[rows], fleet.gv[rows], fleet.gw[rows], ids)
+        table.u, table.v, table.w = fleet.gu[rows], fleet.gv[rows], fleet.gw[rows]
+        table.ui = np.searchsorted(ids, table.u)
+        table.vi = np.searchsorted(ids, table.v)
+        table.by_rank = np.lexsort((table.v, table.u, table.w))
         return table
-
-    def _rank(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, ids: np.ndarray) -> None:
-        self.u, self.v, self.w = u, v, w
-        self.ui = np.searchsorted(ids, u)
-        self.vi = np.searchsorted(ids, v)
-        self.by_rank = np.lexsort((v, u, w))
 
 
 def min_outgoing_rows(

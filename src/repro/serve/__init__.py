@@ -15,11 +15,11 @@ and pure while the edges of the system go concurrent:
   typed command/response objects; hostile bytes become typed error
   responses, never exceptions in the server;
 * :mod:`repro.serve.reducer` — the **only** code allowed to touch the
-  ledger-charged :class:`~repro.core.api.DynamicMST`.  It owns the
-  admission coalescer + cut rule and stamps every admitted
-  command with a logical tick such that an offline
-  :class:`~repro.stream.ingest.StreamIngestor` replay of the admitted
-  sequence reproduces the live ledger byte for byte;
+  ledger-charged :class:`~repro.core.api.DynamicMST`.  It drives a
+  coalescing :class:`~repro.stream.ingest.StreamIngestor` and stamps
+  every admitted command with a logical tick such that an offline
+  replay of the admitted sequence through a fresh ingestor reproduces
+  the live ledger byte for byte;
 * :mod:`repro.serve.server` — the asyncio front end: per-client rate
   limits, bounded queues with backpressure, slow-consumer eviction and
   the MSF-change subscription channel;

@@ -2,10 +2,11 @@
 
 A :class:`ServeConfig` pins everything needed to rebuild the daemon's
 core *exactly* — graph shape ``(n, m, seed)``, cluster size ``k``, init
-mode, engine, execution backend, coalescing — which is what makes the
+mode, engine and execution backend — which is what makes the
 determinism gate possible: :func:`repro.serve.reducer.offline_replay`
 constructs a second core from the same config and replays the admitted
 command log through a fresh :class:`~repro.stream.ingest.StreamIngestor`.
+The daemon always coalesces, so coalescing is not part of the recipe.
 The remaining fields (queues, rate limits, host/port) shape the
 concurrent edge of the system and never influence what the core
 computes, only *which* commands are admitted.
@@ -37,7 +38,6 @@ class ServeConfig:
     engine: str = "sample_gather"
     init: str = "free"
     backend: Optional[str] = None      # None → ambient REPRO_BACKEND
-    coalesce: bool = True
 
     # --- concurrent edge (never visible to the core) ---
     host: str = "127.0.0.1"
@@ -112,7 +112,6 @@ class ServeConfig:
             "engine": self.engine,
             "init": self.init,
             "backend": self.resolved_backend(),
-            "coalesce": self.coalesce,
             "max_frame_bytes": self.max_frame_bytes,
         }
 

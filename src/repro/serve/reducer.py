@@ -1,28 +1,26 @@
 """The serve reducer: the only code that touches the charged core.
 
 :class:`ServeReducer` owns the daemon's :class:`~repro.core.api.DynamicMST`,
-its admission buffer and cut rule, and the replicated
+the :class:`~repro.stream.ingest.StreamIngestor` that buffers and cuts
+its admitted mutations, and the replicated
 :class:`~repro.serve.view.ForestView`.  Everything it does is synchronous
 and deterministic; the asyncio front-end (:mod:`repro.serve.server`)
 serialises all access through one queue, so the reducer never needs a
 lock and the core never sees concurrency.
 
-**The replay contract.**  Every admitted mutation is stamped with a
-logical tick chosen so that the recorded admitted log, replayed through
-a fresh :class:`~repro.stream.ingest.StreamIngestor` over an identically
-configured core, makes *exactly* the same scheduling decisions — and
-therefore issues the same ``apply_batch`` calls and ends on a
-byte-identical ledger digest.  The stamping mirrors the ingestor's tick
-loop case by case:
+**The replay contract.**  Live and offline run one cut step: the
+reducer drives its ingestor's :meth:`~repro.stream.ingest.StreamIngestor.pump`
+after every admission, and :func:`offline_replay` drives a fresh
+ingestor's :meth:`~repro.stream.ingest.StreamIngestor.run` over the
+admitted log.  What the reducer adds is the stamping, chosen so that
+the replay's arrivals reach the same cut decisions at the same clock:
 
 * queue empty at admission → stamp the current tick (the ingestor idles
   forward by jumping ``now`` straight to the next arrival's tick);
-* queue non-empty → advance one tick, then stamp (the ingestor advances
-  ``now + 1`` per waiting iteration, and our stamps mean exactly one
-  such iteration separates consecutive admissions);
-* after each applied cut the clock advances by ``max(1, rounds
-  charged)``, exactly as the ingestor's loop does;
-* :meth:`ServeReducer.drain` replays the end-of-stream ``flush`` path.
+* queue non-empty → advance one tick, then stamp (the ingestor's one
+  idle iteration, ``now + 1``, between consecutive admissions);
+* :meth:`ServeReducer.drain` pumps with ``flush``, the end-of-stream
+  path.
 
 Rejected commands never reach the buffer, never stamp a tick, and never
 appear in the admitted log — hostile traffic is invisible to the gate.
@@ -34,14 +32,12 @@ match for every concurrent interleaving they produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.graphs.mst import forest_digest
 from repro.graphs.streams import ArrivalStream, TimedUpdate, Update
-from repro.stream.coalescer import AdmissionBuffer, CoalescingBuffer
 from repro.stream.ingest import StreamIngestor
 from repro.stream.metrics import percentile
-from repro.stream.policy import cut_reason
 
 from repro.serve.config import ServeConfig
 from repro.serve.view import ForestView
@@ -95,20 +91,11 @@ class ServeReducer:
     def __init__(self, config: ServeConfig, dm=None) -> None:
         self.config = config
         self.dm = dm if dm is not None else config.build_core()
-        self.capacity = self.dm.batch_capacity
-        self.buffer = CoalescingBuffer() if config.coalesce else AdmissionBuffer()
-        self.now = 0
+        self.ingestor = StreamIngestor(self.dm)
+        self.buffer = self.ingestor.buffer
         self.admitted_log: List[TimedUpdate] = []
-        self.cuts = 0
-        self.batches = 0
-        self.peak_queue_depth = 0
-        self.latencies: List[int] = []
-        self.cut_reasons: Dict[str, int] = {}
         self.rejected = 0
         self.view = ForestView.capture(self.dm, version=0, tick=0)
-        # Effective edge presence for pairs with pending buffered updates;
-        # pairs not listed fall through to the applied graph (the shadow).
-        self._overlay: Dict[Tuple[int, int], bool] = {}
 
     # ------------------------------------------------------------------
     # validation (parse → VALIDATE → reduce → publish)
@@ -116,8 +103,9 @@ class ServeReducer:
     def effective_present(self, u: int, v: int) -> bool:
         """Is the edge present once every pending update lands?"""
         pair = (u, v) if u <= v else (v, u)
-        if pair in self._overlay:
-            return self._overlay[pair]
+        pending = self.buffer.pending_presence(pair)
+        if pending is not None:
+            return pending
         return self.dm.shadow.has_edge(*pair)
 
     def validate(self, update: Update) -> None:
@@ -150,16 +138,14 @@ class ServeReducer:
         except AdmissionError:
             self.rejected += 1
             raise
+        ingestor = self.ingestor
         if self.buffer.pending_cost:
-            # The ingestor spends one waiting iteration (now + 1) between
-            # these two admissions; mirror it so the replay lines up.
-            self.now += 1
-        tick = self.now
-        self.buffer.admit(update, tick, self.now)
+            # The replay's one idle iteration between these admissions.
+            ingestor.now += 1
+        tick = ingestor.now
+        ingestor.admit(update, tick)
         self.admitted_log.append(TimedUpdate(tick, update))
-        self._overlay[update.endpoints] = update.kind == "add"
         seq = len(self.admitted_log) - 1
-        self.peak_queue_depth = max(self.peak_queue_depth, self.buffer.pending_cost)
         return Admitted(seq=seq, tick=tick, changes=self._pump(flush=False))
 
     def drain(self) -> List[MsfChange]:
@@ -167,53 +153,16 @@ class ServeReducer:
         return self._pump(flush=True)
 
     def _pump(self, flush: bool) -> List[MsfChange]:
-        changes: List[MsfChange] = []
-        while self.buffer.pending_cost:
-            depth = self.buffer.pending_cost
-            oldest = self.buffer.oldest_tick
-            age = self.now - oldest if oldest is not None else 0
-            reason = cut_reason(depth, age, self.capacity)
-            if reason is None:
-                if not flush:
-                    break
-                reason = "flush"
-            changes.append(self._cut(reason, age))
-        return changes
-
-    def _cut(self, reason: str, age: int) -> MsfChange:
-        cut = self.buffer.cut(self.capacity)
-        ledger = self.dm.net.ledger
-        before = ledger.snapshot()
-        for batch in cut.batches:
-            self.dm.apply_batch(batch)
-            self.batches += 1
-        delta = ledger.since(before)
-        self.now += max(1, delta.rounds)
-        for t in cut.shipped_ticks:
-            self.latencies.append(max(self.now - t, 0))
-        self.latencies.extend(self.buffer.drain_resolved())
-        self.cuts += 1
-        self.cut_reasons[reason] = self.cut_reasons.get(reason, 0) + 1
-        recorder = ledger.recorder
-        if recorder is not None:
-            recorder.emit(
-                "sched_cut",
-                reason=reason,
-                raw=len(cut.shipped_ticks),
-                shipped=cut.shipped,
-                queue_depth=self.buffer.pending_cost,
-                tick=self.now,
-                oldest_age=age,
-                batches=len(cut.batches),
-            )
-        # Pairs whose pending updates all shipped now read from the shadow.
-        pending = self.buffer.pending_pairs()
-        self._overlay = {p: s for p, s in self._overlay.items() if p in pending}
-        return self._publish(reason, len(cut.batches), delta.rounds)
+        return [
+            self._publish(reason, len(cut.batches), rounds)
+            for reason, cut, rounds in self.ingestor.pump(flush)
+        ]
 
     def _publish(self, reason: str, batches: int, rounds: int) -> MsfChange:
         old = self.view
-        new = ForestView.capture(self.dm, version=old.version + 1, tick=self.now)
+        new = ForestView.capture(
+            self.dm, version=old.version + 1, tick=self.ingestor.now
+        )
         added, removed = old.diff(new)
         self.view = new
         change = MsfChange(
@@ -249,18 +198,19 @@ class ServeReducer:
         return len(self.admitted_log)
 
     def stats(self) -> Dict[str, object]:
+        ingestor = self.ingestor
         out = dict(self.view.stats())
         out.update(
             admitted=self.admitted,
             absorbed=self.buffer.absorbed,
             shipped=self.buffer.admitted - self.buffer.absorbed,
             rejected=self.rejected,
-            cuts=self.cuts,
-            batches=self.batches,
+            cuts=ingestor.cuts,
+            batches=ingestor.batches,
             queue_depth=self.buffer.pending_cost,
-            peak_queue_depth=self.peak_queue_depth,
-            p50_ticks=percentile(self.latencies, 50),
-            p99_ticks=percentile(self.latencies, 99),
+            peak_queue_depth=ingestor.peak_queue_depth,
+            p50_ticks=percentile(ingestor.latencies, 50),
+            p99_ticks=percentile(ingestor.latencies, 99),
             rounds=self.dm.net.ledger.rounds,
         )
         return out
@@ -292,14 +242,14 @@ def offline_replay(
     """Replay the admitted log through a fresh :class:`StreamIngestor`.
 
     Constructs a second core from the same :class:`ServeConfig` (same
-    seeded graph, partition and init draws) and runs the stream ingestor —
-    the *original* tick loop, not the reducer's mirror of it — over the
-    recorded stream.  Byte-identical digests mean the live daemon and the
-    offline batch pipeline executed the same charged work.
+    seeded graph, partition and init draws) and runs the stream ingestor
+    over the recorded stream.  Byte-identical digests mean the live
+    daemon's stamps led the ingestor's tick loop to the same charged
+    work.
     """
     dm = config.build_core()
     stream = ArrivalStream(config.initial_graph(), admitted, name="serve-replay")
-    report = StreamIngestor(dm, coalesce=config.coalesce).run(stream)
+    report = StreamIngestor(dm).run(stream)
     return ReplayResult(
         ledger_digest=dm.net.ledger.digest(),
         forest_digest=report.forest_digest,
@@ -327,6 +277,6 @@ def verify_determinism(reducer: ServeReducer) -> Dict[str, object]:
         "replay_ledger_digest": replay.ledger_digest,
         "live_forest_digest": live_forest,
         "replay_forest_digest": replay.forest_digest,
-        "live_cuts": reducer.cuts,
+        "live_cuts": reducer.ingestor.cuts,
         "replay_cuts": replay.cuts,
     }

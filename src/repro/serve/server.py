@@ -202,7 +202,7 @@ class ClientSession:
                 cmd,
                 {
                     "pong": True,
-                    "tick": daemon.reducer.now,
+                    "tick": daemon.reducer.ingestor.now,
                     "version": daemon.reducer.view.version,
                 },
             )
@@ -357,7 +357,6 @@ class MSTDaemon:
                 backend=cfg.resolved_backend(),
                 n=cfg.n,
                 m=cfg.m,
-                coalesce=cfg.coalesce,
             )
 
     async def start_tcp(self) -> int:
@@ -480,8 +479,8 @@ class MSTDaemon:
             sessions=self.sessions_served,
             admitted=self.reducer.admitted,
             rejected=self.reducer.rejected,
-            cuts=self.reducer.cuts,
-            batches=self.reducer.batches,
+            cuts=self.reducer.ingestor.cuts,
+            batches=self.reducer.ingestor.batches,
             evicted=sum(self.evictions.values()),
             digest=self.reducer.ledger_digest(),
         )

@@ -82,10 +82,6 @@ class AdmissionBuffer:
     def oldest_tick(self) -> Optional[int]:
         return self._q[0][0] if self._q else None
 
-    def pending_pairs(self) -> set:
-        """Edge pairs with at least one queued update (validation overlay)."""
-        return {upd.endpoints for _, upd in self._q}
-
     def cut(self, limit: int) -> CutResult:
         take = self._q[: max(limit, 1)]
         del self._q[: max(limit, 1)]
@@ -205,9 +201,11 @@ class CoalescingBuffer:
             return None
         return next(iter(self._entries.values())).ticks[0]
 
-    def pending_pairs(self) -> set:
-        """Edge pairs with a live pending entry (validation overlay)."""
-        return set(self._entries)
+    def pending_presence(self, pair: Pair) -> Optional[bool]:
+        """Is ``pair`` present once its pending entry lands?  ``None``
+        when nothing is pending for it (the applied graph decides)."""
+        e = self._entries.get(pair)
+        return None if e is None else e.kind != "delete"
 
     def cut(self, limit: int) -> CutResult:
         take: List[Tuple[Pair, _Entry]] = []

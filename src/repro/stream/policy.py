@@ -7,8 +7,9 @@ the oldest pending update wait more than :data:`DEADLINE_TICKS` ticks.
 It reads host-side queue state only and never touches the ledger:
 scheduling charges zero rounds.
 
-The ``"flush"`` reason (end of stream, daemon drain) belongs to the
-callers, which cut whatever is left once no more arrivals can come.
+The ``"flush"`` reason (end of stream, daemon drain) belongs to
+:meth:`~repro.stream.ingest.StreamIngestor.pump`, which cuts whatever is
+left once no more arrivals can come.
 """
 
 from __future__ import annotations

@@ -274,14 +274,6 @@ ALLOWED_FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def spec_for(etype: str) -> EventSpec:
-    """The :class:`EventSpec` for ``etype``; raises on unknown types."""
-    try:
-        return SPEC_BY_TYPE[etype]
-    except KeyError:
-        raise TraceFormatError(f"unknown event type {etype!r}") from None
-
-
 class TraceFormatError(ValueError):
     """A trace file does not conform to the schema this reader speaks."""
 

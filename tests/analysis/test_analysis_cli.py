@@ -37,12 +37,8 @@ def test_fixture_directory_exits_nonzero_with_correct_codes():
 
 
 def test_gated_tree_exits_zero():
-    proc = run_cli(
-        os.path.join(SRC, "repro"),
-        "--baseline", "simlint-baseline.json", "--no-cache",
-    )
+    proc = run_cli(os.path.join(SRC, "repro"), "--no-cache")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # The baseline is empty, so the gated tree is plainly clean.
     assert "clean" in proc.stdout
 
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 from repro.analysis import ALL_RULES, to_sarif
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.findings import Finding
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -39,18 +38,6 @@ def test_result_location_is_one_based_and_forward_slashed():
     loc = result["locations"][0]["physicalLocation"]
     assert loc["artifactLocation"]["uri"] == "src/repro/perf/x.py"
     assert loc["region"] == {"startLine": 12, "startColumn": 5}
-
-
-def test_baselined_findings_become_notes_with_age():
-    entry = BaselineEntry(
-        "SIM006", "src/repro/perf/x.py", "unstable argsort", 1, "2026-01-01"
-    )
-    log = to_sarif([], baselined=[(_finding(), entry)])
-    [result] = log["runs"][0]["results"]
-    assert result["level"] == "note"
-    assert result["properties"]["baselined"] is True
-    assert result["properties"]["first_seen"] == "2026-01-01"
-    assert result["properties"]["age_days"] >= 0
 
 
 def test_cli_emits_parseable_sarif(tmp_path):

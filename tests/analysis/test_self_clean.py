@@ -3,40 +3,24 @@
 This is the enforcement hook: a model-compliance regression anywhere in
 ``src/repro`` fails the test suite with the analyzer's own report, the
 same text a developer would see from ``python -m repro.analysis``.
-Known debt lives in ``simlint-baseline.json``; anything not inventoried
-there fails here.
+There is no debt inventory: any finding fails here.
 """
 
 import os
 
-from repro.analysis import Baseline, run
+from repro.analysis import run
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-BASELINE = os.path.join(REPO_ROOT, "simlint-baseline.json")
 
 
 def _report():
-    return run(
-        [os.path.join(REPO_ROOT, "src", "repro")],
-        baseline=Baseline.load(BASELINE),
-    )
+    return run([os.path.join(REPO_ROOT, "src", "repro")])
 
 
 def test_src_repro_is_simlint_clean_modulo_baseline():
     report = _report()
     assert not report.findings, "\n" + report.format_text()
     assert report.files_checked >= 70
-
-
-def test_baseline_debt_is_exactly_inventoried():
-    # The baseline is empty: the last debt (two SIM004 loops in
-    # DynamicMST.apply_one_at_a_time reaching broadcast() with no
-    # dominating phase) was paid by charging both loops under one
-    # ledger.phase.  The ratchet means it stays empty without a
-    # deliberate --update-baseline.
-    report = _report()
-    assert len(report.baselined) == 0, report.format_text()
-    assert report.stale_baseline == [], report.format_text()
 
 
 def test_suppressions_in_src_are_all_used():

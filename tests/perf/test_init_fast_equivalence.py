@@ -23,14 +23,15 @@ import pytest
 
 from repro.cclique import CCEdge, ENGINES, cc_msf
 from repro.core import DynamicMST
-from repro.graphs import kruskal_msf, random_weighted_graph
+from repro.core.init_build import make_states
+from repro.graphs import WeightedGraph, kruskal_msf, random_weighted_graph
 from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
 from repro.perf.cclique_columnar import cc_local_msf_columnar
 from repro.perf.config import VECTOR_MIN_ROWS
 from repro.perf.init_columnar import GraphEdgeTable, min_outgoing_rows
-from repro.sim import KMachineNetwork
+from repro.sim import KMachineNetwork, VertexPartition
 
 ALL_ENGINES = sorted(ENGINES)
 
@@ -203,12 +204,21 @@ class TestArrayDSU:
         assert arr.find(3) == ref.find(3) == 8
 
 
+def _one_machine_table(edges, n):
+    """Machine 0's table of a one-machine columnar instance of ``edges``."""
+    graph = WeightedGraph(range(n))
+    for (u, v), w in edges.items():
+        graph.add_edge(u, v, w)
+    vp = VertexPartition(1, {v: 0 for v in range(n)})
+    states, _ = make_states(graph, vp, KMachineNetwork(1, fast=True))
+    return GraphEdgeTable.of_machine(states[0].fleet, 0, np.arange(n, dtype=np.int64))
+
+
 class TestMinOutgoingRows:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_candidate_scan(self, seed):
         rng = np.random.default_rng(seed)
         n = 30
-        ids = np.arange(n, dtype=np.int64)
         edges = {}
         for _ in range(120):
             u, v = sorted(rng.integers(0, n, size=2).tolist())
@@ -229,7 +239,7 @@ class TestMinOutgoingRows:
                 if r not in best or cand < best[r]:
                     best[r] = cand
 
-        table = GraphEdgeTable(edges, ids)
+        table = _one_machine_table(edges, n)
         comps, rows = min_outgoing_rows(table, roots)
         got = {
             int(c): ((float(table.w[r]), int(table.u[r]), int(table.v[r])),
@@ -240,8 +250,7 @@ class TestMinOutgoingRows:
         assert comps.tolist() == sorted(got)
 
     def test_fully_merged_returns_empty(self):
-        ids = np.arange(4, dtype=np.int64)
-        table = GraphEdgeTable({(0, 1): 0.5, (2, 3): 0.25}, ids)
+        table = _one_machine_table({(0, 1): 0.5, (2, 3): 0.25}, 4)
         comps, rows = min_outgoing_rows(table, np.zeros(4, dtype=np.int64))
         assert comps.size == rows.size == 0
 

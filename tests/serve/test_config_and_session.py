@@ -61,7 +61,7 @@ class TestServeConfig:
         cfg = small_config()
         payload = cfg.hello_payload()
         assert payload["schema"] == "repro-serve/1"
-        for key in ("k", "n", "m", "seed", "engine", "init", "coalesce"):
+        for key in ("k", "n", "m", "seed", "engine", "init"):
             assert payload[key] == getattr(cfg, key)
         assert cfg.as_dict()["n"] == cfg.n
 

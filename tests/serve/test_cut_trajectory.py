@@ -84,9 +84,9 @@ def trajectory(stream) -> dict:
     return {
         "ledger_digest": reducer.ledger_digest(),
         "forest_digest": reducer.forest_digest(),
-        "cuts": reducer.cuts,
-        "batches": reducer.batches,
-        "cut_reasons": dict(reducer.cut_reasons),
+        "cuts": reducer.ingestor.cuts,
+        "batches": reducer.ingestor.batches,
+        "cut_reasons": dict(reducer.ingestor.cut_reasons),
         "p50_ticks": stats["p50_ticks"],
         "p99_ticks": stats["p99_ticks"],
     }

@@ -1,24 +1,28 @@
 """The determinism gate, exercised across every configuration axis.
 
-The acceptance property of the serve PR: for ANY concurrent client
+The daemon's acceptance property: for ANY concurrent client
 interleaving, draining the live daemon and replaying its admitted log
-through the offline :class:`repro.stream.ingest.StreamIngestor` over an
+through a fresh :class:`repro.stream.ingest.StreamIngestor` over an
 identically-seeded core ends on byte-identical ledger and forest
-digests.  The live reducer mirrors the ingestor's tick loop (see
-``repro/serve/reducer.py``); these tests pin that mirror with and
-without coalescing, across cluster sizes and graph seeds, and under the
-scalar reference engine.
+digests.  Live and offline run the ingestor's one cut step; what the
+gate checks is the reducer's tick stamping and its admitted log (see
+``repro/serve/reducer.py``), across cluster sizes and graph seeds,
+under the scalar reference engine, and counter for counter on the two
+pinned cut trajectories.
 """
 
 import asyncio
 
 import pytest
 
-from repro.serve import offline_replay, verify_determinism
+from repro.graphs.streams import ArrivalStream
+from repro.serve import ServeConfig, offline_replay, verify_determinism
 from repro.serve.reducer import ServeReducer
+from repro.stream import StreamIngestor
 
 from serve_harness import open_client, run, running_daemon, small_config
 from test_concurrency import disjoint_slices, toggle_client
+from test_cut_trajectory import CONFIG, hot_toggle, uniform_churn
 
 
 async def churn(config, clients=5, per_client=2, rounds=2):
@@ -36,12 +40,6 @@ async def churn(config, clients=5, per_client=2, rounds=2):
 
 
 class TestAcrossConfigs:
-    def test_coalescing_disabled_passes(self):
-        config = small_config(coalesce=False)
-        reducer = run(churn(config))
-        verdict = verify_determinism(reducer)
-        assert verdict["ok"], verdict
-
     @pytest.mark.parametrize("k", [2, 6])
     def test_cluster_sizes(self, k):
         reducer = run(churn(small_config(k=k)))
@@ -63,6 +61,25 @@ class TestAcrossConfigs:
 
 
 class TestGateMechanics:
+    @pytest.mark.parametrize("stream", [hot_toggle, uniform_churn])
+    def test_replay_agrees_on_every_counter(self, stream):
+        """Not only the digests: the replay admits, ships, absorbs, cuts
+        and ages the same updates as the live reducer, on the same clock."""
+        config = ServeConfig(**CONFIG)
+        reducer = ServeReducer(config)
+        for update in stream(reducer):
+            reducer.submit(update)
+        reducer.drain()
+        replay = StreamIngestor(config.build_core()).run(
+            ArrivalStream(config.initial_graph(), reducer.admitted_log)
+        )
+        live = reducer.stats()
+        for key in ("admitted", "shipped", "absorbed", "cuts", "batches",
+                    "p50_ticks", "p99_ticks", "peak_queue_depth"):
+            assert live[key] == getattr(replay, key), key
+        assert reducer.ingestor.cut_reasons == replay.cut_reasons
+        assert reducer.ingestor.now == replay.elapsed_ticks
+
     def test_offline_replay_reports_the_admitted_count(self):
         reducer = run(churn(small_config()))
         replay = offline_replay(reducer.config, reducer.admitted_log)

@@ -19,10 +19,10 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.serve import ERROR_CODES, MSTDaemon, ProtocolError, decode_command
+from repro.serve import ERROR_CODES, ProtocolError, decode_command
 from repro.serve.parser import FrameSplitter, Oversized, Truncated
 
-from serve_harness import open_client, run, running_daemon, small_config
+from serve_harness import open_client, run, running_daemon
 
 FUZZ = settings(
     max_examples=60,
@@ -115,7 +115,7 @@ class TestDaemonUnderFire:
                 client = await open_client(daemon)
                 before = (
                     reducer.admitted,
-                    reducer.now,
+                    reducer.ingestor.now,
                     reducer.ledger_digest(),
                 )
                 await client.send_bytes(garbage.replace(b"\n", b"") + b"\n")
@@ -124,7 +124,7 @@ class TestDaemonUnderFire:
                 assert resp["result"]["pong"] is True
                 after = (
                     reducer.admitted,
-                    reducer.now,
+                    reducer.ingestor.now,
                     reducer.ledger_digest(),
                 )
                 assert before == after

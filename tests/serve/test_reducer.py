@@ -45,10 +45,10 @@ class TestValidation:
         stamped, no log entry, no buffered update, no ledger charge."""
         r = fresh()
         u, v = free_pair(r)
-        before = (r.now, r.admitted, r.buffer.pending_cost, r.ledger_digest())
+        before = (r.ingestor.now, r.admitted, r.buffer.pending_cost, r.ledger_digest())
         with pytest.raises(AdmissionError):
             r.submit(Update.delete(u, v))
-        assert (r.now, r.admitted, r.buffer.pending_cost, r.ledger_digest()) == before
+        assert (r.ingestor.now, r.admitted, r.buffer.pending_cost, r.ledger_digest()) == before
 
     def test_overlay_sees_pending_updates(self):
         """Validation must read through the buffer, not just the applied
@@ -67,7 +67,7 @@ class TestValidation:
         r.submit(Update.add(u, v, 0.5))
         r.drain()
         # once shipped, presence reads from the applied shadow again
-        assert not r._overlay
+        assert r.buffer.pending_presence((u, v)) is None
         assert r.effective_present(u, v)
 
 
@@ -96,11 +96,11 @@ class TestTickStamping:
     def test_cut_advances_clock_by_rounds(self):
         r = fresh()
         r.submit(Update.add(*free_pair(r), 0.5))
-        before = r.now
+        before = r.ingestor.now
         changes = r.drain()
         assert changes, "drain must flush the pending update"
         spent = sum(max(1, c.rounds) for c in changes)
-        assert r.now == before + spent
+        assert r.ingestor.now == before + spent
 
     def test_seq_counts_the_admitted_log(self):
         r = fresh()
@@ -146,7 +146,7 @@ class TestPublish:
         stats = r.stats()
         assert stats["admitted"] == 1
         assert stats["queue_depth"] == 0
-        assert stats["cuts"] == r.cuts >= 1
+        assert stats["cuts"] == r.ingestor.cuts >= 1
         assert stats["rejected"] == 0
 
 
