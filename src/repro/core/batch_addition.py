@@ -19,28 +19,38 @@ the Rerouting Lemma):
 7. the Euler structure is updated k edges at a time (Lemma 5.9) and new
    neighbour witnesses are broadcast.
 
+The model charges nothing for a machine's local work, and here that work
+is array passes over data read once per batch, the same body on both
+engines.  Two batched reads of the state seam are all that depends on
+the storage: every ``(home, vertex)`` read's parent interval
+(:meth:`~repro.core.state.MachineStateBase.parent_intervals`, for the A-
+and B-anchors of steps 2 and 3), and every machine's M′ member rows of
+the affected tours (:meth:`~repro.core.state.MachineStateBase.m_prime_rows`),
+read once after step 2.  Step 3 counts those rows per (machine, vertex)
+(:func:`~repro.core.decomposition.steiner_junctions`); step 5 assigns
+each row to its path set and takes each (query, machine) maximum
+(:func:`~repro.core.decomposition.path_set_maxima`).
+
 The whole batch is deterministic — Theorem 6.1's addition case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.comm.aggregate import batched_queries
 from repro.comm.rerouting import scheduled_broadcasts
 from repro.core.decomposition import (
     AnchorInfo,
-    PathSet,
     build_paths,
-    in_m_prime,
+    path_set_maxima,
     solve_contracted,
+    steiner_junctions,
 )
 from repro.core.scripts import run_structural_batch, _repair_witnesses
 from repro.core.state import MachineStateBase
 from repro.errors import InconsistentUpdate
 from repro.graphs.graph import normalize
-from repro.perf.config import fast_path_enabled
-from repro.perf.steiner import m_prime_members, steiner_degrees
 from repro.sim.message import WORDS_EDGE, WORDS_ID, WORDS_UPDATE
 from repro.sim.network import Network
 from repro.sim.partition import VertexPartition
@@ -72,17 +82,15 @@ def batch_add(
 
     # Step 2: home machines of A-vertices broadcast anchor info.
     a_vertices = sorted({x for (u, v, _w) in adds for x in (u, v)})
+    a_reads = [(vp.home(x), x) for x in a_vertices]
     reqs = []
-    for x in a_vertices:
-        st = states[vp.home(x)]
+    for (m, x), interval in zip(a_reads, states[0].parent_intervals(states, a_reads)):
+        st = states[m]
         tid = st.tour_id(x)
         size = st.tour_size.get(tid, 0)
-        interval = st.parent_interval(x)
         if interval is None:
             interval = (-1, size)  # tour root or isolated vertex
-        reqs.append(
-            (vp.home(x), ("anchorA", x, tid, interval, size), WORDS_ID * 5)
-        )
+        reqs.append((m, ("anchorA", x, tid, interval, size), WORDS_ID * 5))
     with net.ledger.phase("add.anchor_broadcast"):
         got = scheduled_broadcasts(net, reqs)
     a_anchors: Dict[int, AnchorInfo] = {}
@@ -96,47 +104,25 @@ def batch_add(
         entries.sort()
 
     # Step 3: B-anchors — a home machine checks each of its own vertices.
-    # Fast path: the incident-M′ degree of every vertex of a tour falls
-    # out of one batched membership pass (repro.perf.steiner) instead of
-    # per-vertex bisect loops; the counted edge sets are identical.
-    use_fast = fast_path_enabled(net)
+    # Every machine's M′ rows come from one read, which step 5 reuses.
     eligible = {
         tid: entries
         for tid, entries in a_entries_by_tour.items()
         if len(entries) >= 2
     }
+    members = states[0].m_prime_rows(states, eligible)
+    b_reads = [
+        (m, x)
+        for m, x in steiner_junctions(members, net.k)
+        if x in states[m].vertices and x not in a_anchors
+        and states[m].tour_id(x) in eligible
+    ]
     b_reqs = []
-    for st in states:
-        if use_fast:
-            # Only a vertex with at least 3 incident M′ edges can qualify,
-            # so the degree map names every candidate.
-            deg_map = steiner_degrees(st, eligible)
-            owned = sorted(
-                x for x, deg in deg_map.items()
-                if deg >= 3 and x in st.vertices and x not in a_anchors
-            )
-        else:
-            owned = [x for x in sorted(st.vertices) if x not in a_anchors]
-        for x in owned:
-            tid = st.tour_id(x)
-            entries = eligible.get(tid)
-            if entries is None:
-                continue
-            if use_fast:
-                deg = deg_map[x]
-            else:
-                deg = sum(
-                    1
-                    for e in st.incident_mst(x)
-                    if e.tour == tid and in_m_prime(e.labels(), entries)
-                )
-            if deg >= 3:
-                interval = st.parent_interval(x)
-                if interval is None:
-                    interval = (-1, tour_sizes.get(tid, 0))
-                b_reqs.append(
-                    (st.mid, ("anchorB", x, tid, interval), WORDS_ID * 4)
-                )
+    for (m, x), interval in zip(b_reads, states[0].parent_intervals(states, b_reads)):
+        tid = states[m].tour_id(x)
+        if interval is None:
+            interval = (-1, tour_sizes.get(tid, 0))
+        b_reqs.append((m, ("anchorB", x, tid, interval), WORDS_ID * 4))
     with net.ledger.phase("add.anchor_broadcast"):
         got_b = scheduled_broadcasts(net, b_reqs)
     anchors: List[AnchorInfo] = list(a_anchors.values())
@@ -147,44 +133,7 @@ def batch_add(
     paths = build_paths(anchors, a_entries_by_tour)
 
     # Step 5: one max-query per path set.
-    per_query: Dict[Tuple[int, int], List[Optional[Tuple]]] = {
-        p.query_id: [None] * net.k for p in paths
-    }
-    paths_by_tour: Dict[int, List[PathSet]] = {}
-    for p in paths:
-        paths_by_tour.setdefault(p.tour, []).append(p)
-    for st in states:
-        best: Dict[Tuple[int, int], Tuple] = {}
-        if use_fast:
-            # Batched membership first; only the Steiner slice reaches
-            # the per-edge path matching below.
-            members = [
-                (ete, labels)
-                for tid in paths_by_tour
-                for (ete, labels) in m_prime_members(
-                    st, tid, a_entries_by_tour[tid]
-                )
-            ]
-        else:
-            members = []
-            for ete in st.iter_mst():
-                tour_paths = paths_by_tour.get(ete.tour)
-                if not tour_paths:
-                    continue
-                labels = ete.labels()
-                entries = a_entries_by_tour[ete.tour]  # kept sorted above
-                if in_m_prime(labels, entries, assume_sorted=True):
-                    members.append((ete, labels))
-        for ete, labels in members:
-            for p in paths_by_tour[ete.tour]:
-                if p.matches_interval(labels):
-                    cand = (ete.key, ete.u, ete.v)
-                    cur = best.get(p.query_id)
-                    if cur is None or cand > cur:
-                        best[p.query_id] = cand
-                    break  # path sets are disjoint
-        for qid, cand in best.items():
-            per_query[qid][st.mid] = cand
+    per_query = path_set_maxima(paths, members, net.k)
     with net.ledger.phase("add.path_max_queries"):
         answers = batched_queries(net, per_query, max, words=WORDS_EDGE)
 

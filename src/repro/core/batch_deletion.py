@@ -61,9 +61,10 @@ def batch_delete(
     rng: RngLike = None,
 ) -> Tuple[int, Dict[str, int]]:
     """Delete a batch of edges; returns (tour counter, summary dict)."""
-    dels = sorted({normalize(u, v) for (u, v) in dels})
-    if len(dels) != len({d for d in dels}):
+    keys = [normalize(u, v) for (u, v) in dels]
+    if len(set(keys)) != len(keys):
         raise InconsistentUpdate("duplicate edge pair within one deletion batch")
+    dels = sorted(keys)
 
     # Step 1: broadcast deletions with their Euler values (if MST edges).
     reqs = []

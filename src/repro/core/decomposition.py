@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graphs.dsu import DisjointSet
 from repro.graphs.graph import normalize
@@ -76,6 +78,40 @@ def in_m_prime(
         return False
     cnt = bisect_right(entries, e_labels[1]) - bisect_left(entries, e_labels[0])
     return 1 <= cnt <= n - 1
+
+
+class MPrimeRows(NamedTuple):
+    """Stored MST-edge copies that lie in M′, one row each, as columns.
+
+    ``machine`` holds the copy, ``u < v`` are the endpoints, ``w`` the
+    weight, ``e_min``/``e_max`` the labels and ``tour`` the tour id.
+    """
+
+    machine: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    e_min: np.ndarray
+    e_max: np.ndarray
+    tour: np.ndarray
+
+    @classmethod
+    def select(
+        cls, machine: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+        t1: np.ndarray, t2: np.ndarray, tour: np.ndarray,
+        entries: Mapping[int, Sequence[int]],
+    ) -> "MPrimeRows":
+        """The rows, among these MST-edge copies, that :func:`in_m_prime`
+        accepts against ``entries[tour]`` (each tour's sorted A-entries);
+        rows of a tour not in ``entries`` are dropped."""
+        lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+        keep = np.zeros(tour.shape, dtype=bool)
+        for tid, tour_entries in entries.items():
+            a = np.asarray(tour_entries, dtype=np.int64)
+            at = np.flatnonzero(tour == tid)
+            cnt = np.searchsorted(a, hi[at], side="right") - np.searchsorted(a, lo[at])
+            keep[at] = (cnt >= 1) & (cnt <= a.shape[0] - 1)
+        return cls(machine[keep], u[keep], v[keep], w[keep], lo[keep], hi[keep], tour[keep])
 
 
 @dataclass(frozen=True)
@@ -139,27 +175,27 @@ def build_paths(
     paths: List[PathSet] = []
     for tour in sorted(by_tour):
         group = sorted(by_tour[tour], key=lambda a: (a.interval[0], -a.interval[1]))
-        a_entries = a_entries_by_tour.get(tour, [])
+        a_entries = sorted(a_entries_by_tour.get(tour, []))
         top_level: List[AnchorInfo] = []
+        # Anchor intervals are laminar and ``group`` lists them in
+        # pre-order, so once the open anchors that end before the child
+        # does are popped, the rest enclose it, the smallest on top.
+        open_: List[AnchorInfo] = []
         for child in group:
-            # Smallest anchor interval strictly containing the child's.
-            best: Optional[AnchorInfo] = None
-            for cand in group:
-                if cand.vertex == child.vertex:
-                    continue
-                lo, hi = cand.interval
-                if lo <= child.interval[0] and child.interval[1] <= hi:
-                    if best is None or (lo, -hi) > (best.interval[0], -best.interval[1]):
-                        best = cand
+            while open_ and open_[-1].interval[1] < child.interval[1]:
+                open_.pop()
+            best = open_[-1] if open_ else None
+            open_.append(child)
             if best is None:
                 top_level.append(child)
                 continue
-            if not child.is_root and in_m_prime(child.interval, a_entries):
+            if not child.is_root and in_m_prime(child.interval, a_entries, assume_sorted=True):
                 paths.append(PathSet(tour, "chain", child, best))
         # Top-level anchors whose own parent edge is in M' meet at the
         # tour's topmost Steiner bend; there are either 0 or exactly 2.
         live_top = [
-            c for c in top_level if not c.is_root and in_m_prime(c.interval, a_entries)
+            c for c in top_level
+            if not c.is_root and in_m_prime(c.interval, a_entries, assume_sorted=True)
         ]
         if len(live_top) == 2:
             c1, c2 = sorted(live_top, key=lambda a: a.interval[0])
@@ -170,6 +206,73 @@ def build_paths(
                 "the Steiner structure guarantees at most 2"
             )
     return paths
+
+
+def steiner_junctions(rows: MPrimeRows, k: int) -> List[Tuple[int, int]]:
+    """Every ``(machine, vertex)`` with at least three incident rows, in
+    ``(machine, vertex)`` order.
+
+    A vertex's home machine holds all of its MST edges, so there the
+    count is the vertex's M′ degree: the B test of §6.1 step 3.
+    """
+    machine = np.concatenate((rows.machine, rows.machine))
+    code, degree = np.unique(np.concatenate((rows.u, rows.v)) * k + machine,
+                             return_counts=True)
+    return sorted((c % k, c // k) for c in code[degree >= 3].tolist())
+
+
+def path_set_maxima(
+    paths: Sequence[PathSet], rows: MPrimeRows, k: int
+) -> Dict[Tuple[int, int], List[Optional[Tuple[EdgeKey, int, int]]]]:
+    """Each machine's answer to each path set's max-query (§6.1 step 5).
+
+    An M′ edge belongs to the set whose child is the topmost anchor
+    below it — a pair set has two children, its arms — and that anchor's
+    p_in is the smallest child entry in ``[e_min, e_max]``: one
+    ``searchsorted`` per tour over the sorted child entries finds it,
+    and the set's :meth:`PathSet.matches_interval` test, taken over the
+    arrays, keeps the row.  Per ``(query id, machine)`` the answer is the
+    kept row with the largest ``(w, u, v)``, as ``((w, u, v), u, v)``,
+    or None where the machine holds none.
+    """
+    per_query: Dict[Tuple[int, int], List[Optional[Tuple[EdgeKey, int, int]]]] = {
+        p.query_id: [None] * k for p in paths
+    }
+    arms: Dict[int, List[Tuple[int, int]]] = {}
+    for j, p in enumerate(paths):
+        for a in (p.child, p.parent) if p.kind == "pair" else (p.child,):
+            arms.setdefault(p.tour, []).append((a.interval[0], j))
+    owner = np.full(rows.tour.shape, -1, dtype=np.int64)
+    for tour, tour_arms in arms.items():
+        tour_arms.sort()
+        starts = np.array([s for s, _j in tour_arms], dtype=np.int64)
+        at = np.flatnonzero(rows.tour == tour)
+        pos = np.searchsorted(starts, rows.e_min[at])
+        found = pos < starts.shape[0]
+        owner[at[found]] = np.array([j for _s, j in tour_arms], dtype=np.int64)[pos[found]]
+
+    hit = np.flatnonzero(owner >= 0)
+    sets = owner[hit]
+    lo, hi = rows.e_min[hit], rows.e_max[hit]
+    child = np.array([p.child.interval[0] for p in paths], dtype=np.int64)[sets]
+    parent = np.array([p.parent.interval[0] for p in paths], dtype=np.int64)[sets]
+    pair = np.array([p.kind == "pair" for p in paths], dtype=bool)[sets]
+    below_child = (lo <= child) & (child <= hi)
+    below_parent = (lo <= parent) & (parent <= hi)
+    hit = hit[np.where(pair, below_child | below_parent, (parent < lo) & below_child)]
+
+    group = owner[hit] * k + rows.machine[hit]
+    order = np.lexsort((rows.v[hit], rows.u[hit], rows.w[hit], group))
+    group = group[order]
+    last = np.ones(group.shape[0], dtype=bool)
+    last[:-1] = group[1:] != group[:-1]
+    top = hit[order[last]]
+    for s, m, w, u, v in zip(
+        owner[top].tolist(), rows.machine[top].tolist(), rows.w[top].tolist(),
+        rows.u[top].tolist(), rows.v[top].tolist(),
+    ):
+        per_query[paths[s].query_id][m] = ((w, u, v), u, v)
+    return per_query
 
 
 @dataclass

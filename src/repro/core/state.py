@@ -27,8 +27,10 @@ Shared code (the §6 protocols, queries, snapshots, the checker, the
 serve view) reads and writes through the seam methods below — a
 vertex's tour and witness, an MST edge by key, a vertex's incident MST
 edges, the MST keys of a tour, iteration/insertion/removal of MST
-edges, the live tour ids and one :meth:`record` — and never touches
-storage.  Only this module, the reference engine
+edges, the live tour ids, one :meth:`record`, and three reads batched
+over the fleet (outgoing values, parent intervals and M′ member rows,
+which the columnar storage answers in one pass each) — and never
+touches storage.  Only this module, the reference engine
 (:mod:`repro.core.scripts`) and the columnar store and engine
 (:mod:`repro.perf.columnar`) do; ``tests/core/test_state_seam.py``
 enforces it.
@@ -37,11 +39,13 @@ enforces it.
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
 
+from repro.core.decomposition import MPrimeRows
 from repro.errors import ProtocolError
 from repro.euler.tour import ETEdge
 from repro.graphs.graph import normalize
@@ -50,6 +54,8 @@ from repro.sim.message import WORDS_EDGE, WORDS_ET_EDGE, WORDS_ID
 
 #: Wire form of a witness: ``(u, v, weight, t_uv, t_vu, tour)``.
 Snapshot = Tuple[int, int, float, int, int, int]
+#: No MST-edge rows: machine, u, v, weight, t_uv, t_vu, tour.
+_NO_ROWS = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),) + (np.zeros(0, np.int64),) * 3
 
 
 class Forest(NamedTuple):
@@ -254,6 +260,29 @@ class MachineStateBase:
         if p.head_at(p.e_min) != x:
             return None  # x is the root of its tour
         return (p.e_min, p.e_max)
+
+    @staticmethod
+    def parent_intervals(
+        states: Sequence["MachineStateBase"], reads: Sequence[Tuple[int, int]]
+    ) -> List[Optional[Tuple[int, int]]]:
+        """:meth:`parent_interval` of vertex ``x`` on ``states[m]`` for each
+        ``(m, x)`` read, in order; a storage may answer all reads at once."""
+        return [states[m].parent_interval(x) for m, x in reads]
+
+    @staticmethod
+    def m_prime_rows(
+        states: Sequence["MachineStateBase"], entries: Mapping[int, Sequence[int]]
+    ) -> MPrimeRows:
+        """Every machine's MST-edge copies in M′ for the tours of
+        ``entries`` (each tour's sorted A-entries); a storage may read all
+        machines at once."""
+        parts = [_NO_ROWS]
+        for st in states:
+            for tid in entries:
+                cols = st.tour_columns(tid)
+                n = cols[0].shape[0]
+                parts.append((np.full(n, st.mid), *cols, np.full(n, tid)))
+        return MPrimeRows.select(*map(np.concatenate, zip(*parts)), entries)
 
     def pick_witness(self, x: int) -> Optional[ETEdge]:
         """Deterministic witness choice: the incident MST edge of min key."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.api import DynamicMST
 from repro.graphs.generators import RngLike, as_rng
 from repro.graphs.graph import WeightedGraph
-from repro.lowerbound.adversary import AdversarySequence, build_adversary_sequence
+from repro.lowerbound.adversary import build_adversary_sequence
 
 
 @dataclass

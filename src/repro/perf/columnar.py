@@ -51,6 +51,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -59,6 +60,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.decomposition import MPrimeRows
 from repro.core.state import Forest, MachineStateBase, Snapshot
 from repro.errors import ProtocolError
 from repro.euler.tour import ETEdge
@@ -335,17 +337,53 @@ class FleetColumns:
             outs.append(labels[hit])
         return np.concatenate(codes), np.concatenate(rows), np.concatenate(outs)
 
+    @staticmethod
+    def _least(code: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Per read code, the index of its incidence of least ``key``."""
+        order = np.lexsort((key, code))
+        code = code[order]
+        first = np.ones(order.shape[0], dtype=bool)
+        first[1:] = code[1:] != code[:-1]
+        return order[first]
+
     def outgoing_values(self, reads: Sequence[Tuple[int, int]]) -> List[Optional[int]]:
         """Min label departing ``x`` on machine ``m``, per ``(m, x)`` read."""
         if not reads:
             return []
         code, _rows, out = self._incidences(reads)
-        order = np.lexsort((out, code))
-        code, out = code[order], out[order]
-        first = np.ones(code.shape[0], dtype=bool)
-        first[1:] = code[1:] != code[:-1]
-        best = dict(zip(code[first].tolist(), out[first].tolist()))
+        i = self._least(code, out)
+        best = dict(zip(code[i].tolist(), out[i].tolist()))
         return [best.get(x * self.k + m) for m, x in reads]
+
+    def parent_intervals(
+        self, reads: Sequence[Tuple[int, int]]
+    ) -> List[Optional[Tuple[int, int]]]:
+        """``(p_in, p_out)`` of x's parent edge on machine ``m``, per
+        ``(m, x)`` read, or None for a root or an isolated vertex: the
+        incident edge of least ``e_min``, if the traversal there enters x
+        (the label departing x is then its ``e_max``)."""
+        if not reads:
+            return []
+        code, rows, out = self._incidences(reads)
+        lo = np.minimum(self.et1[rows], self.et2[rows])
+        i = self._least(code, lo)
+        hi = np.maximum(self.et1[rows[i]], self.et2[rows[i]])
+        parent = {
+            c: (a, b)
+            for c, a, b, o in zip(code[i].tolist(), lo[i].tolist(), hi.tolist(), out[i].tolist())
+            if o == b
+        }
+        return [parent.get(x * self.k + m) for m, x in reads]
+
+    def m_prime_rows(self, entries: Mapping[int, Sequence[int]]) -> MPrimeRows:
+        """Every machine's MST-edge copies in M′ for the tours of
+        ``entries``, in one masked pass over the edge rows."""
+        n = self.ne
+        rows = np.flatnonzero(self.ealive[:n] & member_mask(self.etour[:n], entries))
+        return MPrimeRows.select(
+            self.emid[rows], self.eu[rows], self.ev[rows], self.ew[rows],
+            self.et1[rows], self.et2[rows], self.etour[rows], entries,
+        )
 
     def _witness_picks(self, reads: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
         """Per read code, its incident rows in witness-choice order (min
@@ -781,6 +819,18 @@ class ColumnarMachineState(MachineStateBase):
         states: Sequence[MachineStateBase], reads: Sequence[Tuple[int, int]]
     ) -> List[Optional[int]]:
         return states[0].fleet.outgoing_values(reads)  # type: ignore[attr-defined]
+
+    @staticmethod
+    def parent_intervals(
+        states: Sequence[MachineStateBase], reads: Sequence[Tuple[int, int]]
+    ) -> List[Optional[Tuple[int, int]]]:
+        return states[0].fleet.parent_intervals(reads)  # type: ignore[attr-defined]
+
+    @staticmethod
+    def m_prime_rows(
+        states: Sequence[MachineStateBase], entries: Mapping[int, Sequence[int]]
+    ) -> MPrimeRows:
+        return states[0].fleet.m_prime_rows(entries)  # type: ignore[attr-defined]
 
     def live_tours(self) -> Set[int]:
         fleet = self.fleet

@@ -7,7 +7,6 @@ effect-shifting edit re-lints dependents, a local edit does not.
 """
 
 import json
-import os
 
 from repro.analysis import run
 from repro.analysis.config import SimlintConfig

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cclique import AGMSketch, SketchConnectivity
+from repro.cclique import SketchConnectivity
 from repro.cclique.sketches import L0Sampler, vertex_sketches
 from repro.graphs import random_weighted_graph
 from repro.graphs.validation import connected_components

@@ -1,6 +1,5 @@
 """Converge-casts and the batched-queries pattern of §6.1 step 6."""
 
-import numpy as np
 import pytest
 
 from repro.comm import batched_queries, converge_cast, global_max, global_min, global_sum

@@ -1,6 +1,5 @@
 """Property tests for the bipartite edge colouring inside Lenzen routing."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """The Rerouting Lemma: O(B/k + R) rounds, vs the naive max_i C_i."""
 
-import numpy as np
 import pytest
 
 from repro.comm import naive_broadcasts, scheduled_broadcasts

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicMST
+from repro.core.batch_deletion import batch_delete
+from repro.errors import InconsistentUpdate
 from repro.graphs import (
     Update,
     WeightedGraph,
-    kruskal_msf,
     random_weighted_graph,
     shrinking_stream,
 )
-from repro.graphs.mst import msf_key_multiset
 
 
 def _dm(graph, k=4, seed=0, **kw):
@@ -75,6 +75,16 @@ class TestCorrectness:
             if batch:
                 dm.apply_batch(batch)
                 dm.check()
+
+    def test_duplicate_pair_raises_before_any_charge(self):
+        """A direct call gets no ``apply_batch`` validation: the pair given
+        both ways round must raise, as ``batch_add`` does, not collapse."""
+        dm = _dm(WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]))
+        before = dm.net.ledger.digest()
+        with pytest.raises(InconsistentUpdate, match="duplicate"):
+            batch_delete(dm.net, dm.vp, dm.states, [(1, 2), (2, 1)], dm._next_tour_id)
+        assert dm.net.ledger.digest() == before
+        dm.check()
 
 
 class TestProtocolShape:

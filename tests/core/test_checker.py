@@ -1,6 +1,5 @@
 """The consistency checker must actually catch corruptions."""
 
-import numpy as np
 import pytest
 
 from repro.core import DynamicMST

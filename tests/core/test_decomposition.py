@@ -11,13 +11,12 @@ import pytest
 from repro.core.decomposition import (
     AnchorInfo,
     PathSet,
-    below,
     build_paths,
     in_m_prime,
     solve_contracted,
 )
 from repro.euler import EulerForest
-from repro.graphs import Edge, random_tree
+from repro.graphs import Edge, random_forest, random_tree
 from repro.graphs.validation import path_in_forest
 
 
@@ -35,6 +34,52 @@ def _anchors_for(ef, tid, a_vertices):
         anchors.append(AnchorInfo(a, tid, interval))
         entries.append(interval[0])
     return anchors, entries
+
+
+def _b_anchors(ef, tid, a_vertices, entries):
+    """B as the protocol finds it: the non-A vertices of M'-degree >= 3."""
+    b = []
+    for x in sorted(ef.vertices_of_tour(tid) - set(a_vertices)):
+        inc = [e for e in ef.tour_edges(tid) if x in (e.u, e.v)]
+        if sum(1 for e in inc if in_m_prime(e.labels(), entries)) >= 3:
+            b.extend(_anchors_for(ef, tid, [x])[0])
+    return b
+
+
+def _build_paths_quadratic(anchors, a_entries_by_tour):
+    """``build_paths`` by its first definition: every anchor scans its
+    whole tour group for the smallest interval enclosing its own."""
+    by_tour = {}
+    for a in anchors:
+        by_tour.setdefault(a.tour, []).append(a)
+    paths = []
+    for tour in sorted(by_tour):
+        group = sorted(by_tour[tour], key=lambda a: (a.interval[0], -a.interval[1]))
+        a_entries = a_entries_by_tour.get(tour, [])
+        top_level = []
+        for child in group:
+            best = None
+            for cand in group:
+                if cand.vertex == child.vertex:
+                    continue
+                lo, hi = cand.interval
+                if lo <= child.interval[0] and child.interval[1] <= hi:
+                    if best is None or (lo, -hi) > (best.interval[0], -best.interval[1]):
+                        best = cand
+            if best is None:
+                top_level.append(child)
+                continue
+            if not child.is_root and in_m_prime(child.interval, a_entries):
+                paths.append(PathSet(tour, "chain", child, best))
+        live_top = [
+            c for c in top_level if not c.is_root and in_m_prime(c.interval, a_entries)
+        ]
+        if len(live_top) == 2:
+            c1, c2 = sorted(live_top, key=lambda a: a.interval[0])
+            paths.append(PathSet(tour, "pair", c1, c2))
+        elif len(live_top) > 2:
+            raise AssertionError("more than 2 top-level M'-anchors")
+    return paths
 
 
 class TestInMPrime:
@@ -75,24 +120,7 @@ class TestBuildPaths:
         a_vertices = sorted(int(x) for x in rng.choice(n, size=n_a, replace=False))
         anchors, entries = _anchors_for(ef, tid, a_vertices)
 
-        # Add B vertices exactly as the protocol does (M'-degree >= 3).
-        b_anchors = []
-        for x in t.vertices():
-            if x in a_vertices:
-                continue
-            deg = sum(
-                1
-                for e in ef.tour_edges(tid)
-                if x in (e.u, e.v) and in_m_prime(e.labels(), entries)
-            )
-            if deg >= 3:
-                inc = [e for e in ef.tour_edges(tid) if x in (e.u, e.v)]
-                p = min(inc, key=lambda e: e.e_min)
-                interval = (
-                    p.labels() if p.head_at(p.e_min) == x else (-1, ef.tour_size[tid])
-                )
-                b_anchors.append(AnchorInfo(x, tid, interval))
-
+        b_anchors = _b_anchors(ef, tid, a_vertices, entries)
         paths = build_paths(anchors + b_anchors, {tid: sorted(entries)})
         # O(k) bound: at most |A| + |B| path sets.
         assert len(paths) <= len(anchors) + len(b_anchors)
@@ -105,6 +133,31 @@ class TestBuildPaths:
                 assert len(hits) == 1, (a_vertices, ete, hits)
             else:
                 assert not hits
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sweep_equals_the_quadratic_scan(self, seed):
+        """On random forests, with random A sets (each tour's root in
+        half of them) plus the protocol's B sets."""
+        rng = np.random.default_rng(seed + 2000)
+        n = int(rng.integers(2, 40))
+        f = random_forest(n, int(rng.integers(1, max(2, n // 5))), rng)
+        ef = EulerForest.build(f.vertices(), f.edges())
+        anchors, entries = [], {}
+        for tid in sorted(set(ef.tour_of.values())):
+            members = sorted(ef.vertices_of_tour(tid))
+            size = int(rng.integers(0, len(members) + 1))
+            picked = {int(x) for x in rng.choice(members, size=size, replace=False)}
+            if rng.random() < 0.5:
+                picked.add(ef.root(tid))
+            a_anchors, a_entries = _anchors_for(ef, tid, sorted(picked))
+            anchors += a_anchors + _b_anchors(ef, tid, picked, a_entries)
+            entries[tid] = sorted(a_entries)
+        assert build_paths(anchors, entries) == _build_paths_quadratic(anchors, entries)
+
+    def test_three_top_level_m_prime_anchors_raise(self):
+        anchors = [AnchorInfo(x, 0, (2 * x + 1, 2 * x + 2)) for x in range(3)]
+        with pytest.raises(AssertionError, match="3 top-level"):
+            build_paths(anchors, {0: [1, 3, 5]})
 
     def test_two_anchor_bend(self):
         """A = two leaves of a star: one 'pair' set through the centre."""

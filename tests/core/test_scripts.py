@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import DynamicMST
 from repro.core.checker import check_global_consistency
 from repro.core.init_build import free_init, make_states
 from repro.core.scripts import run_structural_batch
 from repro.errors import ProtocolError
-from repro.euler import EulerForest
-from repro.graphs import Edge, WeightedGraph, kruskal_msf, random_tree, random_weighted_graph
+from repro.graphs import WeightedGraph, random_tree
 from repro.sim import KMachineNetwork, random_vertex_partition
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DynamicMST
 from repro.errors import InconsistentUpdate
-from repro.graphs import Update, WeightedGraph, kruskal_msf, random_weighted_graph
+from repro.graphs import WeightedGraph, kruskal_msf, random_weighted_graph
 from repro.graphs.mst import msf_key_multiset
 
 

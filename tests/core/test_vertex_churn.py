@@ -1,6 +1,5 @@
 """Dynamic vertex set (an API extension beyond the paper)."""
 
-import numpy as np
 import pytest
 
 from repro.core import DynamicMST

@@ -6,8 +6,6 @@ rebuild equivalent instances and assert the structural facts the figures
 illustrate.  (Figures 2-3 are covered in tests/core/test_decomposition.py.)
 """
 
-import pytest
-
 from repro.euler import BracketComponents, EulerForest, check_valid_tour
 from repro.graphs import Edge
 

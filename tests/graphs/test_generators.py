@@ -1,6 +1,5 @@
 """Generators: determinism, structure, and size guarantees."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.graphs import WeightedGraph, churn_stream, random_weighted_graph
+from repro.graphs import churn_stream, random_weighted_graph
 from repro.graphs.io import (
     read_edge_list,
     read_stream,

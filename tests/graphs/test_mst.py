@@ -16,7 +16,6 @@ from repro.graphs import (
     verify_msf_cycle_property,
 )
 from repro.graphs.graph import Edge
-from repro.graphs.mst import msf_key_multiset
 
 
 def _random_graph(seed, n_max=24):

@@ -1,6 +1,5 @@
 """Update streams: consistency invariants and shapes."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import (

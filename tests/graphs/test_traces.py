@@ -1,6 +1,5 @@
 """Trace workloads: consistency + the structure each one promises."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import random_weighted_graph

@@ -1,8 +1,5 @@
 """Validators: forests, spanning, cycle-property certificates."""
 
-import numpy as np
-import pytest
-
 from repro.graphs import (
     Edge,
     WeightedGraph,

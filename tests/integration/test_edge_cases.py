@@ -1,8 +1,5 @@
 """Model edge cases: k=1, k>n, empty graphs, complete graphs, ties."""
 
-import numpy as np
-import pytest
-
 from repro.core import DynamicMST
 from repro.graphs import (
     Update,

@@ -5,7 +5,6 @@ validation, protocol errors on corrupted inputs, and the Las-Vegas retry
 structure of the randomized deletion engine.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import DynamicMST

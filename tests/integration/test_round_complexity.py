@@ -1,7 +1,6 @@
 """The paper's quantitative claims, asserted as measured shapes."""
 
 import numpy as np
-import pytest
 
 from repro.core import DynamicMST
 from repro.graphs import churn_stream, random_weighted_graph

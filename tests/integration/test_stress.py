@@ -5,7 +5,6 @@ the code path.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import DynamicMST
 from repro.graphs import churn_stream, random_weighted_graph

@@ -1,6 +1,5 @@
 """G_b(X, Y) family and the H(Y|X) = 2b/3 entropy identity."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.validation import connected_components

@@ -1,7 +1,6 @@
 """Bit-flow metering of the lower-bound experiment."""
 
 import numpy as np
-import pytest
 
 from repro.graphs import random_weighted_graph
 from repro.lowerbound import run_lower_bound_experiment

@@ -1,9 +1,8 @@
 """Distributed queries and engines over the MPC cost model."""
 
-import numpy as np
 import pytest
 
-from repro.graphs import Update, WeightedGraph, random_weighted_graph, shrinking_stream
+from repro.graphs import WeightedGraph, random_weighted_graph, shrinking_stream
 from repro.mpc import MPCDynamicMST
 
 

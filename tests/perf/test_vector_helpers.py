@@ -1,25 +1,32 @@
 """The vectorized protocol helpers agree with their scalar definitions.
 
-The columnar engine's protocol-side kernels — the §6.2 component map and
-the §6.1 M′ membership scan — are pure reformulations: every answer they
-give must equal the scalar function they replace, and every case they
-cannot decide must be flagged, never guessed.
+The protocol-side kernels — the §6.2 component map, and §6.1's batched
+seam reads (M′ member rows, parent intervals) with the step-3/5 kernel
+over them — are pure reformulations: every answer they give must equal
+the scalar definition they replace, on both storages, and every case
+they cannot decide must be flagged, never guessed.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.decomposition import in_m_prime
-from repro.core.state import MachineState
+from repro.core.decomposition import (
+    AnchorInfo,
+    build_paths,
+    in_m_prime,
+    path_set_maxima,
+    steiner_junctions,
+)
+from repro.core.init_build import free_init, make_states
 from repro.euler.brackets import BracketComponents
-from repro.euler.tour import ETEdge
+from repro.graphs import WeightedGraph, random_forest
 from repro.perf.components import (
     FALLBACK,
     UNAFFECTED,
     component_codes,
     tour_interval_arrays,
 )
-from repro.perf.steiner import m_prime_members, steiner_degrees
+from repro.sim import KMachineNetwork, random_vertex_partition
 
 
 def _random_nesting(rng, size, m):
@@ -104,54 +111,157 @@ class TestComponentMap:
         assert got[1] == FALLBACK
 
 
-def _tour_state(rng, n_edges, tid, size):
-    st = MachineState(0, range(n_edges + 1))
-    labs = rng.permutation(size)[: 2 * n_edges]
-    for i in range(n_edges):
-        st.add_mst_edge(
-            ETEdge(i, i + 1, float(i), int(labs[2 * i]), int(labs[2 * i + 1]), tid)
-        )
-    return st
+def _fleet(seed, fast):
+    """A random forest with isolated vertices, split over 1–8 machines on
+    one storage; the same seed draws the same fleet on either storage."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    k = int(rng.integers(1, 9))
+    g = random_forest(n, int(rng.integers(1, max(2, n // 6))), rng)
+    for x in range(n, n + int(rng.integers(0, 3))):
+        g.add_vertex(x)
+    net = KMachineNetwork(k, fast=fast)
+    vp = random_vertex_partition(sorted(g.vertices()), k, rng)
+    states, tid = make_states(g, vp, net)
+    free_init(g, vp, states, tid)
+    return rng, vp, states
+
+
+def _protocol_anchors(rng, vp, states):
+    """A random A set and the anchors §6.1 derives from it, by the scalar
+    definitions: per-vertex parent intervals, and B as the owned vertices
+    with at least three incident M′ edges."""
+    xs = sorted(x for st in states for x in st.vertices)
+    picked = rng.choice(xs, size=int(rng.integers(1, min(len(xs), 12) + 1)), replace=False)
+    anchors, entries = [], {}
+    for x in sorted(int(x) for x in picked):
+        st = states[vp.home(x)]
+        tid = st.tour_id(x)
+        interval = st.parent_interval(x) or (-1, st.tour_size.get(tid, 0))
+        anchors.append(AnchorInfo(x, tid, interval))
+        entries.setdefault(tid, []).append(interval[0])
+    for e in entries.values():
+        e.sort()
+    eligible = {t: e for t, e in entries.items() if len(e) >= 2}
+    a_set = {a.vertex for a in anchors}
+    for st in states:
+        for x in sorted(st.vertices - a_set):
+            tid = st.tour_id(x)
+            if tid in eligible and _degree(st, x, eligible) >= 3:
+                interval = st.parent_interval(x) or (-1, st.tour_size.get(tid, 0))
+                anchors.append(AnchorInfo(x, tid, interval))
+    return anchors, entries, eligible
+
+
+def _degree(st, x, eligible):
+    return sum(
+        1 for e in st.incident_mst(x)
+        if e.tour in eligible and in_m_prime(e.labels(), eligible[e.tour])
+    )
+
+
+def _rows(rows):
+    return sorted(zip(*(col.tolist() for col in rows)))
+
+
+SEEDS = range(40)
+#: The dict storage and the fleet columns, built from the same seed.
+STORAGES = (False, True)
 
 
 class TestMPrime:
-    @pytest.mark.parametrize("seed", range(10))
+    """§6.1's two batched seam reads and its step-3/5 kernel against the
+    per-edge definitions, on both storages."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_members_match_scalar_predicate(self, seed):
-        rng = np.random.default_rng(seed)
-        n_edges = int(rng.integers(1, 40))
-        size = 2 * n_edges + int(rng.integers(0, 10))
-        st = _tour_state(rng, n_edges, tid=3, size=size)
-        n_entries = int(rng.integers(2, 7))
-        entries = sorted(
-            int(x) for x in rng.integers(-1, size, size=n_entries)
-        )
-        got = {
-            (ete.u, ete.v): labels
-            for ete, labels in m_prime_members(st, 3, entries)
-        }
-        want = {
-            k: e.labels()
-            for k, e in st.mst.items()
-            if in_m_prime(e.labels(), entries, assume_sorted=True)
-        }
-        assert got == want
+        for fast in STORAGES:
+            rng, vp, states = _fleet(seed, fast)
+            _anchors, entries, _eligible = _protocol_anchors(rng, vp, states)
+            want = sorted(
+                (st.mid, e.u, e.v, e.weight, e.e_min, e.e_max, e.tour)
+                for st in states
+                for e in st.iter_mst()
+                if e.tour in entries and in_m_prime(e.labels(), entries[e.tour])
+            )
+            assert _rows(states[0].m_prime_rows(states, entries)) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_path_maxima_match_the_loop(self, seed):
+        for fast in STORAGES:
+            rng, vp, states = _fleet(seed, fast)
+            anchors, entries, eligible = _protocol_anchors(rng, vp, states)
+            paths = build_paths(anchors, entries)
+            paths_by_tour = {}
+            for p in paths:
+                paths_by_tour.setdefault(p.tour, []).append(p)
+            want = {p.query_id: [None] * len(states) for p in paths}
+            for st in states:
+                for e in st.iter_mst():
+                    labels = e.labels()
+                    if e.tour not in paths_by_tour or not in_m_prime(labels, entries[e.tour]):
+                        continue
+                    hit = [p for p in paths_by_tour[e.tour] if p.matches_interval(labels)]
+                    if hit:
+                        cur = want[hit[0].query_id][st.mid]
+                        cand = (e.key, e.u, e.v)
+                        want[hit[0].query_id][st.mid] = cand if cur is None else max(cur, cand)
+            rows = states[0].m_prime_rows(states, eligible)
+            assert path_set_maxima(paths, rows, len(states)) == want
 
     def test_degrees_match_scalar_count(self):
-        rng = np.random.default_rng(1)
-        st = _tour_state(rng, 20, tid=3, size=44)
-        entries = sorted(int(x) for x in rng.integers(0, 44, size=4))
-        eligible = {3: entries}
-        deg = steiner_degrees(st, eligible)
-        for x in st.vertices:
-            want = sum(
-                1
-                for e in st.incident_mst(x)
-                if e.tour == 3 and in_m_prime(e.labels(), entries)
-            )
-            assert deg.get(x, 0) == want
+        """The junctions a home machine owns are the per-vertex B test."""
+        for seed in SEEDS:
+            for fast in STORAGES:
+                rng, vp, states = _fleet(seed, fast)
+                _anchors, _entries, eligible = _protocol_anchors(rng, vp, states)
+                rows = states[0].m_prime_rows(states, eligible)
+                got = [
+                    (m, x) for m, x in steiner_junctions(rows, len(states))
+                    if x in states[m].vertices
+                ]
+                want = [
+                    (st.mid, x) for st in states for x in sorted(st.vertices)
+                    if _degree(st, x, eligible) >= 3
+                ]
+                assert got == want, (seed, fast)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_parent_intervals_match_per_vertex(self, seed):
+        for fast in STORAGES:
+            _rng, _vp, states = _fleet(seed, fast)
+            reads = [(st.mid, x) for st in states for x in sorted(st.tracked)]
+            want = [states[m].parent_interval(x) for m, x in reads]
+            assert None in want  # every tour has a root
+            assert states[0].parent_intervals(states, reads) == want
 
     def test_fewer_than_two_entries_is_empty(self):
-        rng = np.random.default_rng(2)
-        st = _tour_state(rng, 5, tid=1, size=10)
-        assert m_prime_members(st, 1, [4]) == []
-        assert m_prime_members(st, 99, [1, 2]) == []  # unknown tour
+        for fast in STORAGES:
+            _rng, _vp, states = _fleet(3, fast)
+            tours = {st.tour_id(x) for st in states for x in st.vertices}
+            rows = states[0].m_prime_rows(states, {t: [0] for t in tours})
+            assert _rows(rows) == []
+            rows = states[0].m_prime_rows(states, {})
+            assert _rows(rows) == []
+            assert path_set_maxima([], rows, len(states)) == {}
+            assert steiner_junctions(rows, len(states)) == []
+            assert states[0].parent_intervals(states, []) == []
+
+    def test_the_pair_set_keeps_both_arms(self):
+        """1 - 0 - 2 with A = {1, 2}: the centre is a bend in neither A nor
+        B, and both arms fall into the one pair set."""
+        g = WeightedGraph.from_edges([(0, 1, 0.1), (0, 2, 0.2)])
+        for fast in STORAGES:
+            vp = random_vertex_partition([0, 1, 2], 2, np.random.default_rng(0))
+            states, tid = make_states(g, vp, KMachineNetwork(2, fast=fast))
+            free_init(g, vp, states, tid)
+            anchors = [
+                AnchorInfo(x, states[vp.home(x)].tour_id(x), states[vp.home(x)].parent_interval(x))
+                for x in (1, 2)
+            ]
+            entries = {anchors[0].tour: sorted(a.interval[0] for a in anchors)}
+            paths = build_paths(anchors, entries)
+            assert [p.kind for p in paths] == ["pair"]
+            rows = states[0].m_prime_rows(states, entries)
+            answers = path_set_maxima(paths, rows, 2)[paths[0].query_id]
+            assert max(a for a in answers if a is not None) == ((0.2, 0, 2), 0, 2)

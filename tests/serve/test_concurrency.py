@@ -15,7 +15,6 @@ daemon and assert the properties the tentpole promises:
 
 import asyncio
 
-from repro.graphs.streams import Update
 from repro.serve import MSTDaemon, verify_determinism
 from repro.serve.server import TokenBucket
 

@@ -6,8 +6,6 @@ replay of the admitted sequence — the same gate the ``serve-smoke`` CI
 job runs through the CLI.
 """
 
-import asyncio
-
 from repro.serve.loadgen import (
     LoadgenReport,
     client_pairs,

@@ -1,6 +1,5 @@
 """Vertex and edge partitions."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import random_weighted_graph

@@ -13,7 +13,6 @@ from repro.errors import ProtocolError
 from repro.graphs import kruskal_msf, random_weighted_graph
 from repro.graphs.dsu import DisjointSet
 from repro.graphs.mst import msf_key_multiset
-from repro.graphs.graph import Edge
 from repro.sim import KMachineNetwork, random_vertex_partition
 from repro.sim.program import MachineProgram, run_programs
 

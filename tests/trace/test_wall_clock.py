@@ -3,8 +3,6 @@
 import io
 import json
 
-import pytest
-
 from repro.trace.events import AMBIENT_FIELDS, strip_ambient, validate_event
 from repro.trace.recorder import TraceRecorder
 from repro.trace.scenarios import Scenario, run_traced
