@@ -84,11 +84,11 @@ def lenzen_route(
 ) -> Dict[int, List[Tuple[int, Any]]]:
     """Route point-to-point messages via balanced intermediates.
 
-    Messages are assigned intermediates from a bipartite edge colouring
-    of the (source, destination) demand multigraph: colour c routes via
-    machine c mod k, so with per-machine send/receive load ≤ k messages
-    both phases have O(1) per-link load — the Theorem 4.1 guarantee,
-    realized deterministically.  Inboxes carry the *original* source.
+    Colour c of a bipartite edge colouring of the (source, destination)
+    demand multigraph routes via machine c mod k: O(1) per-link load at
+    per-machine load ≤ k (Theorem 4.1, deterministically).  Inboxes carry
+    the *original* source and fill in ``(src, dst, repr(payload))`` order,
+    so each is sorted by ``(src, repr(payload))`` (one machine: as given).
     """
     k = net.k
     msgs = list(messages)
@@ -116,8 +116,8 @@ def lenzen_route(
             phase2.append((inter, m.dst, ("src", m.src, m.payload), m.words + 1))
         inboxes.setdefault(m.dst, []).append((m.src, m.payload))
     net.point_to_point(phase2)
-    for dst in inboxes:
-        inboxes[dst].sort(key=lambda sp: (sp[0], repr(sp[1])))
+    # ``msgs`` is sorted and each inbox filled in its order, so no inbox
+    # needs a sort of its own.
     return inboxes
 
 

@@ -520,7 +520,6 @@ class DynamicMST:
 
     def _prune_tours(self) -> None:
         """Drop per-machine tour-size entries no longer referenced."""
-        for st in self.states:
-            live = st.live_tours()
+        for st, live in zip(self.states, self.states[0].live_tour_keys(self.states)):
             st.tour_size = {t: s for t, s in st.tour_size.items() if t in live}
             st.refresh_gauges()

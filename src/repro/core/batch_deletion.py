@@ -7,8 +7,14 @@ Protocol (numbered as in the paper):
 2. every machine labels its surviving graph edges with the component pair
    they cross, using the stored neighbour witnesses (the §5.2 cache; a
    witness that *is* a deleted edge resolves by traversal direction);
+   the crossers of all machines form one candidate table
+   (:class:`repro.perf.components.Candidates`), read from the resident
+   columns on the columnar engine and from a per-machine scan of the
+   graph-edge dicts on the reference;
 3. machine-local cycle deletion keeps ≤ (#components - 1) candidates per
-   machine;
+   machine: one grouped local-MSF kernel
+   (:func:`repro.perf.cclique_columnar.grouped_local_msf`) runs every
+   machine's at once, on both engines;
 4. the candidates are Lenzen-sorted lexicographically by component pair;
 5. each machine keeps only the lightest edge per pair within its sorted
    run;
@@ -30,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cclique.ccedge import CCEdge
-from repro.cclique.engines import _cc_local_msf, cc_msf
+from repro.cclique.engines import cc_msf
 from repro.comm.lenzen import lenzen_route, lenzen_sort
 from repro.comm.rerouting import scheduled_broadcasts
 from repro.core.scripts import run_structural_batch
@@ -40,6 +46,8 @@ from repro.euler.brackets import BracketComponents
 from repro.euler.tour import ETEdge
 from repro.graphs.generators import RngLike
 from repro.graphs.graph import normalize
+from repro.perf.cclique_columnar import grouped_local_msf
+from repro.perf.components import deletion_candidates, scan_candidates
 from repro.perf.config import fast_path_enabled
 from repro.sim.message import (
     WORDS_COMPONENT_EDGE,
@@ -84,10 +92,10 @@ def batch_delete(
     for _src, (_tag, u, v, snap, size) in got:
         if snap is not None:
             mst_dels.append((ETEdge.from_snapshot(list(snap)), size))
-    # Local graph-edge removal on the hosting machines.
-    for (u, v) in dels:
-        for m in vp.edge_machines(u, v):
-            states[m].drop_graph_edge(u, v)
+    # Local graph-edge removal on the hosting machines, all at once.
+    states[0].drop_graph_edges(
+        states, [(m, key) for key in dels for m in vp.edge_machines(*key)]
+    )
 
     summary = {"dels": len(dels), "mst_dels": len(mst_dels), "components": 0,
                "candidates": 0, "replacements": 0}
@@ -121,9 +129,9 @@ def batch_delete(
             )
         return comp_base[tid] + brackets[tid].component_of_vertex(w, x)
 
-    def scan(st: MachineStateBase) -> List[CCEdge]:
+    def scan(st: MachineStateBase) -> List[Tuple[int, int, float, int, int]]:
         """Label every graph edge of ``st``, in key order; keep the crossers."""
-        cands: List[CCEdge] = []
+        rows: List[Tuple[int, int, float, int, int]] = []
         for (x, y), w in sorted(st.graph_edges.items()):
             cx, cy = comp_of(st, x), comp_of(st, y)
             if cx is None and cy is None:
@@ -133,27 +141,26 @@ def batch_delete(
                     f"edge ({x},{y}) straddles an affected and an unaffected tour"
                 )
             if cx != cy:
-                cands.append(CCEdge.make(cx, cy, (w, x, y), data=(x, y, w)))
-        return cands
+                rows.append((min(cx, cy), max(cx, cy), w, x, y))
+        return rows
 
-    # Steps 2–3: label candidate edges, machine-local cycle deletion.  On
-    # the fast path the candidates come from array passes over the
-    # resident columns (repro.perf.components), with the same values in
-    # the same order and the same errors.
+    # Steps 2–3: label candidate edges, machine-local cycle deletion.  Both
+    # storages hand every machine's crossers over as one table — the
+    # columnar one from array passes over the resident columns, with the
+    # same rows in the same order and the same errors — and one grouped
+    # kernel keeps each machine's local-MSF survivors (≤ #components - 1).
     if fast_path_enabled(net):
-        from repro.perf.components import deletion_candidates
-
-        per_machine = deletion_candidates(states, brackets, comp_base, comp_of, scan)
+        table = deletion_candidates(states, brackets, comp_base, comp_of, scan)
     else:
-        per_machine = [scan(st) for st in states]
-    local: List[List[Tuple[Tuple[int, int], Tuple, Tuple]]] = []
-    n_candidates = 0
-    for cands in per_machine:
-        # Local cycle deletion (≤ #components - 1 survivors).
-        kept = _cc_local_msf(cands, net)
-        n_candidates += len(kept)
-        local.append([((c.cu, c.cv), c.key, c.data) for c in kept])
-    summary["candidates"] = n_candidates
+        table = scan_candidates(states, scan)
+    kept = grouped_local_msf(table.machine, table.cu, table.cv, table.w, table.x, table.y)
+    local: List[List[Tuple[Tuple[int, int], Tuple, Tuple]]] = [[] for _ in states]
+    for m, a, b, x, y in zip(*(
+        col[kept].tolist() for col in (table.machine, table.cu, table.cv, table.x, table.y)
+    )):
+        w = states[m].graph_edges[(x, y)]
+        local[m].append(((a, b), (w, x, y), (x, y, w)))
+    summary["candidates"] = int(kept.shape[0])
 
     # Step 4: global Lenzen sort by (component pair, key).
     with net.ledger.phase("del.lenzen_sort"):

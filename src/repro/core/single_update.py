@@ -127,8 +127,7 @@ def single_delete(
     ete = home_u.mst_edge((u, v))
     snap = ete.snapshot() if ete is not None else None
     net.broadcast(vp.home(u), ("delete", u, v, snap), WORDS_ET_EDGE + 1)
-    for m in vp.edge_machines(u, v):
-        states[m].drop_graph_edge(u, v)
+    states[0].drop_graph_edges(states, [(m, (u, v)) for m in vp.edge_machines(u, v)])
     if snap is None:
         return next_tour_id, {"kind": 0, "reconnected": 0}
 

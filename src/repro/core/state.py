@@ -27,10 +27,10 @@ Shared code (the §6 protocols, queries, snapshots, the checker, the
 serve view) reads and writes through the seam methods below — a
 vertex's tour and witness, an MST edge by key, a vertex's incident MST
 edges, the MST keys of a tour, iteration/insertion/removal of MST
-edges, the live tour ids, one :meth:`record`, and three reads batched
-over the fleet (outgoing values, parent intervals and M′ member rows,
-which the columnar storage answers in one pass each) — and never
-touches storage.  Only this module, the reference engine
+edges, one :meth:`record`, four reads batched over the fleet (outgoing
+values, parent intervals, M′ member rows and the live ``tour_size``
+keys, which the columnar storage answers in one pass each) and one
+batched graph-edge drop — and never touches storage.  Only this module, the reference engine
 (:mod:`repro.core.scripts`) and the columnar store and engine
 (:mod:`repro.perf.columnar`) do; ``tests/core/test_state_seam.py``
 enforces it.
@@ -120,18 +120,37 @@ class MachineStateBase:
             self._update_gauges()
 
     def drop_graph_edge(self, u: int, v: int) -> None:
+        """Drop one graph edge (the per-edge form of :meth:`drop_graph_edges`)."""
         key = normalize(u, v)
         if self.graph_edges.pop(key, None) is not None:
-            self._after_drop(key)
+            self._after_drops([(self.mid, key)])
         # Tracked neighbours are kept even if the last edge to them goes;
         # pruning them is a space optimisation the paper does not need.
         self._update_gauges()
 
+    @staticmethod
+    def drop_graph_edges(
+        states: Sequence["MachineStateBase"], drops: Sequence[Tuple[int, Tuple[int, int]]]
+    ) -> None:
+        """Drop the graph edge ``key`` (normalized) of ``states[m]`` for each
+        ``(m, key)`` drop; a storage may drop all at once.
+
+        Each touched machine refreshes its gauges once, after its last
+        drop.  Drops only lower usage, so the peak is the one a refresh
+        after every drop samples.
+        """
+        gone = [(m, key) for m, key in drops if states[m].graph_edges.pop(key, None) is not None]
+        if gone:
+            states[gone[0][0]]._after_drops(gone)
+        for m in sorted({m for m, _key in drops}):
+            states[m]._update_gauges()
+
     def _after_store(self, key: Tuple[int, int], weight: float) -> None:
         """Storage hook: a graph edge was stored."""
 
-    def _after_drop(self, key: Tuple[int, int]) -> None:
-        """Storage hook: a graph edge was dropped."""
+    def _after_drops(self, drops: Sequence[Tuple[int, Tuple[int, int]]]) -> None:
+        """Storage hook: graph edges were dropped, ``(m, key)`` each, on
+        any machines of the fleet."""
 
     # ------------------------------------------------------------------
     # the storage seam (implemented by each storage)
@@ -185,8 +204,11 @@ class MachineStateBase:
     def pop_mst_edge(self, u: int, v: int) -> Optional[ETEdge]:
         raise NotImplementedError
 
-    def live_tours(self) -> Set[int]:
-        """Tour ids referenced by a tour id, an MST edge or a witness."""
+    @staticmethod
+    def live_tour_keys(states: Sequence["MachineStateBase"]) -> List[Set[int]]:
+        """Per machine, the keys of its ``tour_size`` that one of its tour
+        ids, MST edges or witnesses still references; a storage may read
+        all machines at once."""
         raise NotImplementedError
 
     def add_mst_edges(self, etes: List[ETEdge]) -> None:
@@ -473,10 +495,18 @@ class MachineState(MachineStateBase):
         return [self.mst[k] for k in self._mst_by_vertex.get(x, ())]
 
     def live_tours(self) -> Set[int]:
+        """Tour ids referenced by a tour id, an MST edge or a witness."""
         live = {t for t in self.tour_of.values() if t is not None}
         live.update(e.tour for e in self.mst.values())
         live.update(w.tour for w in self.witness.values() if w is not None)
         return live
+
+    @staticmethod
+    def live_tour_keys(states: Sequence[MachineStateBase]) -> List[Set[int]]:
+        return [
+            st.live_tours() & st.tour_size.keys()  # type: ignore[attr-defined]
+            for st in states
+        ]
 
     def load_record(self, mrec: Dict[str, Any]) -> None:
         """Install a :meth:`record` (the restore path), then refresh gauges."""

@@ -7,8 +7,8 @@ reference engine and the :class:`~repro.euler.tour.EulerForest` oracle
 apply them.  The array kernels here are what the columnar engine
 (:mod:`repro.perf.columnar`) runs, at every size:
 
-* :func:`reroot_labels` (Lemma 5.5) and :func:`innermost_intervals`
-  (the §6.2 bracket walk) act on a tour's label columns directly;
+* :func:`reroot_labels` (Lemma 5.5) acts on a tour's label columns
+  directly;
 * :class:`PhaseMap` composes a whole Lemma 5.9 phase — every split
   (Lemma 5.6) or every join (Lemma 5.7) of one script — into one
   relabelling, so a phase touches each stored label once however many
@@ -92,36 +92,6 @@ def member_mask(values: np.ndarray, keys) -> np.ndarray:
     table[keys - lo + 1] = True
     # Values outside [lo, hi] clip onto the False entry at either end.
     return table.take(values - (lo - 1), mode="clip")
-
-
-def innermost_intervals(
-    starts: np.ndarray, ends: np.ndarray, parents: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``BracketComponents._innermost`` over a label array.
-
-    ``starts``/``ends``/``parents`` describe the sorted, properly nesting
-    deleted intervals of one tour (§6.2, Figure 4); the result holds, per
-    label, the index of the innermost interval strictly containing it, or
-    ``-1`` for the outer region.  Labels must be valid survivors (inside
-    the tour, not deleted) — the callers validate before dispatching here.
-    """
-    idx = np.searchsorted(starts, labels, side="right") - 1
-    # Walk parents while the candidate interval closes at or before the
-    # label.  Nesting depth bounds the iteration count (≤ #intervals).
-    for _ in range(len(starts)):
-        active = idx >= 0
-        if not bool(active.any()):
-            break
-        step = np.zeros_like(active)
-        step[active] = ends[idx[active]] <= labels[active]
-        if not bool(step.any()):
-            break
-        idx[step] = parents[idx[step]]
-    # A label equal to an interval's start belongs to the region outside it.
-    at_start = idx >= 0
-    at_start[at_start] = starts[idx[at_start]] == labels[at_start]
-    idx[at_start] = parents[idx[at_start]]
-    return idx
 
 
 #: One piece of a phase map: phase-start labels ``lo <= l < hi`` of

@@ -1,33 +1,39 @@
 """Vectorized local kernels for contracted CONGESTED-CLIQUE instances (§6.2).
 
-Two scalar hot paths in :mod:`repro.cclique.engines` move no words but
-dominate the wall clock of a contracted-instance solve:
+Three local scans move no words but dominate the wall clock of a
+deletion batch and a contracted-instance solve:
 
+* step 3 of :func:`repro.core.batch_deletion.batch_delete` — every
+  machine's cycle deletion over its deletion candidates, run by
+  :func:`grouped_local_msf` for all machines at once, on both engines;
 * :func:`repro.cclique.engines._cc_local_msf` — machine-local cycle
-  deletion, a ``sorted`` + per-edge dict-DSU scan (run by every engine,
-  several times per solve on the merge-and-filter paths);
+  deletion inside the engines (several times per solve on the
+  merge-and-filter paths), the one-group call of the same kernel
+  (:func:`cc_local_msf_columnar`);
 * :func:`repro.cclique.engines._cc_min_outgoing` — the Borůvka engine's
   per-phase candidate scan, where every machine walks its whole
-  :class:`CCEdge` list.
+  :class:`CCEdge` list (:class:`CCEdgeTable`).
 
-Above the ``VECTOR_MIN_ROWS`` crossover a fast-path network runs both as
-NumPy passes with **identical observable results**: the same MSF edge
-objects in the same order, and the same ``CCEdge`` objects in the same
-(query, machine) slots of the Borůvka query table.  The engines
-themselves, and everything they send, are written once in
-:mod:`repro.cclique.engines`.
+Above the ``VECTOR_MIN_ROWS`` crossover a fast-path network runs the
+engines' two scans as NumPy passes with **identical observable
+results**: the same MSF edge objects in the same order, and the same
+``CCEdge`` objects in the same (query, machine) slots of the Borůvka
+query table.  The engines themselves, and everything they send, are
+written once in :mod:`repro.cclique.engines`.
 
-The local-MSF kernel runs Borůvka over *sort ranks*: edges get their
-position in the scalar path's sort order (``(key, cu, cv)``, stable) as
-a unique integer priority, and per-component minimum selection over
-ranks is an ``np.lexsort`` + group-first pass per round.  With unique
-priorities the greedy (Kruskal) forest and the Borůvka forest are the
-same unique MSF, so the selected index set equals the scalar scan's
-accepted set — returned in rank order, exactly like the scalar append
-order.  Duplicate rows (the §6.2 reduction sends an edge to both
-endpoint machines, so merged lists can repeat an edge) tie on every
-compared field; stable ranking keeps the first occurrence, matching the
-scalar scan's strict-``<`` tie-break.
+The local-MSF kernel runs Borůvka over *sort ranks*: rows get their
+position in the scalar path's sort order (``(group, key, cu, cv)``,
+stable) as a unique integer priority, and per-component minimum
+selection over ranks (shared with :meth:`CCEdgeTable.min_outgoing`) is
+an ``np.lexsort`` + group-first pass per round.  Super-vertex ids are
+offset per group, so groups never merge.  With unique priorities the
+greedy (Kruskal) forest and the Borůvka forest are the same unique MSF,
+so the selected rows are the scalar scan's accepted edges — returned in
+rank order, exactly like the scalar append order.  Duplicate rows (the
+§6.2 reduction sends an edge to both endpoint machines, so merged lists
+can repeat an edge) tie on every compared field; stable ranking keeps
+the first occurrence, matching the scalar scan's strict-``<``
+tie-break.
 """
 
 from __future__ import annotations
@@ -50,58 +56,63 @@ def _collapse(parent: np.ndarray) -> np.ndarray:
         parent = gp
 
 
-def _edge_columns(
-    edges: Sequence["CCEdge"],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cu, cv, rank) columns; rank is the stable ``sorted(edges)`` position."""
-    n = len(edges)
-    kw = np.fromiter((e.key[0] for e in edges), np.float64, n)
-    ku = np.fromiter((e.key[1] for e in edges), np.int64, n)
-    kv = np.fromiter((e.key[2] for e in edges), np.int64, n)
-    cu = np.fromiter((e.cu for e in edges), np.int64, n)
-    cv = np.fromiter((e.cv for e in edges), np.int64, n)
-    order = np.lexsort((cv, cu, kv, ku, kw))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return cu, cv, rank
+def _rank(order: np.ndarray) -> np.ndarray:
+    """Each row's position in ``order`` (a permutation of the rows)."""
+    rank = np.empty(order.shape[0], dtype=np.int64)
+    rank[order] = np.arange(order.shape[0])
+    return rank
 
 
-def cc_local_msf_columnar(
-    edges: Sequence["CCEdge"], net: Optional["Network"] = None
-) -> List["CCEdge"]:
-    """Vectorized :func:`repro.cclique.engines._cc_local_msf`.
+def _min_rank_per_component(
+    ra: np.ndarray, rb: np.ndarray, rank: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(components, rows): per component, its least-rank row among the rows
+    whose endpoint components ``ra``, ``rb`` differ (a row is a candidate
+    for both of its components), components ascending."""
+    keep = np.flatnonzero(ra != rb)
+    rows = np.concatenate((keep, keep))
+    comp = np.concatenate((ra[keep], rb[keep]))
+    order = np.lexsort((rank[rows], comp))
+    comp_s = comp[order]
+    first = np.ones(comp_s.size, dtype=bool)
+    first[1:] = comp_s[1:] != comp_s[:-1]
+    return comp_s[first], rows[order][first]
 
-    Same output list (same objects, same order) computed as rank-priority
-    Borůvka instead of a sorted scalar Kruskal scan.  ``net`` only keeps
-    the scalar function's signature: the kernel sends nothing.
+
+def grouped_local_msf(
+    group: np.ndarray, cu: np.ndarray, cv: np.ndarray,
+    w: np.ndarray, x: np.ndarray, y: np.ndarray,
+) -> np.ndarray:
+    """Rows of every group's minimum spanning forest, in rank order.
+
+    Row i joins super-vertices ``cu[i]`` and ``cv[i]`` of group
+    ``group[i]`` (a machine: groups share no super-vertex) under the key
+    ``(w, x, y)[i]``.  Rows are ranked by ``(group, w, x, y, cu, cv)``,
+    stably, which within a group is the scalar path's ``sorted(CCEdge)``
+    order; one rank-priority Borůvka runs every group at once, and the
+    selected rows come back group by group in the order the scalar scan
+    accepts them.
     """
-    n = len(edges)
+    n = group.shape[0]
     if n == 0:
-        return []
-    cu, cv, rank = _edge_columns(edges)
-    # Compact the super-vertex ids touched by this list.
-    nodes, idx = np.unique(np.concatenate((cu, cv)), return_inverse=True)
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((cv, cu, y, x, w, group))
+    rank = _rank(order)
+    # Super-vertex ids offset per group, then compacted.
+    span = int(max(cu.max(), cv.max())) + 1
+    nodes, idx = np.unique(
+        np.concatenate((group * span + cu, group * span + cv)), return_inverse=True
+    )
     a, b = idx[:n], idx[n:]
-    parent = np.arange(nodes.shape[0], dtype=np.int64)
-    selected = np.zeros(n, dtype=bool)
     node_ids = np.arange(nodes.shape[0], dtype=np.int64)
+    parent = node_ids.copy()
+    selected = np.zeros(n, dtype=bool)
     while True:
         roots = _collapse(parent)
         ra, rb = roots[a], roots[b]
-        cross = np.flatnonzero(ra != rb)
-        if cross.size == 0:
+        sel_comp, sel_edge = _min_rank_per_component(ra, rb, rank)
+        if sel_comp.size == 0:
             break
-        # Minimum-rank cross edge per component (each edge is a candidate
-        # for both endpoint components).
-        rows = np.concatenate((cross, cross))
-        comp = np.concatenate((ra[cross], rb[cross]))
-        order = np.lexsort((rank[rows], comp))
-        comp_s = comp[order]
-        rows_s = rows[order]
-        first = np.ones(comp_s.size, dtype=bool)
-        first[1:] = comp_s[1:] != comp_s[:-1]
-        sel_edge = rows_s[first]
-        sel_comp = comp_s[first]
         selected[sel_edge] = True
         # Hook each component to the opposite endpoint's root of its
         # chosen edge, then break the mutual (2-cycle) hooks toward the
@@ -112,9 +123,32 @@ def cc_local_msf_columnar(
         two_cycle = (parent[parent] == node_ids) & (parent != node_ids)
         fix = two_cycle & (node_ids < parent)
         parent[fix] = node_ids[fix]
-    sel_idx = np.flatnonzero(selected)
-    sel_idx = sel_idx[np.argsort(rank[sel_idx], kind="stable")]
-    return [edges[i] for i in sel_idx.tolist()]
+    return order[selected[order]]
+
+
+def _edge_columns(edges: Sequence["CCEdge"]) -> Tuple[np.ndarray, ...]:
+    """(cu, cv, weight, key u, key v) columns of a :class:`CCEdge` list."""
+    n = len(edges)
+    return (
+        np.fromiter((e.cu for e in edges), np.int64, n),
+        np.fromiter((e.cv for e in edges), np.int64, n),
+        np.fromiter((e.key[0] for e in edges), np.float64, n),
+        np.fromiter((e.key[1] for e in edges), np.int64, n),
+        np.fromiter((e.key[2] for e in edges), np.int64, n),
+    )
+
+
+def cc_local_msf_columnar(
+    edges: Sequence["CCEdge"], net: Optional["Network"] = None
+) -> List["CCEdge"]:
+    """Vectorized :func:`repro.cclique.engines._cc_local_msf`: the
+    one-group call of :func:`grouped_local_msf`.
+
+    Same output list (same objects, same order).  ``net`` only keeps the
+    scalar function's signature: the kernel sends nothing.
+    """
+    rows = grouped_local_msf(np.zeros(len(edges), dtype=np.int64), *_edge_columns(edges))
+    return [edges[i] for i in rows.tolist()]
 
 
 class CCEdgeTable:
@@ -124,7 +158,8 @@ class CCEdgeTable:
 
     def __init__(self, edges: Sequence["CCEdge"]) -> None:
         self.objs: List["CCEdge"] = list(edges)
-        self.cu, self.cv, self.rank = _edge_columns(self.objs)
+        self.cu, self.cv, w, x, y = _edge_columns(self.objs)
+        self.rank = _rank(np.lexsort((self.cv, self.cu, y, x, w)))
 
     def min_outgoing(self, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(components, rows) of the min-rank outgoing edge per component.
@@ -133,20 +168,7 @@ class CCEdgeTable:
         Rank order is the full :class:`CCEdge` order the scalar scan's
         ``e < cur`` uses, so the winning row is the same edge object.
         """
-        ru = roots[self.cu]
-        rv = roots[self.cv]
-        keep = np.flatnonzero(ru != rv)
-        if keep.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        rows = np.concatenate((keep, keep))
-        comp = np.concatenate((ru[keep], rv[keep]))
-        order = np.lexsort((self.rank[rows], comp))
-        comp_s = comp[order]
-        rows_s = rows[order]
-        first = np.ones(comp_s.size, dtype=bool)
-        first[1:] = comp_s[1:] != comp_s[:-1]
-        return comp_s[first], rows_s[first]
+        return _min_rank_per_component(roots[self.cu], roots[self.cv], self.rank)
 
 
 def cc_min_outgoing_columnar(

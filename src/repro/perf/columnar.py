@@ -15,7 +15,8 @@ object beside them:
   ``wt1``/``wt2``/``wtour`` with liveness ``walive`` and ``wkey`` (a
   witness entry exists — what the space gauge counts);
 * **graph-edge rows**, the §6.2 scan table: machine, endpoints, weight
-  and the endpoints' vertex rows on that machine.
+  and the endpoints' vertex rows on that machine, with liveness
+  ``galive`` (a batch's deleted copies die in one masked pass).
 
 Per-machine dicts map a key to its row (indexes, not objects), and
 :class:`ColumnarMachineState` answers the :mod:`repro.core.state` seam
@@ -231,16 +232,23 @@ class FleetColumns:
         self.galive[g] = True
         self.ng = g + 1
 
-    def kill_graph_row(self, m: int, key: Tuple[int, int]) -> None:
-        # Deletions are few per batch, so a masked search beats keeping a
-        # second key index beside the machine's graph-edge dict.
-        ng = self.ng
-        hit = np.flatnonzero(
-            self.galive[:ng] & (self.gmid[:ng] == m)
-            & (self.gu[:ng] == key[0]) & (self.gv[:ng] == key[1])
-        )
-        self.galive[hit] = False
-        self._n_gdead += hit.shape[0]
+    def drop_graph_rows(self, drops: Sequence[Tuple[int, Tuple[int, int]]]) -> None:
+        """Kill the graph-edge row of ``key`` on machine ``m`` for each
+        ``(m, key)`` drop, in one masked pass over the rows."""
+        k, ng = self.k, self.ng
+        want = {(m, u, v) for m, (u, v) in drops}
+        hit = np.flatnonzero(self.galive[:ng] & member_mask(
+            self.gu[:ng] * k + self.gmid[:ng], {u * k + m for m, u, _v in want}
+        ))
+        dead = [
+            r for r, m, u, v in zip(
+                hit.tolist(), self.gmid[hit].tolist(), self.gu[hit].tolist(),
+                self.gv[hit].tolist(),
+            )
+            if (m, u, v) in want
+        ]
+        self.galive[dead] = False
+        self._n_gdead += len(dead)
         if self._n_gdead > max(64, ng // 2):
             self.ng = self._compact(_GRAPH_COLS, self.galive, ng)
             self._n_gdead = 0
@@ -384,6 +392,31 @@ class FleetColumns:
             self.emid[rows], self.eu[rows], self.ev[rows], self.ew[rows],
             self.et1[rows], self.et2[rows], self.etour[rows], entries,
         )
+
+    def live_tour_keys(self, sizes: Sequence[Mapping[int, int]]) -> List[Set[int]]:
+        """Per machine ``m``, the keys of ``sizes[m]`` that a live vertex,
+        witness or edge row of ``m`` references: one ``searchsorted`` per
+        tour column against the sorted union of the keys flags the
+        referenced (machine, tour) cells."""
+        keys = np.unique(np.fromiter(
+            (t for size in sizes for t in size), dtype=np.int64
+        ))
+        ref = np.zeros((self.k, keys.shape[0]), dtype=bool)
+        nv, ne = self.nv, self.ne
+        vtour = self.vtour[:nv]
+        for tours, mids, alive in (
+            (vtour, self.vmid[:nv], vtour >= 0),
+            (self.wtour[:nv], self.vmid[:nv], self.walive[:nv]),
+            (self.etour[:ne], self.emid[:ne], self.ealive[:ne]),
+        ):
+            pos = np.searchsorted(keys, tours)
+            hit = alive & (pos < keys.shape[0])
+            hit[hit] = keys[pos[hit]] == tours[hit]
+            ref[mids[hit], pos[hit]] = True
+        return [
+            {t for t in keys[ref[m]].tolist() if t in size}
+            for m, size in enumerate(sizes)
+        ]
 
     def _witness_picks(self, reads: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
         """Per read code, its incident rows in witness-choice order (min
@@ -832,18 +865,11 @@ class ColumnarMachineState(MachineStateBase):
     ) -> MPrimeRows:
         return states[0].fleet.m_prime_rows(entries)  # type: ignore[attr-defined]
 
-    def live_tours(self) -> Set[int]:
-        fleet = self.fleet
-        nv, ne = fleet.nv, fleet.ne
-        mine = fleet.vmid[:nv] == self.mid
-        vt = fleet.vtour[:nv][mine]
-        live = set(np.unique(vt[vt >= 0]).tolist())
-        live.update(np.unique(fleet.wtour[:nv][mine & fleet.walive[:nv]]).tolist())
-        live.update(
-            np.unique(fleet.etour[:ne][fleet.ealive[:ne] & (fleet.emid[:ne] == self.mid)])
-            .tolist()
+    @staticmethod
+    def live_tour_keys(states: Sequence[MachineStateBase]) -> List[Set[int]]:
+        return states[0].fleet.live_tour_keys(  # type: ignore[attr-defined]
+            [st.tour_size for st in states]
         )
-        return live
 
     # ------------------------------------------------------------------
     # graph edges: the resident §6.2 table follows the dict
@@ -851,8 +877,8 @@ class ColumnarMachineState(MachineStateBase):
     def _after_store(self, key: Tuple[int, int], weight: float) -> None:
         self.fleet.add_graph_row(self.mid, key[0], key[1], weight)
 
-    def _after_drop(self, key: Tuple[int, int]) -> None:
-        self.fleet.kill_graph_row(self.mid, key)
+    def _after_drops(self, drops: Sequence[Tuple[int, Tuple[int, int]]]) -> None:
+        self.fleet.drop_graph_rows(drops)
 
     # ------------------------------------------------------------------
     # space accounting

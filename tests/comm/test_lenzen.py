@@ -131,3 +131,20 @@ def test_route_property_exact_delivery(msgs_spec):
     for dst, lst in inbox.items():
         for src, payload in lst:
             assert payload[2] == dst
+
+
+@given(st.integers(2, 8),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 30)),
+                max_size=80))
+@settings(max_examples=60, deadline=None)
+def test_route_inboxes_arrive_sorted(k, msgs_spec):
+    """Property: every inbox comes back in ``(src, repr(payload))`` order,
+    with repeated ``(src, dst)`` pairs given in any order, and payloads
+    whose ``repr`` order is not their value order."""
+    net = KMachineNetwork(k)
+    msgs = [Message(s % k, d % k, ("p", x), 1) for s, d, x in msgs_spec if s % k != d % k]
+    inbox = lenzen_route(net, msgs)
+    for lst in inbox.values():
+        assert lst == sorted(lst, key=lambda sp: (sp[0], repr(sp[1])))
+    got = sorted((dst, src, p) for dst, lst in inbox.items() for (src, p) in lst)
+    assert got == sorted((m.dst, m.src, m.payload) for m in msgs)

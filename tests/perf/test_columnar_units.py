@@ -90,7 +90,24 @@ class TestFleetColumns:
             assert col.parent_interval(x) == ref.parent_interval(x)
         for tid in (1, 2):
             assert sorted(col.mst_keys_in_tour(tid)) == sorted(ref.mst_keys_in_tour(tid))
-        assert col.live_tours() == ref.live_tours() == {1, 2}
+        assert col.live_tour_keys([col]) == ref.live_tour_keys([ref]) == [{1, 2}]
+        assert col.record() == ref.record()
+
+    @pytest.mark.parametrize("only", ["edges", "witnesses"])
+    def test_live_tour_keys_count_every_reference(self, only):
+        """Tour 2 stays live when only its MST edges, or only its
+        witnesses, still name it; an unreferenced key does not."""
+        ref, col = _two_tour_states()
+        for st in (ref, col):
+            st.tour_size[7] = 1
+            for x in (3, 4, 5):
+                st.set_tour_id(x, None)
+                if only == "edges":
+                    st.set_witness(x, None)
+            if only == "witnesses":
+                st.pop_mst_edge(3, 4)
+                st.pop_mst_edge(4, 5)
+            assert st.live_tour_keys([st]) == [{1, 2}]
         assert col.record() == ref.record()
 
     def test_tourless_vertex_reads_none(self):

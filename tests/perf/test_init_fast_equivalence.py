@@ -15,20 +15,21 @@ seeds and machine counts.  These tests pin that contract for
 
 plus unit-level oracles for the kernels they stand on
 (:class:`~repro.graphs.dsu.ArrayDSU`, :func:`min_outgoing_rows`,
-:func:`cc_local_msf_columnar`).
+:func:`cc_local_msf_columnar` and the grouped kernel under it).
 """
 
 import numpy as np
 import pytest
 
 from repro.cclique import CCEdge, ENGINES, cc_msf
+from repro.cclique.engines import _cc_local_msf
 from repro.core import DynamicMST
 from repro.core.init_build import make_states
 from repro.graphs import WeightedGraph, kruskal_msf, random_weighted_graph
 from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
-from repro.perf.cclique_columnar import cc_local_msf_columnar
+from repro.perf.cclique_columnar import cc_local_msf_columnar, grouped_local_msf
 from repro.perf.config import VECTOR_MIN_ROWS
 from repro.perf.init_columnar import GraphEdgeTable, min_outgoing_rows
 from repro.sim import KMachineNetwork, VertexPartition
@@ -277,6 +278,55 @@ class TestCCLocalMSFColumnar:
 
     def test_empty_input(self):
         assert cc_local_msf_columnar([]) == []
+
+
+class TestGroupedLocalMSF:
+    """One grouped call against the scalar scan run machine by machine."""
+
+    @staticmethod
+    def _machines(rng, k):
+        nc = int(rng.integers(2, 10))
+        out = []
+        for m in range(k):
+            edges = {}
+            if rng.random() < 0.25:  # a machine with no candidates
+                out.append([])
+                continue
+            for _ in range(int(rng.integers(1, 30))):
+                a, b = rng.integers(0, nc, size=2).tolist()
+                x, y = sorted(rng.choice(40, size=2, replace=False).tolist())
+                if a != b:
+                    # Three weights only: most rows tie on the weight.
+                    edges[(x, y)] = CCEdge.make(a, b, (float(rng.integers(0, 3)), x, y))
+            # The component pair (0, 1) on several machines.
+            if m % 2 == 0:
+                edges[(50, 51 + m)] = CCEdge.make(1, 0, (1.0, 50, 51 + m))
+            out.append(sorted(edges.values(), key=lambda e: e.key[1:]))
+        return out
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_per_machine_scalar_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        k = seed + 1  # 1 to 16 machines
+        per_machine = self._machines(rng, k)
+        scalar = KMachineNetwork(k, fast=False)
+        want = [_cc_local_msf(edges, scalar) for edges in per_machine]
+        flat = [e for edges in per_machine for e in edges]
+        group = np.array([m for m, edges in enumerate(per_machine) for _ in edges],
+                         dtype=np.int64)
+        rows = grouped_local_msf(
+            group,
+            np.array([e.cu for e in flat], dtype=np.int64),
+            np.array([e.cv for e in flat], dtype=np.int64),
+            np.array([e.key[0] for e in flat], dtype=np.float64),
+            np.array([e.key[1] for e in flat], dtype=np.int64),
+            np.array([e.key[2] for e in flat], dtype=np.int64),
+        )
+        got = [[] for _ in range(k)]
+        for r in rows.tolist():
+            got[group[r]].append(flat[r])
+        assert got == want
+        assert np.all(np.diff(group[rows]) >= 0)  # machine by machine
 
 
 class TestDuplicateRankStability:

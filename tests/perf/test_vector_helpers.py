@@ -1,8 +1,9 @@
 """The vectorized protocol helpers agree with their scalar definitions.
 
-The protocol-side kernels — the §6.2 component map, and §6.1's batched
-seam reads (M′ member rows, parent intervals) with the step-3/5 kernel
-over them — are pure reformulations: every answer they give must equal
+The protocol-side kernels — the §6.2 component map and candidate table,
+§6.1's batched seam reads (M′ member rows, parent intervals) with the
+step-3/5 kernel over them, and the batched graph-edge drop and tour
+prune read — are pure reformulations: every answer they give must equal
 the scalar definition they replace, on both storages, and every case
 they cannot decide must be flagged, never guessed.
 """
@@ -10,6 +11,7 @@ they cannot decide must be flagged, never guessed.
 import numpy as np
 import pytest
 
+from repro.core import DynamicMST, batch_deletion
 from repro.core.decomposition import (
     AnchorInfo,
     build_paths,
@@ -18,13 +20,22 @@ from repro.core.decomposition import (
     steiner_junctions,
 )
 from repro.core.init_build import free_init, make_states
+from repro.errors import ProtocolError
 from repro.euler.brackets import BracketComponents
-from repro.graphs import WeightedGraph, random_forest
+from repro.graphs import (
+    Update,
+    WeightedGraph,
+    churn_stream,
+    random_forest,
+    random_weighted_graph,
+)
+from repro.perf import components
 from repro.perf.components import (
     FALLBACK,
     UNAFFECTED,
     component_codes,
-    tour_interval_arrays,
+    gap_tables,
+    scan_candidates,
 )
 from repro.sim import KMachineNetwork, random_vertex_partition
 
@@ -51,21 +62,18 @@ def _random_nesting(rng, size, m):
 class TestComponentMap:
     @pytest.mark.parametrize("seed", range(10))
     def test_innermost_matches_bracket_walk(self, seed):
+        """Every surviving label's gap reads its bracket component."""
         rng = np.random.default_rng(seed)
         size = int(rng.integers(8, 120))
         m = int(rng.integers(1, max(2, size // 4)))
         bc = BracketComponents(_random_nesting(rng, size, m), size)
-        arrays = tour_interval_arrays({7: bc})
-        starts, ends, parents, deleted = arrays[7]
+        deleted, gap = gap_tables({7: bc})[7]
+        assert deleted.tolist() == sorted(bc._deleted_labels)
         surviving = np.array(
             [w for w in range(size) if w not in bc._deleted_labels],
             dtype=np.int64,
         )
-        if not surviving.size:
-            return
-        from repro.euler.vectorized import innermost_intervals
-
-        got = innermost_intervals(starts, ends, parents, surviving) + 1
+        got = gap[np.searchsorted(deleted, surviving)]
         want = [bc.component_of_label(int(w)) for w in surviving]
         assert got.tolist() == want
 
@@ -77,8 +85,7 @@ class TestComponentMap:
         wt2 = np.array([w[1] if w else 0 for _t, w in rows], dtype=np.int64)
         walive = np.array([w is not None for _t, w in rows], dtype=bool)
         return component_codes(
-            tours, wt1, wt2, walive, brackets, comp_base,
-            tour_interval_arrays(brackets),
+            tours, wt1, wt2, walive, brackets, comp_base, gap_tables(brackets),
         ).tolist()
 
     def test_fallback_and_none_classification(self):
@@ -265,3 +272,183 @@ class TestMPrime:
             rows = states[0].m_prime_rows(states, entries)
             answers = path_set_maxima(paths, rows, 2)[paths[0].query_id]
             assert max(a for a in answers if a is not None) == ((0.2, 0, 2), 0, 2)
+
+
+def _table(t):
+    return [(col.dtype.kind, col.tolist()) for col in t]
+
+
+def _churn(seed, backend):
+    """A sparse random graph (many trees) on 2–8 machines of one storage,
+    and 6 churn batches."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 60))
+    k = int(rng.integers(2, 9))
+    g = random_weighted_graph(n, int(rng.integers(n // 2, 2 * n)), rng, connected=False)
+    stream = list(churn_stream(g.copy(), int(rng.integers(4, 2 * k + 8)), 6, rng=rng))
+    return DynamicMST.build(g, k, rng=seed, init="free", backend=backend), stream
+
+
+class TestDeletionCandidates:
+    """§6.2 steps 2–3 on the fleet against the reference scan."""
+
+    @staticmethod
+    def _spy(monkeypatch, seen):
+        """Record every batch's columnar table, the reference scan's table
+        over the same states, and the number of FALLBACK vertex rows."""
+        real = batch_deletion.deletion_candidates
+
+        def both(states, brackets, comp_base, comp_of, scan):
+            got = real(states, brackets, comp_base, comp_of, scan)
+            fleet = states[0].fleet
+            nv = fleet.nv
+            codes = component_codes(
+                fleet.vtour[:nv], fleet.wt1[:nv], fleet.wt2[:nv], fleet.walive[:nv],
+                brackets, comp_base, gap_tables(brackets),
+            )
+            seen.append((got, scan_candidates(states, scan), int((codes == FALLBACK).sum())))
+            return got
+
+        monkeypatch.setattr(batch_deletion, "deletion_candidates", both)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_table_matches_reference_scan(self, seed, monkeypatch):
+        seen = []
+        self._spy(monkeypatch, seen)
+        dm, stream = _churn(seed, "inproc-columnar")
+        for batch in stream:
+            dm.apply_batch(batch)
+        dm.check()
+        assert seen
+        for got, want, _fallback in seen:
+            assert _table(got) == _table(want)
+
+    def test_deleted_edge_witnesses_are_fallback_rows(self, monkeypatch):
+        """Vertices 1 and 2 keep the deleted edge (1, 2) as their witness
+        (their lightest incident forest edge): Figure 4's boundary rule
+        places them, through the scalar comp_of."""
+        seen = []
+        self._spy(monkeypatch, seen)
+        g = WeightedGraph.from_edges([
+            (0, 1, 5.0), (1, 2, 1.0), (2, 3, 4.0), (3, 4, 2.0), (4, 5, 3.0),
+            (0, 2, 10.0), (1, 3, 11.0), (2, 4, 12.0), (3, 5, 13.0), (0, 5, 14.0),
+        ])
+        dm = DynamicMST.build(g, 2, rng=0, init="free", backend="inproc-columnar")
+        dm.apply_batch([Update.delete(1, 2), Update.delete(3, 4)])
+        dm.check()
+        (got, want, fallback), = seen
+        assert fallback >= 2
+        assert len(got.machine) > 0
+        assert _table(got) == _table(want)
+
+    @staticmethod
+    def _corrupt(dm, kind):
+        """Break the first graph edge of two machines (the graph is one
+        tree, so every vertex is in the split tour): the scan raises on
+        both."""
+        for st in dm.states[1:3]:
+            x, _y = min(st.graph_edges)
+            if kind == "no_witness":
+                st.set_witness(x, None)
+            else:
+                st.set_tour_id(x, 10**6)  # a tour no deletion touched
+
+    @pytest.mark.parametrize("kind", ["no_witness", "straddle"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_errors_match_reference(self, kind, seed, monkeypatch):
+        """Same message, raised from the scan of the same machine."""
+        real_dc, real_sc = components.deletion_candidates, components.scan_candidates
+        outcome = {}
+        for backend in ("reference", "inproc-columnar"):
+            calls = []
+
+            def record(scan, calls=calls):
+                def wrapped(st):
+                    calls.append(st.mid)
+                    return scan(st)
+                return wrapped
+
+            monkeypatch.setattr(
+                batch_deletion, "deletion_candidates",
+                lambda states, b, c, co, scan: real_dc(states, b, c, co, record(scan)),
+            )
+            monkeypatch.setattr(
+                batch_deletion, "scan_candidates",
+                lambda states, scan: real_sc(states, record(scan)),
+            )
+            g = random_weighted_graph(40, 120, np.random.default_rng(seed))
+            dm = DynamicMST.build(g, 4, rng=seed, init="free", backend=backend)
+            u, v, _w = min(dm.msf_edges())
+            self._corrupt(dm, kind)
+            with pytest.raises(ProtocolError) as err:
+                dm.apply_batch([Update.delete(u, v)])
+            outcome[backend] = (str(err.value), calls)
+        assert outcome["inproc-columnar"] == outcome["reference"]
+        message, calls = outcome["reference"]
+        assert ("no witness" if kind == "no_witness" else "straddles") in message
+        assert calls == [0, 1]  # the first corrupted machine raises
+
+
+class TestDeletionSeam:
+    """The batched graph-edge drop and the tour prune read against their
+    per-machine definitions, on both storages."""
+
+    @staticmethod
+    def _observe(states):
+        out = {
+            "records": [st.record() for st in states],
+            "peak": [st.machine.peak_words for st in states],
+            "used": [st.machine.space_words for st in states],
+        }
+        fleet = getattr(states[0], "fleet", None)
+        if fleet is not None:
+            live = np.flatnonzero(fleet.galive[: fleet.ng])
+            rows = zip(*(c[live].tolist() for c in (fleet.gmid, fleet.gu, fleet.gv, fleet.gw)))
+            out["rows"] = sorted(rows)
+            assert out["rows"] == sorted(
+                (st.mid, u, v, w) for st in states for (u, v), w in st.graph_edges.items()
+            )
+        return out
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batched_drop_matches_per_edge(self, seed):
+        for fast in STORAGES:
+            runs = []
+            for batched in (False, True):
+                rng, vp, states = _fleet(seed, fast)
+                keys = sorted({key for st in states for key in st.graph_edges})
+                pick = rng.choice(len(keys), size=int(rng.integers(0, len(keys) + 1)),
+                                  replace=False) if keys else []
+                drops = [(m, keys[i]) for i in sorted(pick) for m in vp.edge_machines(*keys[i])]
+                drops.append((0, (10**6, 10**6 + 1)))  # absent: only refreshes
+                if batched:
+                    states[0].drop_graph_edges(states, drops)
+                else:
+                    for m, key in drops:
+                        states[m].drop_graph_edge(*key)
+                runs.append(self._observe(states))
+            assert runs[1] == runs[0], (seed, fast)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prune_read_matches_live_tours(self, seed, monkeypatch):
+        real = DynamicMST._prune_tours
+        reads = {}
+        for backend in ("reference", "inproc-columnar"):
+            got = []
+
+            def spy(dm, got=got, backend=backend):
+                if backend == "reference":
+                    live = [st.live_tours() & st.tour_size.keys() for st in dm.states]
+                else:
+                    live = dm.states[0].live_tour_keys(dm.states)
+                got.append(([sorted(st.tour_size) for st in dm.states],
+                            [sorted(t) for t in live]))
+                real(dm)
+
+            monkeypatch.setattr(DynamicMST, "_prune_tours", spy)
+            dm, stream = _churn(seed, backend)
+            for batch in stream:
+                dm.apply_batch(batch)
+            reads[backend] = got
+        assert reads["inproc-columnar"] == reads["reference"]
+        assert any(keys != live for keys, live in reads["reference"])  # some are pruned
