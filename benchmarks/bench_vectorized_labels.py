@@ -1,8 +1,13 @@
 """Throughput: scalar vs vectorized Euler label kernels.
 
-The per-machine transforms are the inner loop of every structural batch;
-this measures the crossover where the NumPy kernels pay off (the
-scale-up path documented in repro/euler/vectorized.py).
+The per-machine transforms are the inner loop of every structural batch.
+This times one split (Lemma 5.6) over a whole tour, as the scalar
+transform of :mod:`repro.euler.labels` and as the single-step NumPy
+kernel, from 10^2 to 10^6 labels.  No engine runs the single-step
+kernel: the reference engine and the oracle apply the scalar transform,
+and the columnar engine composes a whole phase into one
+:class:`repro.euler.vectorized.PhaseMap`, so the table measures what
+vectorizing one transform buys, not a path the product takes.
 """
 
 import numpy as np

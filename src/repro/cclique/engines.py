@@ -26,10 +26,10 @@ Engines:
   falls back to Borůvka phases.  On every instance the §6.2 reduction
   produces, the measured cost is a small constant number of rounds.
 
-Each engine is written once, for both execution engines: only the
-machine-local scans (:func:`_cc_local_msf`, :func:`_cc_min_outgoing`)
-run as array passes (:mod:`repro.perf.cclique_columnar`) on a fast-path
-network above the vectorize/loop crossover.
+Each engine is written once, for both execution engines, and so are
+its machine-local scans (:func:`_cc_local_msf`, :func:`_cc_min_outgoing`):
+§6.2 hands an engine at most k+1 super-vertices, so the scans are short
+loops, and the model charges only what the engines send.
 """
 
 from __future__ import annotations
@@ -44,24 +44,12 @@ from repro.comm.rerouting import scheduled_broadcasts
 from repro.cclique.ccedge import CCEdge
 from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.generators import RngLike, as_rng
-from repro.perf import config as _perf_config
-from repro.perf.config import fast_path_enabled
 from repro.sim.message import WORDS_COMPONENT_EDGE, Message
 from repro.sim.network import Network
 
 
-def _cc_local_msf(edges: Sequence[CCEdge], net: Network) -> List[CCEdge]:
-    """Machine-local cycle deletion over super-vertices (no communication).
-
-    Pure local computation (no wire), so the columnar kernel
-    (:func:`repro.perf.cclique_columnar.cc_local_msf_columnar`) is used
-    above the vectorize/loop crossover when ``net`` runs the fast path;
-    it returns the identical edge list in the identical order.
-    """
-    if fast_path_enabled(net) and len(edges) >= _perf_config.VECTOR_MIN_ROWS:
-        from repro.perf.cclique_columnar import cc_local_msf_columnar
-
-        return cc_local_msf_columnar(edges, net)
+def _cc_local_msf(edges: Sequence[CCEdge]) -> List[CCEdge]:
+    """Machine-local cycle deletion over super-vertices (no communication)."""
     dsu = DisjointSet()
     out: List[CCEdge] = []
     for e in sorted(edges):
@@ -94,17 +82,8 @@ def _cc_min_outgoing(
     ``roots[c]`` is super-vertex c's representative (one
     :meth:`~repro.graphs.dsu.ArrayDSU.root_indices` pass; super-vertex
     ids are dense, so a root index is a representative).  Pure local
-    computation, so above the vectorize/loop crossover a fast-path
-    network runs it as array passes
-    (:func:`repro.perf.cclique_columnar.cc_min_outgoing_columnar`),
-    with the same edge objects in the same slots.
+    computation: no communication.
     """
-    if fast_path_enabled(net) and (
-        sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
-    ):
-        from repro.perf.cclique_columnar import cc_min_outgoing_columnar
-
-        return cc_min_outgoing_columnar(net, local_edges, roots)
     root = roots.tolist()
     per_query: Dict[int, List[Optional[CCEdge]]] = {
         c: [None] * net.k for c in sorted(set(root))
@@ -131,21 +110,10 @@ def boruvka_engine(
     local_edges: Sequence[Sequence[CCEdge]],
     rng: RngLike = None,
 ) -> List[CCEdge]:
-    """Deterministic Borůvka with batched per-component min-queries.
-
-    One body for both engines: only each machine's candidate scan
-    (:func:`_cc_min_outgoing`) depends on the engine.
-    """
+    """Deterministic Borůvka with batched per-component min-queries."""
     k = net.k
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
-    recorder = net.ledger.recorder
-    if recorder is not None:
-        # The engine _cc_min_outgoing picks: the row count is fixed.
-        columnar = fast_path_enabled(net) and (
-            sum(len(edges) for edges in local_edges) >= _perf_config.VECTOR_MIN_ROWS
-        )
-        recorder.on_engine("cc_boruvka", "columnar" if columnar else "scalar")
     # The component map is replicated: every machine sees the same
     # broadcast answers, so it evolves identically everywhere.
     dsu = ArrayDSU(np.arange(n_vertices, dtype=np.int64))
@@ -188,7 +156,7 @@ def lotker_engine(
     k = net.k
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
-    current: List[List[CCEdge]] = [_cc_local_msf(edges, net) for edges in local_edges]
+    current: List[List[CCEdge]] = [_cc_local_msf(edges) for edges in local_edges]
     stride = 1
     with net.ledger.phase("cc.lotker"):
         while stride < k:
@@ -205,7 +173,7 @@ def lotker_engine(
                 partner = m + stride
                 if partner < k:
                     received = [p[1] for _src, p in inboxes.get(m, [])]
-                    current[m] = _cc_local_msf(current[m] + received, net)
+                    current[m] = _cc_local_msf(current[m] + received)
                     current[partner] = []
             stride *= 2
     return _broadcast_result(net, 0, current[0])
@@ -227,7 +195,7 @@ def sample_gather_engine(
     if len(local_edges) != k:
         raise ValueError("need one edge list per machine")
     rng = as_rng(rng)
-    current: List[List[CCEdge]] = [_cc_local_msf(edges, net) for edges in local_edges]
+    current: List[List[CCEdge]] = [_cc_local_msf(edges) for edges in local_edges]
     threshold = max(gather_factor * k, n_vertices)
 
     for attempt in range(max_sparsify + 1):
@@ -258,7 +226,7 @@ def sample_gather_engine(
         inboxes = lenzen_route(net, msgs)
         for m in range(k):
             received = [p[1] for _src, p in inboxes.get(m, [])]
-            new_local[m] = _cc_local_msf(new_local[m] + received, net)
+            new_local[m] = _cc_local_msf(new_local[m] + received)
         current = new_local
 
     # Sparse case (JN base case): gather everything at a random leader and
@@ -273,7 +241,7 @@ def sample_gather_engine(
     ]
     inboxes = lenzen_route(net, msgs)
     received = [p[1] for _src, p in inboxes.get(leader, [])]
-    msf = _cc_local_msf(current[leader] + received, net)
+    msf = _cc_local_msf(current[leader] + received)
     return _broadcast_result(net, leader, msf)
 
 
@@ -284,6 +252,14 @@ ENGINES: Dict[str, Callable] = {
 }
 
 
+def get_engine(engine: str) -> Callable:
+    """The engine named ``engine``; an unknown name raises ``ValueError``."""
+    try:
+        return ENGINES[engine]
+    except KeyError:
+        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}") from None
+
+
 def cc_msf(
     net: Network,
     n_vertices: int,
@@ -292,8 +268,4 @@ def cc_msf(
     rng: RngLike = None,
 ) -> List[CCEdge]:
     """Dispatch to a named engine; see module docstring for the menu."""
-    try:
-        fn = ENGINES[engine]
-    except KeyError:
-        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}") from None
-    return fn(net, n_vertices, local_edges, rng=rng)
+    return get_engine(engine)(net, n_vertices, local_edges, rng=rng)

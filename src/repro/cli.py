@@ -425,6 +425,7 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cclique.engines import ENGINES
     from repro.sim.executor import backend_names
 
     p = argparse.ArgumentParser(
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--input", help="edge-list file instead of a random graph")
     demo.add_argument("--init", choices=["distributed", "free"], default="distributed")
     demo.add_argument("--engine", default="sample_gather",
-                      choices=["boruvka", "lotker", "sample_gather"])
+                      choices=sorted(ENGINES))
     demo.add_argument("--backend", default=None, metavar="NAME",
                       choices=backend_names(),
                       help="execution backend: reference or inproc-columnar "
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=5)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--engine", default="sample_gather",
-                        choices=["boruvka", "lotker", "sample_gather"])
+                        choices=sorted(ENGINES))
     verify.set_defaults(fn=_cmd_verify)
 
     replay = sub.add_parser("replay", help="replay a JSON update stream")
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--out", default=None,
                        help="output path (default <scenario>.trace.jsonl)")
     trace.add_argument("--engine", default="sample_gather",
-                       choices=["boruvka", "lotker", "sample_gather"])
+                       choices=sorted(ENGINES))
     trace.add_argument("--backend", default=None, metavar="NAME",
                        choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--checkpoint-every", type=int, default=2,
                        help="checkpoint period in batches (default 2)")
     chaos.add_argument("--engine", default="sample_gather",
-                       choices=["boruvka", "lotker", "sample_gather"])
+                       choices=sorted(ENGINES))
     chaos.add_argument("--backend", default=None, metavar="NAME",
                        choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--loops", type=int, default=0,
                        help="runs of the scenario (0 = until interrupted)")
     watch.add_argument("--engine", default="sample_gather",
-                       choices=["boruvka", "lotker", "sample_gather"])
+                       choices=sorted(ENGINES))
     watch.add_argument("--backend", default=None, metavar="NAME",
                        choices=backend_names(),
                        help="execution backend: reference or inproc-columnar")

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.cclique.engines import get_engine
 from repro.core.batch_addition import batch_add
 from repro.core.batch_deletion import batch_delete
 from repro.core.checker import check_global_consistency
@@ -68,6 +69,9 @@ class DynamicMST:
         engine: str = "sample_gather",
         rng: RngLike = None,
     ) -> None:
+        # An unknown name raises here: §6.2 step 8 is the first to run
+        # the engine, after step 1 has dropped a batch's graph edges.
+        get_engine(engine)
         self.k = k
         self.net = net
         self.vp = vp

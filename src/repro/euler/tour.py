@@ -10,16 +10,15 @@ with explicit per-tour vertex sets, so tests can verify every invariant:
 * every edge appears exactly twice, once per direction.
 
 All mutations go through the same pure transforms of
-:mod:`repro.euler.labels` that the machines apply, so a bug in the
-arithmetic breaks the oracle's own validity check.
+:mod:`repro.euler.labels` that the reference engine's machines apply,
+one label at a time on a tour of any size, so a bug in the arithmetic
+breaks the oracle's own validity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import ProtocolError
 from repro.euler.labels import (
@@ -31,15 +30,6 @@ from repro.euler.labels import (
     split_label,
 )
 from repro.graphs.graph import Edge, normalize
-from repro.perf.config import VECTOR_MIN_ROWS
-
-
-def _pack_labels(edges: Sequence["ETEdge"]) -> Tuple[np.ndarray, np.ndarray]:
-    n = len(edges)
-    return (
-        np.fromiter((e.t_uv for e in edges), np.int64, n),
-        np.fromiter((e.t_vu for e in edges), np.int64, n),
-    )
 
 
 @dataclass(slots=True)
@@ -284,20 +274,9 @@ class EulerForest:
             return
         d = self.outgoing_value(x)
         assert d is not None
-        edges = self.tour_edges(tid)
-        if len(edges) >= VECTOR_MIN_ROWS:
-            from repro.euler.vectorized import reroot_labels
-
-            t1, t2 = _pack_labels(edges)
-            new1 = reroot_labels(t1, d, size).tolist()
-            new2 = reroot_labels(t2, d, size).tolist()
-            for i, e in enumerate(edges):
-                e.t_uv = new1[i]
-                e.t_vu = new2[i]
-        else:
-            for e in edges:
-                e.t_uv = reroot_label(e.t_uv, d, size)
-                e.t_vu = reroot_label(e.t_vu, d, size)
+        for e in self.tour_edges(tid):
+            e.t_uv = reroot_label(e.t_uv, d, size)
+            e.t_vu = reroot_label(e.t_vu, d, size)
 
     def cut(self, u: int, v: int) -> SplitSpec:
         """Remove forest edge (u, v) and split its tour (Lemma 5.6)."""
@@ -326,24 +305,9 @@ class EulerForest:
                     t_in = p.e_min
             if t_in is not None and spec.e_min <= t_in < spec.e_max:
                 inside_vertices.add(x)
-        edges = self.tour_edges(tid)
-        if len(edges) >= VECTOR_MIN_ROWS:
-            from repro.euler.vectorized import split_labels
-
-            t1, t2 = _pack_labels(edges)
-            tours, new1 = split_labels(t1, spec)
-            _, new2 = split_labels(t2, spec)
-            tours_l, new1_l, new2_l = tours.tolist(), new1.tolist(), new2.tolist()
-            for i, e in enumerate(edges):
-                e.t_uv = new1_l[i]
-                e.t_vu = new2_l[i]
-                e.tour = tours_l[i]
-        else:
-            for e in edges:
-                new_tid, _ = split_label(e.t_uv, spec)
-                e.t_uv = split_label(e.t_uv, spec)[1]
-                e.t_vu = split_label(e.t_vu, spec)[1]
-                e.tour = new_tid
+        for e in self.tour_edges(tid):
+            e.tour, e.t_uv = split_label(e.t_uv, spec)
+            e.t_vu = split_label(e.t_vu, spec)[1]
         self.tour_size[spec.old_tour] = spec.root_side_size
         self.tour_size[spec.inside_tour] = spec.inside_size
         self._tour_vertices[spec.inside_tour] = inside_vertices
@@ -370,32 +334,13 @@ class EulerForest:
         )
         edges1 = self.tour_edges(t1)
         edges2 = self.tour_edges(t2)
-        if len(edges1) + len(edges2) >= VECTOR_MIN_ROWS:
-            from repro.euler.vectorized import join_m1_labels, join_m2_labels
-
-            if edges1:
-                a1, a2 = _pack_labels(edges1)
-                new1 = join_m1_labels(a1, spec).tolist()
-                new2 = join_m1_labels(a2, spec).tolist()
-                for i, e in enumerate(edges1):
-                    e.t_uv = new1[i]
-                    e.t_vu = new2[i]
-            if edges2:
-                b1, b2 = _pack_labels(edges2)
-                new1 = join_m2_labels(b1, spec).tolist()
-                new2 = join_m2_labels(b2, spec).tolist()
-                for i, e in enumerate(edges2):
-                    e.t_uv = new1[i]
-                    e.t_vu = new2[i]
-                    e.tour = t1
-        else:
-            for e in edges1:
-                e.t_uv = join_m1_label(e.t_uv, spec)
-                e.t_vu = join_m1_label(e.t_vu, spec)
-            for e in edges2:
-                e.t_uv = join_m2_label(e.t_uv, spec)
-                e.t_vu = join_m2_label(e.t_vu, spec)
-                e.tour = t1
+        for e in edges1:
+            e.t_uv = join_m1_label(e.t_uv, spec)
+            e.t_vu = join_m1_label(e.t_vu, spec)
+        for e in edges2:
+            e.t_uv = join_m2_label(e.t_uv, spec)
+            e.t_vu = join_m2_label(e.t_vu, spec)
+            e.tour = t1
         lab_in, lab_out = spec.new_edge_labels
         # The in-traversal at ``a`` departs u and enters v.
         ete = ETEdge(u, v, weight, lab_in, lab_out, t1)

@@ -5,21 +5,22 @@ data-parallel: one pure function applied to every label a machine holds.
 The scalar versions in :mod:`repro.euler.labels` are the reference: the
 reference engine and the :class:`~repro.euler.tour.EulerForest` oracle
 apply them.  The array kernels here are what the columnar engine
-(:mod:`repro.perf.columnar`) runs, at every size:
+(:mod:`repro.perf.columnar`) runs.  Neither side picks its path by tour
+size:
 
 * :func:`reroot_labels` (Lemma 5.5) acts on a tour's label columns
   directly;
 * :class:`PhaseMap` composes a whole Lemma 5.9 phase — every split
   (Lemma 5.6) or every join (Lemma 5.7) of one script — into one
   relabelling, so a phase touches each stored label once however many
-  steps it has;
-* :func:`split_labels` and the two join kernels are the single-step
-  forms, which the oracle uses on large tours.
+  steps it has.
 
-Each kernel is checked against the scalar functions by property tests
-(the phase map against the oracle's own labels); the split kernel is
-timed by ``benchmarks/bench_vectorized_labels.py``.  All kernels take
-and return ``int64`` arrays and never modify inputs.
+:func:`split_labels` is the single-step form of Lemma 5.6, which no
+engine runs: ``benchmarks/bench_vectorized_labels.py`` times it against
+the scalar transform.  Each kernel is checked against the scalar
+functions by property tests (the phase map against the oracle's own
+labels).  All kernels take and return ``int64`` arrays and never modify
+inputs.
 """
 
 from __future__ import annotations
@@ -58,20 +59,6 @@ def split_labels(labels: np.ndarray, spec: SplitSpec) -> Tuple[np.ndarray, np.nd
     )
     tours = np.where(inside, spec.inside_tour, spec.old_tour)
     return tours, new_labels
-
-
-def join_m1_labels(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
-    """Vectorized Lemma 5.7, M1 side."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return np.where(labels < spec.a, labels, labels + spec.size2 + 2)
-
-
-def join_m2_labels(labels: np.ndarray, spec: JoinSpec) -> np.ndarray:
-    """Vectorized Lemma 5.7, M2 side."""
-    if spec.size2 <= 0:
-        raise ValueError("singleton M2 has no labels")
-    labels = np.asarray(labels, dtype=np.int64)
-    return spec.a + 1 + ((labels - spec.b) % spec.size2)
 
 
 def member_mask(values: np.ndarray, keys) -> np.ndarray:

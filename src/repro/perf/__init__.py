@@ -12,9 +12,11 @@ other axis — wall-clock speed of the simulation itself.  It provides:
   links) composed by :class:`repro.euler.vectorized.PhaseMap` and
   applied in one pass over all machines;
 * local kernels that the protocols dispatch to on the fast path: the
-  §6.2 candidate scan (:mod:`repro.perf.components`), the Borůvka
-  initialisers' min-outgoing-edge scan (:mod:`repro.perf.init_columnar`)
-  and the contracted-clique scans (:mod:`repro.perf.cclique_columnar`).
+  §6.2 candidate scan (:mod:`repro.perf.components`) and the Borůvka
+  initialisers' min-outgoing-edge scan (:mod:`repro.perf.init_columnar`);
+* the grouped local MSF of §6.2 step 3
+  (:mod:`repro.perf.cclique_columnar`), which both engines run.  The
+  contracted-clique engines' own scans are scalar loops on both engines.
 
 Every protocol's sends are written once, in its own module: no function
 here calls a communication primitive
@@ -27,9 +29,8 @@ identical MST state (the charge transcript is compared by digest in
 message bookkeeping are *executed*, never what is *charged*.
 """
 
-from repro.perf.config import VECTOR_MIN_ROWS, fast_path_enabled
+from repro.perf.config import fast_path_enabled
 
 __all__ = [
-    "VECTOR_MIN_ROWS",
     "fast_path_enabled",
 ]

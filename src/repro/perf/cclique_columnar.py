@@ -1,31 +1,17 @@
-"""Vectorized local kernels for contracted CONGESTED-CLIQUE instances (§6.2).
+"""The grouped local-MSF kernel of §6.2 step 3.
 
-Three local scans move no words but dominate the wall clock of a
-deletion batch and a contracted-instance solve:
+Step 3 of :func:`repro.core.batch_deletion.batch_delete` has every
+machine delete cycles among its deletion candidates.  The scan moves no
+words, so :func:`grouped_local_msf` runs it for all machines at once, on
+both engines, and returns each machine's survivors in the order the
+scalar scan (:func:`repro.cclique.engines._cc_local_msf`) accepts them.
+The contracted-clique engines themselves run that scalar scan: they see
+at most k+1 super-vertices.
 
-* step 3 of :func:`repro.core.batch_deletion.batch_delete` — every
-  machine's cycle deletion over its deletion candidates, run by
-  :func:`grouped_local_msf` for all machines at once, on both engines;
-* :func:`repro.cclique.engines._cc_local_msf` — machine-local cycle
-  deletion inside the engines (several times per solve on the
-  merge-and-filter paths), the one-group call of the same kernel
-  (:func:`cc_local_msf_columnar`);
-* :func:`repro.cclique.engines._cc_min_outgoing` — the Borůvka engine's
-  per-phase candidate scan, where every machine walks its whole
-  :class:`CCEdge` list (:class:`CCEdgeTable`).
-
-Above the ``VECTOR_MIN_ROWS`` crossover a fast-path network runs the
-engines' two scans as NumPy passes with **identical observable
-results**: the same MSF edge objects in the same order, and the same
-``CCEdge`` objects in the same (query, machine) slots of the Borůvka
-query table.  The engines themselves, and everything they send, are
-written once in :mod:`repro.cclique.engines`.
-
-The local-MSF kernel runs Borůvka over *sort ranks*: rows get their
-position in the scalar path's sort order (``(group, key, cu, cv)``,
-stable) as a unique integer priority, and per-component minimum
-selection over ranks (shared with :meth:`CCEdgeTable.min_outgoing`) is
-an ``np.lexsort`` + group-first pass per round.  Super-vertex ids are
+The kernel runs Borůvka over *sort ranks*: rows get their position in
+the scalar path's sort order (``(group, key, cu, cv)``, stable) as a
+unique integer priority, and per-component minimum selection over ranks
+is an ``np.lexsort`` + group-first pass per round.  Super-vertex ids are
 offset per group, so groups never merge.  With unique priorities the
 greedy (Kruskal) forest and the Borůvka forest are the same unique MSF,
 so the selected rows are the scalar scan's accepted edges — returned in
@@ -38,13 +24,9 @@ tie-break.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cclique.ccedge import CCEdge
-    from repro.sim.network import Network
 
 
 def _collapse(parent: np.ndarray) -> np.ndarray:
@@ -124,69 +106,3 @@ def grouped_local_msf(
         fix = two_cycle & (node_ids < parent)
         parent[fix] = node_ids[fix]
     return order[selected[order]]
-
-
-def _edge_columns(edges: Sequence["CCEdge"]) -> Tuple[np.ndarray, ...]:
-    """(cu, cv, weight, key u, key v) columns of a :class:`CCEdge` list."""
-    n = len(edges)
-    return (
-        np.fromiter((e.cu for e in edges), np.int64, n),
-        np.fromiter((e.cv for e in edges), np.int64, n),
-        np.fromiter((e.key[0] for e in edges), np.float64, n),
-        np.fromiter((e.key[1] for e in edges), np.int64, n),
-        np.fromiter((e.key[2] for e in edges), np.int64, n),
-    )
-
-
-def cc_local_msf_columnar(
-    edges: Sequence["CCEdge"], net: Optional["Network"] = None
-) -> List["CCEdge"]:
-    """Vectorized :func:`repro.cclique.engines._cc_local_msf`: the
-    one-group call of :func:`grouped_local_msf`.
-
-    Same output list (same objects, same order).  ``net`` only keeps the
-    scalar function's signature: the kernel sends nothing.
-    """
-    rows = grouped_local_msf(np.zeros(len(edges), dtype=np.int64), *_edge_columns(edges))
-    return [edges[i] for i in rows.tolist()]
-
-
-class CCEdgeTable:
-    """One machine's contracted edges as columns plus the object list."""
-
-    __slots__ = ("objs", "cu", "cv", "rank")
-
-    def __init__(self, edges: Sequence["CCEdge"]) -> None:
-        self.objs: List["CCEdge"] = list(edges)
-        self.cu, self.cv, w, x, y = _edge_columns(self.objs)
-        self.rank = _rank(np.lexsort((self.cv, self.cu, y, x, w)))
-
-    def min_outgoing(self, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(components, rows) of the min-rank outgoing edge per component.
-
-        ``roots`` maps super-vertex id to its current dense root index.
-        Rank order is the full :class:`CCEdge` order the scalar scan's
-        ``e < cur`` uses, so the winning row is the same edge object.
-        """
-        return _min_rank_per_component(roots[self.cu], roots[self.cv], self.rank)
-
-
-def cc_min_outgoing_columnar(
-    net: "Network",
-    local_edges: Sequence[Sequence["CCEdge"]],
-    roots: np.ndarray,
-) -> Dict[int, List[Optional["CCEdge"]]]:
-    """Columnar twin of :func:`repro.cclique.engines._cc_min_outgoing`.
-
-    Each machine's list is ranked once per phase; Borůvka on n'
-    super-vertices runs O(log n') phases.
-    """
-    per_query: Dict[int, List[Optional["CCEdge"]]] = {
-        c: [None] * net.k for c in np.unique(roots).tolist()
-    }
-    for m, edges in enumerate(local_edges):
-        table = CCEdgeTable(edges)
-        comps, rows = table.min_outgoing(roots)
-        for c, r in zip(comps.tolist(), rows.tolist()):
-            per_query[c][m] = table.objs[r]
-    return per_query

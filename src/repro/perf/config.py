@@ -11,16 +11,13 @@ mid-run.  Every call site asks the network it is charging.
 
 Both paths are always available — nothing is compiled out — so a single
 process can run them side by side and compare ledgers byte for byte.
+The switch is the only engine selection; no protocol picks its path by
+input size.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-#: Below this many rows, array packing costs more than scalar loops save;
-#: the columnar engine still runs (correctness is size-independent) but
-#: oracle-side helpers use it as their vectorize/loop crossover.
-VECTOR_MIN_ROWS = 64
 
 
 def fast_path_enabled(net: Any) -> bool:

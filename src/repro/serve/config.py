@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
+from repro.cclique.engines import get_engine
 from repro.graphs.generators import random_weighted_graph
 from repro.graphs.graph import WeightedGraph
 from repro.sim.executor import backend_from_env, get_backend, resolve_backend
@@ -56,6 +57,7 @@ class ServeConfig:
             raise ValueError("queue bounds must be positive")
         if self.rate_limit < 0 or self.rate_burst <= 0:
             raise ValueError("rate limit must be >= 0 and burst positive")
+        get_engine(self.engine)  # an unknown name raises ValueError
         if self.backend is not None:
             get_backend(self.backend)  # an unknown name raises ValueError
 

@@ -88,7 +88,8 @@ class StreamIngestor:
     def pump(self, flush: bool = False) -> Iterator[Tuple[str, CutResult, int]]:
         """Apply each cut the rule calls for, yielding ``(reason, cut,
         rounds)`` after it; with ``flush`` (no more arrivals can come)
-        cut until the queue is empty."""
+        cut until the queue is empty, then collect the staleness of the
+        updates annihilated since the last cut."""
         buf = self.buffer
         while buf.pending_cost:
             depth = buf.pending_cost
@@ -125,6 +126,8 @@ class StreamIngestor:
                     batches=len(cut.batches),
                 )
             yield reason, cut, rounds
+        if flush:
+            self.latencies.extend(buf.drain_resolved())
 
     def run(self, arrivals: ArrivalStream) -> StreamReport:
         """Replay the whole stream; returns the run's frontier numbers."""
@@ -147,7 +150,6 @@ class StreamIngestor:
             # Nothing to do this tick: idle forward (jump straight to
             # the next arrival when the queue is empty).
             self.now = self.now + 1 if buf.pending_cost else arr[i].tick
-        self.latencies.extend(buf.drain_resolved())
         run_delta = ledger.since(run_before)
         report = StreamReport(
             coalesced=self.coalesce,

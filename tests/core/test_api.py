@@ -1,13 +1,18 @@
 """The DynamicMST facade: validation, reports, queries, mixed batches."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.cclique import ENGINES
 from repro.core import BatchReport, DynamicMST
+from repro.core.snapshot import from_snapshot, to_snapshot
 from repro.errors import InconsistentUpdate
 from repro.graphs import Update, WeightedGraph, churn_stream, random_weighted_graph
 from repro.graphs.mst import msf_key_multiset
 from repro.graphs import kruskal_msf
+from repro.mpc import MPCDynamicMST
 
 
 def _dm(graph, k=4, seed=0, **kw):
@@ -35,6 +40,21 @@ class TestValidation:
         dm = _dm(WeightedGraph(range(3)))
         with pytest.raises(InconsistentUpdate):
             dm.apply_batch([Update.add(0, 99, 1.0)])
+
+    def test_unknown_engine_rejected_at_construction(self):
+        """§6.2 step 8 is the first reader of the engine name, after step 1
+        has dropped the batch's graph edges, so every way of constructing
+        a structure rejects an unknown name before any state exists."""
+        g = random_weighted_graph(60, 180, rng=0)
+        unknown = re.escape(f"unknown engine 'typo'; choose from {sorted(ENGINES)}")
+        with pytest.raises(ValueError, match=unknown):
+            DynamicMST.build(g, 4, rng=0, engine="typo")
+        with pytest.raises(ValueError, match=unknown):
+            MPCDynamicMST.build(g, 4, rng=0, engine="typo")
+        snap = to_snapshot(DynamicMST.build(g, 4, rng=0, init="free"))
+        snap["engine"] = "typo"
+        with pytest.raises(ValueError, match=unknown):
+            from_snapshot(snap)
 
 
 class TestMixedBatches:

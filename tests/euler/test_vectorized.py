@@ -11,23 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.euler.labels import (
-    JoinSpec,
-    SplitSpec,
-    join_m1_label,
-    join_m2_label,
-    reroot_label,
-    split_label,
-)
+from repro.euler.labels import SplitSpec, reroot_label, split_label
 from repro.euler.tour import EulerForest
-from repro.euler.vectorized import (
-    PhaseMap,
-    join_m1_labels,
-    join_m2_labels,
-    member_mask,
-    reroot_labels,
-    split_labels,
-)
+from repro.euler.vectorized import PhaseMap, member_mask, reroot_labels, split_labels
 from repro.graphs import random_forest
 from repro.graphs.graph import Edge
 
@@ -55,32 +41,11 @@ def test_split_matches_scalar(size, data):
         assert (t, l) == (wt, wl)
 
 
-@given(st.integers(1, 60), st.integers(1, 60), st.data())
-@settings(max_examples=40, deadline=None)
-def test_join_matches_scalar(size1, size2, data):
-    a = data.draw(st.integers(0, size1 - 1))
-    b = data.draw(st.integers(0, size2 - 1))
-    spec = JoinSpec(a, b, size1, size2, tour1=1, tour2=2)
-    l1 = np.arange(size1)
-    l2 = np.arange(size2)
-    assert join_m1_labels(l1, spec).tolist() == [
-        join_m1_label(int(w), spec) for w in l1
-    ]
-    assert join_m2_labels(l2, spec).tolist() == [
-        join_m2_label(int(w), spec) for w in l2
-    ]
-
-
 class TestErrors:
     def test_split_rejects_cut_labels(self):
         spec = SplitSpec(2, 7, 10, 0, 1)
         with pytest.raises(ValueError):
             split_labels(np.array([1, 2, 3]), spec)
-
-    def test_join_m2_singleton(self):
-        spec = JoinSpec(0, 0, 4, 0, 1, 2)
-        with pytest.raises(ValueError):
-            join_m2_labels(np.array([0]), spec)
 
     def test_reroot_empty_tour(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """Initialisation on the fast path IS the reference initialisation, observably.
 
 The Borůvka initialisers and the contracted-clique engines are written
-once; on a fast-path network their machine-local scans run as array
-passes (:mod:`repro.perf.init_columnar`,
-:mod:`repro.perf.cclique_columnar`) over the resident fleet columns.
-They carry the same contract as the update fast path: byte-identical
+once.  On a fast-path network the initialisers' machine-local scans run
+as array passes (:mod:`repro.perf.init_columnar`) over the resident
+fleet columns, and the engines' wire is charged in closed form.  They
+carry the same contract as the update fast path: byte-identical
 round/message/word transcripts (hence SHA-256 ledger digests), identical
 MSF output, identical machine state — under ``REPRO_STRICT=1``, across
 seeds and machine counts.  These tests pin that contract for
@@ -14,8 +14,9 @@ seeds and machine counts.  These tests pin that contract for
 * every engine in :data:`repro.cclique.ENGINES`,
 
 plus unit-level oracles for the kernels they stand on
-(:class:`~repro.graphs.dsu.ArrayDSU`, :func:`min_outgoing_rows`,
-:func:`cc_local_msf_columnar` and the grouped kernel under it).
+(:class:`~repro.graphs.dsu.ArrayDSU`, :func:`min_outgoing_rows`) and for
+§6.2 step 3's :func:`grouped_local_msf` against the engines' scalar
+local-MSF scan.
 """
 
 import numpy as np
@@ -29,8 +30,7 @@ from repro.graphs import WeightedGraph, kruskal_msf, random_weighted_graph
 from repro.graphs.dsu import ArrayDSU, DisjointSet
 from repro.graphs.mst import msf_key_multiset
 from repro.mpc import MPCDynamicMST
-from repro.perf.cclique_columnar import cc_local_msf_columnar, grouped_local_msf
-from repro.perf.config import VECTOR_MIN_ROWS
+from repro.perf.cclique_columnar import grouped_local_msf
 from repro.perf.init_columnar import GraphEdgeTable, min_outgoing_rows
 from repro.sim import KMachineNetwork, VertexPartition
 
@@ -118,8 +118,8 @@ class TestMPCInit:
 
 
 def _cc_instance(seed, k, min_local=0):
-    """Deterministic contracted-clique instance; optionally dense enough
-    per machine to clear the vectorize/loop crossover."""
+    """Deterministic contracted-clique instance; optionally with machine
+    0's list padded by duplicates to ``min_local`` edges."""
     rng = np.random.default_rng(seed)
     nv = k + 1
     m = nv * (nv - 1) // 2
@@ -129,7 +129,7 @@ def _cc_instance(seed, k, min_local=0):
         local[int(rng.integers(0, k))].append(CCEdge.make(e.u, e.v, e.key()))
     if min_local:
         # Pile duplicates on machine 0 (§6.2 step 7 duplicates edges
-        # anyway) until its list clears the columnar crossover.
+        # anyway) until its list holds min_local edges.
         base = [e for lst in local for e in lst]
         while base and len(local[0]) < min_local:
             local[0].extend(base[: min_local - len(local[0])])
@@ -166,12 +166,12 @@ class TestCCliqueEngines:
         assert sorted(ref["msf"]) == want
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
-    def test_dense_local_lists_cross_the_vector_threshold(self, engine):
-        # Force the cc_local_msf columnar kernel to actually engage
-        # (lists >= VECTOR_MIN_ROWS), duplicates included.
+    def test_dense_local_lists_with_duplicates(self, engine):
+        # One machine holds far more edges than the instance's 12
+        # super-vertices need, duplicates included.
         k = 12
-        nv, local, _ = _cc_instance(7, k, min_local=VECTOR_MIN_ROWS + 8)
-        assert len(local[0]) >= VECTOR_MIN_ROWS
+        nv, local, _ = _cc_instance(7, k, min_local=72)
+        assert len(local[0]) == 72
         ref = _cc_run(engine, nv, local, k, 7, fast=False)
         fst = _cc_run(engine, nv, local, k, 7, fast=True)
         assert fst["msf"] == ref["msf"]
@@ -256,6 +256,32 @@ class TestMinOutgoingRows:
         assert comps.size == rows.size == 0
 
 
+def _one_group(edges):
+    """The rows :func:`grouped_local_msf` keeps of ``edges`` as one group."""
+    return grouped_local_msf(
+        np.zeros(len(edges), dtype=np.int64),
+        np.array([e.cu for e in edges], dtype=np.int64),
+        np.array([e.cv for e in edges], dtype=np.int64),
+        np.array([e.key[0] for e in edges], dtype=np.float64),
+        np.array([e.key[1] for e in edges], dtype=np.int64),
+        np.array([e.key[2] for e in edges], dtype=np.int64),
+    ).tolist()
+
+
+def _copies(edges):
+    """Equal edges as new objects, so identity tells which row was kept."""
+    return [CCEdge.make(e.cu, e.cv, e.key) for e in edges]
+
+
+def _assert_same_rows(edges):
+    """One group's kernel rows are the scalar scan's, object for object:
+    ``sorted`` is stable, so of equal rows the scan keeps the first."""
+    want = _cc_local_msf(edges)
+    got = [edges[r] for r in _one_group(edges)]
+    assert got == want
+    assert all(g is w for g, w in zip(got, want))
+
+
 class TestCCLocalMSFColumnar:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scalar_cycle_deletion(self, seed):
@@ -267,17 +293,11 @@ class TestCCLocalMSFColumnar:
             if u != v:
                 edges.append(CCEdge.make(u, v, (float(rng.random()), u, v)))
         # Duplicates are normal input (§6.2 sends edges to both endpoints).
-        edges += edges[: len(edges) // 3]
-
-        dsu = DisjointSet()
-        want = []
-        for e in sorted(edges):
-            if dsu.union(e.cu, e.cv):
-                want.append(e)
-        assert cc_local_msf_columnar(edges) == want
+        edges += _copies(edges[: len(edges) // 3])
+        _assert_same_rows(edges)
 
     def test_empty_input(self):
-        assert cc_local_msf_columnar([]) == []
+        assert _one_group([]) == []
 
 
 class TestGroupedLocalMSF:
@@ -309,8 +329,7 @@ class TestGroupedLocalMSF:
         rng = np.random.default_rng(seed)
         k = seed + 1  # 1 to 16 machines
         per_machine = self._machines(rng, k)
-        scalar = KMachineNetwork(k, fast=False)
-        want = [_cc_local_msf(edges, scalar) for edges in per_machine]
+        want = [_cc_local_msf(edges) for edges in per_machine]
         flat = [e for edges in per_machine for e in edges]
         group = np.array([m for m, edges in enumerate(per_machine) for _ in edges],
                          dtype=np.int64)
@@ -340,10 +359,9 @@ class TestDuplicateRankStability:
     scan's objects, order, and wire.
     """
 
-    def _duplicate_heavy_edges(self, seed, n_base=None):
+    def _duplicate_heavy_edges(self, seed, n_base=128):
         rng = np.random.default_rng(seed)
         nv = 24
-        n_base = n_base or (VECTOR_MIN_ROWS * 2)
         edges = []
         while len(edges) < n_base:
             u, v = rng.integers(0, nv, size=2).tolist()
@@ -353,26 +371,19 @@ class TestDuplicateRankStability:
                 w = 0.25 if rng.random() < 0.5 else 0.5
                 edges.append(CCEdge.make(u, v, (w, u, v)))
         # Exact duplicates, interleaved at random positions.
-        dupes = [edges[int(i)] for i in rng.integers(0, len(edges), size=len(edges))]
+        dupes = _copies(edges[int(i)] for i in rng.integers(0, len(edges), size=len(edges)))
         merged = edges + dupes
         rng.shuffle(merged)
         return merged
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kernel_matches_scalar_object_for_object(self, seed):
-        edges = self._duplicate_heavy_edges(seed)
-        dsu = DisjointSet()
-        want = [e for e in sorted(edges) if dsu.union(e.cu, e.cv)]
-        got = cc_local_msf_columnar(edges)
-        assert got == want
-        # Same *objects*, not just equal values: the scalar scan keeps
-        # the first duplicate in sorted order, so must the kernel.
-        assert all(g is w for g, w in zip(got, want))
+        _assert_same_rows(self._duplicate_heavy_edges(seed))
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_engine_transcript_identical_with_duplicates(self, engine):
         k = 4
-        edges = self._duplicate_heavy_edges(99, n_base=VECTOR_MIN_ROWS * 3)
+        edges = self._duplicate_heavy_edges(99, n_base=192)
         local = [edges[m::k] for m in range(k)]
         runs = {}
         for fast in (False, True):

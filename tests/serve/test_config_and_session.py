@@ -41,6 +41,13 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="unknown execution backend"):
             ServeConfig.from_env(backend="scalar")
 
+    def test_unknown_engine_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown engine 'typo'"):
+            ServeConfig(engine="typo")
+        with pytest.raises(ValueError, match="unknown engine 'typo'"):
+            ServeConfig.from_env(engine="typo")
+        assert ServeConfig(engine="boruvka").engine == "boruvka"
+
     def test_resolved_backend_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert ServeConfig().resolved_backend() == "inproc-columnar"

@@ -12,10 +12,12 @@ pinned cut trajectories.
 """
 
 import asyncio
+import itertools
+from typing import List
 
 import pytest
 
-from repro.graphs.streams import ArrivalStream
+from repro.graphs.streams import ArrivalStream, Update
 from repro.serve import ServeConfig, offline_replay, verify_determinism
 from repro.serve.reducer import ServeReducer
 from repro.stream import StreamIngestor
@@ -37,6 +39,16 @@ async def churn(config, clients=5, per_client=2, rounds=2):
         )
         await daemon.shutdown(drain=True)
         return daemon.reducer
+
+
+def annihilated_after_last_cut(reducer: ServeReducer) -> List[Update]:
+    """k adds of absent pairs (one size cut), then an add and a delete of
+    one more absent pair, which the coalescer annihilates after that cut."""
+    n = reducer.config.n
+    absent = ((u, v) for u in range(n) for v in range(u + 1, n)
+              if not reducer.effective_present(u, v))
+    pairs = list(itertools.islice(absent, reducer.config.k + 1))
+    return [Update.add(u, v, 0.5) for u, v in pairs] + [Update.delete(*pairs[-1])]
 
 
 class TestAcrossConfigs:
@@ -61,7 +73,9 @@ class TestAcrossConfigs:
 
 
 class TestGateMechanics:
-    @pytest.mark.parametrize("stream", [hot_toggle, uniform_churn])
+    @pytest.mark.parametrize(
+        "stream", [hot_toggle, uniform_churn, annihilated_after_last_cut]
+    )
     def test_replay_agrees_on_every_counter(self, stream):
         """Not only the digests: the replay admits, ships, absorbs, cuts
         and ages the same updates as the live reducer, on the same clock."""
